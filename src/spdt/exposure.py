@@ -24,8 +24,6 @@ import numpy as np
 
 from ._kernel import batch_link_exposure
 
-MINUTES_PER_DAY = 1440
-
 DEFAULT_GENERATION_RATE = 18.24  # PFU/min (0.304 PFU/s)
 DEFAULT_PROXIMITY_VOLUME = 2512.0  # m^3
 DEFAULT_PULMONARY_RATE = 0.0075  # m^3/min (7.5 L/min)

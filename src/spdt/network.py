@@ -22,9 +22,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .trace import LocationUpdate, ParsedTrace, Visit
-
-MINUTES_PER_DAY = 1440
+from .trace import MINUTES_PER_DAY, LocationUpdate, ParsedTrace, Visit
 
 NETWORK_FORMAT_VERSION = 1
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .epidemic import DailyStats, SimulationConfig, run_simulation, write_daily_csv
-from .metrics import outbreak_size, run_summaries
+from .metrics import _fmt, outbreak_size, run_summaries
 from .network import (
     BuilderConfig,
     DynamicContactNetwork,
@@ -37,6 +37,10 @@ VARIANTS = ("SDT", "SST", "DDT", "DST", "LDT", "LST")
 MANIFEST_FORMAT = "spdt-run v1"
 
 _PAIRS = (("SDT", "SST"), ("DDT", "DST"), ("LDT", "LST"))
+
+# resolution at which cell_seed tells r_t and sigma values apart
+_R_T_SEED_SCALE = 1000
+_SIGMA_SEED_SCALE = 1_000_000
 
 
 def parse_tau_spec(spec: str | int) -> tuple[int, int]:
@@ -79,6 +83,16 @@ class ExperimentPlan:
             parse_tau_spec(spec)
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        for name, values, scale in (("r_t", self.r_t_values, _R_T_SEED_SCALE),
+                                    ("sigma", self.sigma_values, _SIGMA_SEED_SCALE)):
+            seen: dict[int, float] = {}
+            for value in values:
+                key = int(round(value * scale))
+                if key in seen:
+                    raise ValueError(
+                        f"{name} values {seen[key]!r} and {value!r} share a cell "
+                        f"seed: they round to the same multiple of 1/{scale}")
+                seen[key] = value
 
     @classmethod
     def desk(cls) -> "ExperimentPlan":
@@ -188,8 +202,8 @@ def cell_seed(plan_seed: int, variant: str, r_t: float, sigma: float,
     ss = np.random.SeedSequence((
         plan_seed,
         VARIANTS.index(variant),
-        int(round(r_t * 1000)),
-        int(round(sigma * 1_000_000)),
+        int(round(r_t * _R_T_SEED_SCALE)),
+        int(round(sigma * _SIGMA_SEED_SCALE)),
         tau_lo,
         tau_hi,
     ))
@@ -234,10 +248,6 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
 
 
 def run_plan(plan: ExperimentPlan, trace_path, out_dir,

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import LocationUpdate
-
-MINUTES_PER_DAY = 1440
+from .trace import MINUTES_PER_DAY, LocationUpdate
 
 _STREAM_LAYOUT = 0
 _STREAM_USER = 1

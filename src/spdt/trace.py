@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
+MINUTES_PER_DAY = 1440
+
 TRACE_HEADER = ("user_id", "t_min", "x_m", "y_m")
 TRACE_HEADER_LATLON = ("user_id", "t_min", "lat", "lon")
 

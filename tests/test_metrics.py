@@ -1,5 +1,6 @@
 """Reproduction series, static/daily graph metrics, clustering oracle."""
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -158,6 +159,25 @@ class TestExposureThresholdGraph:
     def test_universe_must_cover_network_users(self):
         with pytest.raises(ValueError):
             static_graph(self._net(), universe=["a", "b"])
+
+    @pytest.mark.parametrize("bad", [-5.0, 0.0, 0, float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_rejects_removal_time_not_positive_finite(self, bad):
+        net = self._net()
+        pattern = rf"r_t .*{re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=pattern):
+            static_graph(net, r_t=bad)
+        with pytest.raises(ValueError, match=pattern):
+            daily_network_metrics(net, [60.0, bad])
+
+    @pytest.mark.parametrize("bad", [-0.01, 0.0, float("nan"), float("inf")])
+    def test_rejects_threshold_not_positive_finite(self, bad):
+        net = self._net()
+        pattern = rf"threshold .*{re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=pattern):
+            static_graph(net, threshold=bad)
+        with pytest.raises(ValueError, match=pattern):
+            daily_network_metrics(net, [60.0], threshold=bad)
 
 
 def build_pair(seed=4, users=220, days=5):

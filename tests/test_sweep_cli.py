@@ -69,6 +69,21 @@ class TestPlan:
         assert plan.r_t_values == (15.0, 45.0)
         assert plan.runs == 7 and plan.sigma_values == (0.4,)
 
+    def test_rejects_r_t_values_sharing_a_cell_seed(self):
+        # cell_seed keys r_t to 1e-3: these two would draw the same stream
+        assert cell_seed(0, "SDT", 10.0001, 0.33, "3-5") == \
+            cell_seed(0, "SDT", 10.0004, 0.33, "3-5")
+        with pytest.raises(ValueError, match=r"10\.0001.*10\.0004"):
+            ExperimentPlan(r_t_values=(10.0001, 35.0, 10.0004))
+
+    def test_rejects_sigma_values_sharing_a_cell_seed(self):
+        with pytest.raises(ValueError, match=r"0\.33.*0\.3300001"):
+            ExperimentPlan(sigma_values=(0.33, 0.3300001))
+
+    def test_distinct_grid_values_accepted(self):
+        plan = ExperimentPlan(r_t_values=(10.0, 10.001), sigma_values=(0.33, 0.330001))
+        assert plan.r_t_values == (10.0, 10.001)
+
     def test_cell_seed_independent_of_other_axes(self):
         s = cell_seed(0, "SDT", 60.0, 0.33, "3-5")
         assert s == cell_seed(0, "SDT", 60.0, 0.33, "3-5")
