@@ -14,9 +14,9 @@ direct-bearing ones so both variants share users and per-day link counts.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from dataclasses import dataclass
+from itertools import islice, product, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -122,7 +122,10 @@ class DynamicContactNetwork:
     def _from_arrays(cls, users, horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n):
         """Build from raw arrays: re-derive the user set, validate, sort canonically."""
         users = list(users)
-        used = np.union1d(host, nbr) if host.size else np.empty(0, dtype=np.int64)
+        present = np.zeros(len(users), dtype=bool)
+        present[host] = True
+        present[nbr] = True
+        used = np.flatnonzero(present)
         if used.size != len(users):
             remap = np.full(len(users), -1, dtype=np.int64)
             remap[used] = np.arange(used.size)
@@ -131,16 +134,15 @@ class DynamicContactNetwork:
             users = [users[i] for i in used]
 
         if host.size:
-            if np.any(host == nbr):
-                raise ValueError("link connects a user to itself")
-            if np.any(t_s > t_l) or np.any(t_s_n > t_l_n) or np.any(t_l_n <= t_s):
-                raise ValueError("link interval invariants violated")
-            if np.any(day < 0) or np.any(day >= horizon):
-                raise ValueError("link day outside [0, horizon)")
-            order = np.lexsort((t_l_n, t_s_n, nbr, t_s, host, day))
-            day, host, nbr = day[order], host[order], nbr[order]
-            t_s, t_l = t_s[order], t_l[order]
-            t_s_n, t_l_n = t_s_n[order], t_l_n[order]
+            fault = _first_fault(horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n)
+            if fault is not None:
+                raise ValueError(fault[1])
+            # saved files and filtered networks are mostly in order already
+            if not _in_order(day, host, t_s, nbr, t_s_n, t_l_n):
+                order = np.lexsort((t_l_n, t_s_n, nbr, t_s, host, day))
+                day, host, nbr = day[order], host[order], nbr[order]
+                t_s, t_l = t_s[order], t_l[order]
+                t_s_n, t_l_n = t_s_n[order], t_l_n[order]
         return cls(users, horizon, day.astype(np.int64), host.astype(np.int64),
                    nbr.astype(np.int64), t_s.astype(np.int64), t_l.astype(np.int64),
                    t_s_n.astype(np.int64), t_l_n.astype(np.int64))
@@ -193,10 +195,63 @@ class DynamicContactNetwork:
                 f"horizon={self.horizon})")
 
 
-def _group_bounds(sorted_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique values and start offsets of runs in a sorted code array."""
-    uniq, starts = np.unique(sorted_codes, return_index=True)
-    return uniq, starts
+def _in_order(*keys: np.ndarray) -> bool:
+    """Whether rows are sorted by the keys, most significant first; ties allowed."""
+    tied = np.ones(keys[0].size - 1, dtype=bool)
+    for key in keys:
+        if np.any(tied & (key[1:] < key[:-1])):
+            return False
+        tied &= key[1:] == key[:-1]
+    return True
+
+
+def _first_fault(horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n):
+    """Row of the first link that breaks a network invariant, and which one.
+
+    Self-links are looked for first, then broken interval invariants, then
+    days outside [0, horizon). None when every link is valid.
+    """
+    for message, bad in (
+        ("link connects a user to itself", host == nbr),
+        ("link interval invariants violated",
+         (t_s > t_l) | (t_s_n > t_l_n) | (t_l_n <= t_s)),
+        ("link day outside [0, horizon)", (day < 0) | (day >= horizon)),
+    ):
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            return int(rows[0]), message
+    return None
+
+
+# Extraction joins visits to updates in blocks of at most this many
+# candidate (visit, update) pairs, and network I/O formats or parses this
+# many rows at a time, so that temporaries stay small whatever the size of
+# the trace or the network.
+_PAIR_BLOCK = 1 << 16
+_ROW_BLOCK = 1 << 13
+
+
+def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values."""
+    mask = np.empty(sorted_values.size, dtype=bool)
+    mask[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=mask[1:])
+    return mask
+
+
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values, and each value's position among them."""
+    ordered = np.sort(values)
+    distinct = ordered[_run_starts(ordered)]
+    return distinct, np.searchsorted(distinct, values)
+
+
+def _find(distinct: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Position of each query in a sorted distinct array, or -1 if absent."""
+    pos = np.searchsorted(distinct, queries)
+    found = pos < distinct.size
+    found[found] = distinct[pos[found]] == queries[found]
+    return np.where(found, pos, -1)
 
 
 def extract_spdt_links(
@@ -213,6 +268,13 @@ def extract_spdt_links(
     end). Co-presence therefore yields two links with roles swapped. Links
     are binned to the day of the host visit start; days past the horizon are
     dropped.
+
+    The updates are sorted by (grid cell, time) on a grid of radius-sized
+    cells. Each visit's candidates are the updates of the 3x3 cells around
+    its anchor within its time window: nine contiguous ranges of that order.
+    The ranges are expanded and filtered in blocks of at most
+    ``_PAIR_BLOCK`` pairs, and each (visit, neighbour) group is reduced to
+    its first and last update time.
     """
     if isinstance(updates, ParsedTrace):
         updates = updates.updates
@@ -220,81 +282,97 @@ def extract_spdt_links(
     visits = list(visits)
     delta = cfg.indirect_window_min
     radius2 = cfg.radius_m * cfg.radius_m
+    empty = np.empty(0, dtype=np.int64)
 
     if not updates or not visits:
-        return DynamicContactNetwork.from_links([], cfg.horizon_days)
+        return DynamicContactNetwork._from_arrays((), cfg.horizon_days, *[empty] * 7)
 
-    user_ids = sorted({u.user_id for u in updates})
-    code_of = {u: i for i, u in enumerate(user_ids)}
-    ux = np.array([u.x for u in updates])
-    uy = np.array([u.y for u in updates])
-    ut = np.array([u.t for u in updates])
-    ucode = np.array([code_of[u.user_id] for u in updates], dtype=np.int64)
+    u_id, u_t, u_x, u_y = zip(*updates)
+    v_id, *v_cols = zip(*visits)
+    v_x, v_y, v_t0, v_t1 = (np.array(col, dtype=np.float64) for col in v_cols)
+    # hosts absent from the update stream are users too; their own updates
+    # (none) exclude nothing
+    users = sorted(set(u_id).union(v_id))
+    code_of = {u: i for i, u in enumerate(users)}
+    host = np.fromiter(map(code_of.__getitem__, v_id), np.int64, len(v_id))
+    code = np.fromiter(map(code_of.__getitem__, u_id), np.int64, len(u_id))
+    t = np.array(u_t, dtype=np.float64)
+    x = np.array(u_x, dtype=np.float64)
+    y = np.array(u_y, dtype=np.float64)
 
-    # uniform grid with radius-sized cells; candidates come from the 3x3
-    # neighbourhood of the anchor cell
-    cell_x = np.floor(ux / cfg.radius_m).astype(np.int64)
-    cell_y = np.floor(uy / cfg.radius_m).astype(np.int64)
-    grid: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(zip(cell_x.tolist(), cell_y.tolist())):
-        grid.setdefault(key, []).append(i)
-    grid_arrays = {key: np.array(idx, dtype=np.int64) for key, idx in grid.items()}
+    # sort key: (cell rank, time rank), both dense, so the key fits in int64
+    xs, col = _dense_rank(np.floor(x / cfg.radius_m).astype(np.int64))
+    ys, row = _dense_rank(np.floor(y / cfg.radius_m).astype(np.int64))
+    cells, cell = _dense_rank(col * ys.size + row)
+    times, rank = _dense_rank(t)
+    key = cell * times.size + rank
+    order = np.argsort(key, kind="stable")
+    key, code, t, x, y = key[order], code[order], t[order], x[order], y[order]
 
-    links: list[SPDTLink] = []
-    for visit in visits:
-        # the host's own updates never count as neighbour presence; a host
-        # absent from the update stream excludes nothing
-        host_code = code_of.get(visit.user_id, -1)
-        cx = int(math.floor(visit.anchor_x / cfg.radius_m))
-        cy = int(math.floor(visit.anchor_y / cfg.radius_m))
-        blocks = [
-            grid_arrays[(cx + dx, cy + dy)]
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            if (cx + dx, cy + dy) in grid_arrays
-        ]
-        if not blocks:
-            continue
-        cand = np.concatenate(blocks)
-        dx = ux[cand] - visit.anchor_x
-        dy = uy[cand] - visit.anchor_y
-        tcand = ut[cand]
-        mask = (
-            (dx * dx + dy * dy <= radius2)
-            & (tcand >= visit.t_start)
-            & (tcand <= visit.t_end + delta)
-            & (ucode[cand] != host_code)
-        )
-        hits = cand[mask]
-        if hits.size == 0:
-            continue
+    # per visit: rounded host bounds, day, and the time window in ranks
+    window_end_f = v_t1 + delta
+    t_s_v = np.rint(v_t0).astype(np.int64)
+    t_l_v = np.rint(v_t1).astype(np.int64)
+    window_end = t_l_v + int(round(delta))
+    day_v = t_s_v // MINUTES_PER_DAY
+    in_horizon = (day_v >= 0) & (day_v < cfg.horizon_days)
+    rank_lo = np.searchsorted(times, v_t0, side="left")
+    rank_hi = np.searchsorted(times, window_end_f, side="right")
 
-        codes = ucode[hits]
-        order = np.argsort(codes, kind="stable")
-        codes_sorted = codes[order]
-        times_sorted = ut[hits][order]
-        uniq, starts = _group_bounds(codes_sorted)
-        firsts = np.minimum.reduceat(times_sorted, starts)
-        lasts = np.maximum.reduceat(times_sorted, starts)
+    # candidate ranges [lo, hi) of the 3x3 cells around each anchor
+    vcol = np.floor(v_x / cfg.radius_m).astype(np.int64)
+    vrow = np.floor(v_y / cfg.radius_m).astype(np.int64)
+    lo = np.zeros((len(visits), 9), dtype=np.int64)
+    hi = np.zeros((len(visits), 9), dtype=np.int64)
+    for k, (dx, dy) in enumerate(product((-1, 0, 1), repeat=2)):
+        c, r = _find(xs, vcol + dx), _find(ys, vrow + dy)
+        near = _find(cells, np.where((c >= 0) & (r >= 0), c * ys.size + r, -1))
+        ok = (near >= 0) & in_horizon
+        lo[ok, k] = np.searchsorted(key, near[ok] * times.size + rank_lo[ok])
+        hi[ok, k] = np.searchsorted(key, near[ok] * times.size + rank_hi[ok])
+    counts = hi - lo
+    per_visit = np.cumsum(counts.sum(axis=1))
 
-        t_s = int(round(visit.t_start))
-        t_l = int(round(visit.t_end))
-        window_end = t_l + int(round(delta))
-        day = t_s // MINUTES_PER_DAY
-        if not 0 <= day < cfg.horizon_days:
-            continue
-        for nbr_code, first, last in zip(uniq.tolist(), firsts.tolist(), lasts.tolist()):
-            t_s_n = int(round(first))
-            t_l_n = min(int(round(last)), window_end)
-            # enforce link invariants after rounding; violating candidates
-            # carry no exposure window
-            if t_s_n >= window_end or t_l_n <= t_s:
-                continue
-            links.append(SPDTLink(
-                visit.user_id, user_ids[nbr_code], t_s, t_l, t_s_n, t_l_n, day,
-            ))
+    blocks = []
+    a = 0
+    while a < len(visits):
+        # visits [a, b) hold at most _PAIR_BLOCK candidates, or one visit
+        done = per_visit[a - 1] if a else 0
+        b = max(int(np.searchsorted(per_visit, done + _PAIR_BLOCK, side="right")), a + 1)
+        c = counts[a:b].ravel()
+        total = int(c.sum())
+        if total:
+            vis = np.repeat(np.arange(a, b), counts[a:b].sum(axis=1))
+            pos = np.repeat(lo[a:b].ravel() - (np.cumsum(c) - c), c) + np.arange(total)
+            dx = x[pos] - v_x[vis]
+            dy = y[pos] - v_y[vis]
+            tc = t[pos]
+            hit = (
+                (dx * dx + dy * dy <= radius2)
+                & (tc >= v_t0[vis])
+                & (tc <= window_end_f[vis])
+                & (code[pos] != host[vis])
+            )
+            # one group per (visit, neighbour), ordered by visit, then neighbour
+            group = vis[hit] * len(users) + code[pos[hit]]
+            by_group = np.argsort(group, kind="stable")
+            group, tc = group[by_group], tc[hit][by_group]
+            starts = np.flatnonzero(_run_starts(group))
+            if starts.size:
+                first = np.rint(np.minimum.reduceat(tc, starts)).astype(np.int64)
+                last = np.rint(np.maximum.reduceat(tc, starts)).astype(np.int64)
+                vis, nbr = np.divmod(group[starts], len(users))
+                t_s, t_l, w_end = t_s_v[vis], t_l_v[vis], window_end[vis]
+                t_l_n = np.minimum(last, w_end)
+                # link invariants after rounding; violating candidates carry
+                # no exposure window
+                keep = (first < w_end) & (t_l_n > t_s)
+                blocks.append(tuple(col[keep] for col in (
+                    day_v[vis], host[vis], nbr, t_s, t_l, first, t_l_n)))
+        a = b
 
-    return DynamicContactNetwork.from_links(links, cfg.horizon_days)
+    columns = [np.concatenate(col) for col in zip(*blocks)] or [empty] * 7
+    return DynamicContactNetwork._from_arrays(users, cfg.horizon_days, *columns)
 
 
 def project_spst(net: DynamicContactNetwork) -> DynamicContactNetwork:
@@ -328,22 +406,24 @@ def densify(net: DynamicContactNetwork, rng_seed: int = 0) -> DynamicContactNetw
     if net.n_links == 0:
         return net
 
+    # links are in canonical order, so each host's rows are in day order
     order = np.argsort(net.host, kind="stable")
     hosts_sorted = net.host[order]
-    uniq_hosts, starts = _group_bounds(hosts_sorted)
+    starts = np.flatnonzero(_run_starts(hosts_sorted))
     bounds = np.append(starts, hosts_sorted.size)
 
     extra = {f: [] for f in ("day", "host", "nbr", "t_s", "t_l", "t_s_n", "t_l_n")}
-    for k, h in enumerate(uniq_hosts.tolist()):
+    for k, h in enumerate(hosts_sorted[starts].tolist()):
         rows = order[bounds[k]:bounds[k + 1]]
-        days_avail = np.unique(net.day[rows])
+        days = net.day[rows]
+        days_avail = days[_run_starts(days)]
         if days_avail.size >= net.horizon:
             continue
         rng = np.random.default_rng(
             np.random.SeedSequence((rng_seed, _user_hash(net.users[h])))
         )
         avail_set = set(days_avail.tolist())
-        rows_by_day = {d: rows[net.day[rows] == d] for d in avail_set}
+        rows_by_day = {d: rows[days == d] for d in avail_set}
         for d in range(net.horizon):
             if d in avail_set:
                 continue
@@ -413,15 +493,69 @@ def save_network(net: DynamicContactNetwork, path: str | Path) -> None:
     for user in net.users:
         if not user or any(ch.isspace() for ch in user):
             raise ValueError(f"user id {user!r} not representable in network format")
+    users = net.users
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"spdt-net v{NETWORK_FORMAT_VERSION} horizon={net.horizon}\n")
-        for link in net.iter_links():
-            fh.write(f"{link.day} {link.host_id} {link.neighbour_id} "
-                     f"{link.t_s} {link.t_l} {link.t_s_n} {link.t_l_n}\n")
+        for i in range(0, net.n_links, _ROW_BLOCK):
+            rows = zip(*(getattr(net, f)[i:i + _ROW_BLOCK].tolist() for f in (
+                "day", "host", "nbr", "t_s", "t_l", "t_s_n", "t_l_n")))
+            fh.write("".join([
+                f"{day} {users[h]} {users[n]} {t_s} {t_l} {t_s_n} {t_l_n}\n"
+                for day, h, n, t_s, t_l, t_s_n, t_l_n in rows
+            ]))
+
+
+def _check_line(path, lineno: int, line: str) -> None:
+    """Raise on the first format fault of one link line, naming its location."""
+    if not line:
+        raise ValueError(f"{path}:{lineno}: blank line in link section")
+    parts = line.split(" ")
+    if len(parts) != 7:
+        raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
+    if not parts[1] or not parts[2]:
+        raise ValueError(f"{path}:{lineno}: empty user id")
+    try:
+        for part in parts[:1] + parts[3:]:
+            int(part)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: non-integer field") from exc
+
+
+def _parse_rows(path, lines: list[str], first_lineno: int, index: dict):
+    """Columns of a block of link lines, ids coded in first-seen order in ``index``.
+
+    The block is split once and each integer column converted with ``int``
+    over a strided slice. A block with a malformed line is checked line by
+    line, so the error names the same line and fault as a line parser would.
+    """
+    fields = " ".join(lines).split(" ")
+    hosts, nbrs = fields[1::7], fields[2::7]
+    if (set(map(str.count, lines, repeat(" "))) == {6}
+            and "" not in hosts and "" not in nbrs):
+        try:
+            day, t_s, t_l, t_s_n, t_l_n = [
+                np.fromiter(map(int, fields[k::7]), np.int64, len(lines))
+                for k in (0, 3, 4, 5, 6)]
+        except ValueError:
+            pass
+        else:
+            for user in set(hosts).union(nbrs).difference(index):
+                index[user] = len(index)
+            host, nbr = (np.fromiter(map(index.__getitem__, ids), np.int64, len(lines))
+                         for ids in (hosts, nbrs))
+            return day, host, nbr, t_s, t_l, t_s_n, t_l_n
+    for lineno, line in enumerate(lines, start=first_lineno):
+        _check_line(path, lineno, line)
+    raise AssertionError("a block that failed to parse has no faulty line")
 
 
 def load_network(path: str | Path) -> DynamicContactNetwork:
-    """Read a network file; any malformed content raises without partial output."""
+    """Read a network file; any malformed content raises without partial output.
+
+    Every fault names the file and the line number of the first offending
+    line: format faults in the order a line-by-line read meets them, then
+    self-links, interval invariants and days outside [0, horizon).
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline().rstrip("\n")
         m = _HEADER_RE.match(header)
@@ -434,20 +568,26 @@ def load_network(path: str | Path) -> DynamicContactNetwork:
                 f"(expected {NETWORK_FORMAT_VERSION})"
             )
         horizon = int(m.group(2))
-        links = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                raise ValueError(f"{path}:{lineno}: blank line in link section")
-            parts = line.split(" ")
-            if len(parts) != 7:
-                raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-            if not parts[1] or not parts[2]:
-                raise ValueError(f"{path}:{lineno}: empty user id")
-            try:
-                day = int(parts[0])
-                t_s, t_l, t_s_n, t_l_n = map(int, parts[3:7])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer field") from exc
-            links.append(SPDTLink(parts[1], parts[2], t_s, t_l, t_s_n, t_l_n, day))
-    return DynamicContactNetwork.from_links(links, horizon)
+        index: dict[str, int] = {}
+        blocks = []
+        lineno = 2
+        while lines := list(map(str.rstrip, islice(fh, _ROW_BLOCK), repeat("\n"))):
+            blocks.append(_parse_rows(path, lines, lineno, index))
+            lineno += len(lines)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+
+    empty = np.empty(0, dtype=np.int64)
+    columns = [np.concatenate(col) for col in zip(*blocks)] or [empty] * 7
+    fault = _first_fault(horizon, *columns)
+    if fault is not None:
+        raise ValueError(f"{path}:{fault[0] + 2}: {fault[1]}")
+
+    # ids were coded in first-seen order, which is the dict's order; recode
+    # them in sorted order
+    users = sorted(index)
+    rank = {user: i for i, user in enumerate(users)}
+    recode = np.fromiter(map(rank.__getitem__, index), np.int64, len(index))
+    day, host, nbr, *times = columns
+    return DynamicContactNetwork._from_arrays(
+        users, horizon, day, recode[host], recode[nbr], *times)

@@ -377,9 +377,10 @@ def reconstruct_compare(dir_a, dir_b, out_path=None) -> list[dict]:
     """Per-removal-time difference table between two completed runs.
 
     Both runs must have been produced from the same trace (digests are
-    compared). Every (variant, sigma, tau) group of run A is compared with
-    every group of run B over their common removal times; the difference is
-    B minus A.
+    compared), and every output listed in each run's manifest must still
+    match its recorded digest. Every (variant, sigma, tau) group of run A is
+    compared with every group of run B over their common removal times; the
+    difference is B minus A.
     """
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     manifests = []
@@ -388,6 +389,13 @@ def reconstruct_compare(dir_a, dir_b, out_path=None) -> list[dict]:
             manifests.append(json.load(fh))
     if manifests[0]["trace"]["sha256"] != manifests[1]["trace"]["sha256"]:
         raise ValueError("mismatched trace digests: runs are not comparable")
+    for d, manifest in zip((dir_a, dir_b), manifests):
+        for rel, sha in sorted(manifest["outputs"].items()):
+            path = d / rel
+            if not path.is_file():
+                raise ValueError(f"{path}: output listed in the manifest is missing")
+            if _sha256_file(path) != sha:
+                raise ValueError(f"{path}: output does not match its manifest digest")
 
     groups_a = _load_group_means(dir_a)
     groups_b = _load_group_means(dir_b)

@@ -296,6 +296,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match="header"):
             load_network(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("0 a a 0 10 5 8", "link connects a user to itself"),
+        ("3 a b 0 10 5 8", "link day outside [0, horizon)"),
+        ("-1 a b 0 10 5 8", "link day outside [0, horizon)"),
+        ("0 a b 10 0 5 8", "link interval invariants violated"),
+        ("0 a b 0 10 9 8", "link interval invariants violated"),
+        ("0 a b 5 10 1 5", "link interval invariants violated"),
+    ])
+    def test_link_fault_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "net.spdt"
+        path.write_text(f"spdt-net v1 horizon=3\n0 a b 0 10 5 8\n{row}\n"
+                        f"{row}\n")
+        with pytest.raises(ValueError) as info:
+            load_network(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
     def test_whitespace_user_id_rejected_on_save(self, tmp_path):
         net = DynamicContactNetwork.from_links(
             [SPDTLink("a b", "c", 0, 10, 5, 8, 0)], horizon=1)

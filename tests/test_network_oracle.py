@@ -1,0 +1,361 @@
+"""Differential oracle for the array-based link extraction and network I/O.
+
+The references below are the earlier implementations: extraction as one
+Python iteration per visit over every update in the 3x3 grid cells, saving
+one formatted line per `SPDTLink`, and loading one parsed line at a time.
+The package's array passes must agree with them exactly: networks compared
+with ``==`` (users, horizon and every array in canonical order), files
+compared byte for byte, and load errors compared by message.
+"""
+
+import math
+import re
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spdt import network
+from spdt.network import (
+    NETWORK_FORMAT_VERSION,
+    BuilderConfig,
+    DynamicContactNetwork,
+    SPDTLink,
+    extract_spdt_links,
+    load_network,
+    save_network,
+)
+from spdt.trace import MINUTES_PER_DAY, LocationUpdate, ParsedTrace, Visit
+
+
+def ref_extract(visits, updates, cfg):
+    if isinstance(updates, ParsedTrace):
+        updates = updates.updates
+    updates = list(updates)
+    visits = list(visits)
+    delta = cfg.indirect_window_min
+    radius2 = cfg.radius_m * cfg.radius_m
+
+    if not updates or not visits:
+        return DynamicContactNetwork.from_links([], cfg.horizon_days)
+
+    user_ids = sorted({u.user_id for u in updates})
+    code_of = {u: i for i, u in enumerate(user_ids)}
+    ux = np.array([u.x for u in updates])
+    uy = np.array([u.y for u in updates])
+    ut = np.array([u.t for u in updates])
+    ucode = np.array([code_of[u.user_id] for u in updates], dtype=np.int64)
+
+    cell_x = np.floor(ux / cfg.radius_m).astype(np.int64)
+    cell_y = np.floor(uy / cfg.radius_m).astype(np.int64)
+    grid = {}
+    for i, key in enumerate(zip(cell_x.tolist(), cell_y.tolist())):
+        grid.setdefault(key, []).append(i)
+    grid_arrays = {key: np.array(idx, dtype=np.int64) for key, idx in grid.items()}
+
+    links = []
+    for visit in visits:
+        host_code = code_of.get(visit.user_id, -1)
+        cx = int(math.floor(visit.anchor_x / cfg.radius_m))
+        cy = int(math.floor(visit.anchor_y / cfg.radius_m))
+        blocks = [
+            grid_arrays[(cx + dx, cy + dy)]
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            if (cx + dx, cy + dy) in grid_arrays
+        ]
+        if not blocks:
+            continue
+        cand = np.concatenate(blocks)
+        dx = ux[cand] - visit.anchor_x
+        dy = uy[cand] - visit.anchor_y
+        tcand = ut[cand]
+        mask = (
+            (dx * dx + dy * dy <= radius2)
+            & (tcand >= visit.t_start)
+            & (tcand <= visit.t_end + delta)
+            & (ucode[cand] != host_code)
+        )
+        hits = cand[mask]
+        if hits.size == 0:
+            continue
+
+        codes = ucode[hits]
+        order = np.argsort(codes, kind="stable")
+        codes_sorted = codes[order]
+        times_sorted = ut[hits][order]
+        uniq, starts = np.unique(codes_sorted, return_index=True)
+        firsts = np.minimum.reduceat(times_sorted, starts)
+        lasts = np.maximum.reduceat(times_sorted, starts)
+
+        t_s = int(round(visit.t_start))
+        t_l = int(round(visit.t_end))
+        window_end = t_l + int(round(delta))
+        day = t_s // MINUTES_PER_DAY
+        if not 0 <= day < cfg.horizon_days:
+            continue
+        for nbr_code, first, last in zip(uniq.tolist(), firsts.tolist(),
+                                         lasts.tolist()):
+            t_s_n = int(round(first))
+            t_l_n = min(int(round(last)), window_end)
+            if t_s_n >= window_end or t_l_n <= t_s:
+                continue
+            links.append(SPDTLink(
+                visit.user_id, user_ids[nbr_code], t_s, t_l, t_s_n, t_l_n, day,
+            ))
+
+    return DynamicContactNetwork.from_links(links, cfg.horizon_days)
+
+
+def ref_save(net, path):
+    for user in net.users:
+        if not user or any(ch.isspace() for ch in user):
+            raise ValueError(f"user id {user!r} not representable in network format")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"spdt-net v{NETWORK_FORMAT_VERSION} horizon={net.horizon}\n")
+        for link in net.iter_links():
+            fh.write(f"{link.day} {link.host_id} {link.neighbour_id} "
+                     f"{link.t_s} {link.t_l} {link.t_s_n} {link.t_l_n}\n")
+
+
+def ref_load(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = fh.readline().rstrip("\n")
+        m = re.match(r"^spdt-net v(\d+) horizon=(\d+)$", header)
+        if m is None:
+            raise ValueError(f"not a network file: bad header {header!r}")
+        version = int(m.group(1))
+        if version != NETWORK_FORMAT_VERSION:
+            raise ValueError(
+                f"network format version {version} unsupported "
+                f"(expected {NETWORK_FORMAT_VERSION})"
+            )
+        horizon = int(m.group(2))
+        links = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                raise ValueError(f"{path}:{lineno}: blank line in link section")
+            parts = line.split(" ")
+            if len(parts) != 7:
+                raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
+            if not parts[1] or not parts[2]:
+                raise ValueError(f"{path}:{lineno}: empty user id")
+            try:
+                day = int(parts[0])
+                t_s, t_l, t_s_n, t_l_n = map(int, parts[3:7])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-integer field") from exc
+            links.append(SPDTLink(parts[1], parts[2], t_s, t_l, t_s_n, t_l_n, day))
+    return DynamicContactNetwork.from_links(links, horizon)
+
+
+# --- extraction ------------------------------------------------------------
+
+USERS = ["a", "b", "c", "d", "e10", "e9"]
+RADIUS = 20.0
+# multiples of a quarter radius put updates and anchors on cell boundaries
+# and at exactly the radius; the offsets break the lattice
+COORD = st.one_of(
+    st.integers(-10, 10).map(lambda k: k * RADIUS / 4),
+    st.floats(-60.0, 60.0, allow_nan=False),
+)
+# half minutes exercise half-to-even rounding; the range crosses day 0 and
+# reaches past a one- or two-day horizon
+TIME = st.integers(-100, 2 * 3000).map(lambda k: k / 2)
+
+
+@st.composite
+def visit(draw, hosts):
+    t_start = draw(TIME)
+    return Visit(draw(st.sampled_from(hosts)), draw(COORD), draw(COORD),
+                 t_start, t_start + draw(st.sampled_from([0.0, 0.5, 3.0, 30.0, 95.5])))
+
+
+@st.composite
+def extract_case(draw):
+    delta = draw(st.sampled_from([200.0, 30.5, 7.25, 1.0]))
+    cfg = BuilderConfig(radius_m=RADIUS, indirect_window_min=delta,
+                        horizon_days=draw(st.integers(1, 2)))
+    # "ghost" hosts report no updates of their own
+    visits = draw(st.lists(visit(USERS + ["ghost"]), max_size=12))
+    # second visits of the same host whose start rounds to the same minute
+    for v in draw(st.lists(st.sampled_from(visits), max_size=3)) if visits else []:
+        shift = draw(st.sampled_from([-0.5, 0.5, 0.25]))
+        stay = draw(st.sampled_from([0.0, 4.0]))
+        visits.append(v._replace(t_start=v.t_start + shift,
+                                 t_end=v.t_end + shift + stay))
+    updates = draw(st.lists(
+        st.builds(LocationUpdate, st.sampled_from(USERS), TIME, COORD, COORD),
+        max_size=40))
+    # updates around each visit's window and anchor: exactly at its start
+    # and at its window end, just outside both, and at exactly the radius
+    for v in draw(st.lists(st.sampled_from(visits), max_size=30)) if visits else []:
+        t = draw(st.sampled_from([v.t_start, v.t_start - 0.5, v.t_start + 0.5,
+                                  v.t_start + 2.0, v.t_end, v.t_end + delta / 2,
+                                  v.t_end + delta, v.t_end + delta + 0.5]))
+        dx, dy = draw(st.sampled_from([(0.0, 0.0), (3.0, -4.0), (RADIUS, 0.0),
+                                       (0.0, -RADIUS), (RADIUS + 0.5, 0.0)]))
+        updates.append(LocationUpdate(draw(st.sampled_from(USERS)), t,
+                                      v.anchor_x + dx, v.anchor_y + dy))
+    updates = draw(st.permutations(updates))
+    return visits, updates, cfg
+
+
+# about half of the drawn cases produce no link, so draw more of them
+@settings(max_examples=200)
+@given(extract_case(), st.sampled_from([1, 3, 7, 1 << 16]))
+def test_extract_matches_per_visit_reference(case, block):
+    visits, updates, cfg = case
+    with mock.patch.object(network, "_PAIR_BLOCK", block):
+        got = extract_spdt_links(visits, updates, cfg)
+    assert got == ref_extract(visits, updates, cfg)
+
+
+def test_extract_matches_reference_on_synthetic_trace():
+    from spdt.synth import SynthConfig, generate_trace
+    from spdt.trace import segment_all
+
+    parsed = ParsedTrace(updates=generate_trace(SynthConfig(
+        n_users=150, days=3, rng_seed=4, n_locations=10, area_m=(700.0, 700.0),
+        active_day_probability=0.5)))
+    visits = segment_all(parsed)
+    cfg = BuilderConfig(horizon_days=2)
+    want = ref_extract(visits, parsed, cfg)
+    assert want.n_links > 1000
+    for block in (64, 1 << 16):
+        with mock.patch.object(network, "_PAIR_BLOCK", block):
+            assert extract_spdt_links(visits, parsed, cfg) == want
+
+
+HOST = Visit("h", 0.0, 0.0, 0.0, 30.0)
+
+
+@pytest.mark.parametrize("visits, updates, n_links", [
+    # empty inputs
+    ([], [], 0),
+    ([HOST], [], 0),
+    ([], [LocationUpdate("v", 10.0, 1.0, 0.0)], 0),
+    # a host absent from the update stream still hosts links
+    ([Visit("ghost", -19.0, -21.0, 5.0, 9.0)],
+     [LocationUpdate("v", 7.0, -21.0, -20.5)], 1),
+    # the neighbour's first report rounds to the window end (229.5 -> 230)
+    ([HOST], [LocationUpdate("v", 229.5, 0.0, 0.0)], 0),
+    # and to the host's arrival: 0.5 -> 0, so t_l_n <= t_s
+    ([HOST], [LocationUpdate("v", 0.5, 0.0, 0.0)], 0),
+    # 1.5 -> 2 keeps the link
+    ([HOST], [LocationUpdate("v", 1.5, 0.0, 0.0)], 1),
+    # visits starting before day 0 or on a day past the horizon
+    ([Visit("h", 0.0, 0.0, -10.0, 5.0)], [LocationUpdate("v", 1.0, 0.0, 0.0)], 0),
+    ([Visit("h", 0.0, 0.0, 2880.0, 2890.0)],
+     [LocationUpdate("v", 2885.0, 0.0, 0.0)], 0),
+    # two visits of one host whose starts round to the same minute
+    ([Visit("h", 0.0, 0.0, 10.5, 20.0), Visit("h", 0.0, 0.0, 9.5, 40.0)],
+     [LocationUpdate("v", 12.0, 0.0, 0.0), LocationUpdate("h", 12.0, 0.0, 0.0)], 2),
+])
+def test_extract_edge_cases_match_reference(visits, updates, n_links):
+    cfg = BuilderConfig(horizon_days=2)
+    want = ref_extract(visits, updates, cfg)
+    assert want.n_links == n_links
+    assert extract_spdt_links(visits, updates, cfg) == want
+
+
+# --- save and load ---------------------------------------------------------
+
+IDS = ["a", "b", "u10", "u9", "x_1"]
+
+
+@st.composite
+def link(draw, horizon):
+    host, nbr = draw(st.lists(st.sampled_from(IDS), min_size=2, max_size=2, unique=True))
+    t_s = draw(st.integers(-50, 3000))
+    t_l = t_s + draw(st.integers(0, 240))
+    t_s_n = draw(st.integers(t_s - 60, t_l + 200))
+    t_l_n = max(t_s_n, t_s + 1) + draw(st.integers(0, 240))
+    return SPDTLink(host, nbr, t_s, t_l, t_s_n, t_l_n, draw(st.integers(0, horizon - 1)))
+
+
+@st.composite
+def saved_network(draw):
+    horizon = draw(st.integers(1, 3))
+    links = draw(st.lists(link(horizon), max_size=30))
+    return DynamicContactNetwork.from_links(links, horizon)
+
+
+@given(saved_network(), st.sampled_from([1, 4, 1 << 13]))
+def test_save_and_load_match_line_references(tmp_path_factory, net, block):
+    d = tmp_path_factory.mktemp("io")
+    with mock.patch.object(network, "_ROW_BLOCK", block):
+        save_network(net, d / "new.spdt")
+        ref_save(net, d / "ref.spdt")
+        assert (d / "new.spdt").read_bytes() == (d / "ref.spdt").read_bytes()
+        assert load_network(d / "new.spdt") == ref_load(d / "ref.spdt") == net
+
+
+# one fault per kind, written into one line of a valid file
+LINE_FAULTS = [
+    "",                        # blank line
+    "0 a b 1 2 3",             # six fields
+    "0 a b 1 2 3 4 5",         # eight fields
+    "0  b 0 10 5 8",           # empty host id
+    "0 a  0 10 5 8",           # empty neighbour id
+    "0 a b 0 10 5 x",          # non-integer field
+    "0 a b 0 1.5 5 8",
+    "0 a b 0 10 5 8\r",        # a carriage return ends a line too
+    "0 a\rb 0 10 5 8",
+    "0 a b 0 10 5 8 ",         # trailing space: an eighth, empty field
+    "0 a b 0 1_0 5 8",         # Python int syntax is accepted
+    " 0 a b 0 10 5 8",
+]
+LINK_FAULTS = [
+    "0 a a 0 10 5 8",          # self-link
+    "9 a b 0 10 5 8",          # day past the horizon
+    "-1 a b 0 10 5 8",         # day before 0
+    "0 a b 10 0 5 8",          # host interval reversed
+    "0 a b 0 10 5 5",          # neighbour leaves before the host arrives
+]
+
+
+def outcome(load, path):
+    try:
+        return "ok", load(path)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@given(saved_network(), st.data(), st.sampled_from([1, 3, 1 << 13]))
+def test_load_errors_match_line_reference(tmp_path_factory, net, data, block):
+    path = tmp_path_factory.mktemp("bad") / "net.spdt"
+    ref_save(net, path)
+    lines = path.read_text().split("\n")[:-1]
+    faults = data.draw(st.lists(st.sampled_from(LINE_FAULTS + LINK_FAULTS),
+                                min_size=1, max_size=3))
+    for fault in faults:
+        lines.insert(data.draw(st.integers(1, len(lines))), fault)
+    text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    with mock.patch.object(network, "_ROW_BLOCK", block):
+        got = outcome(load_network, path)
+    want = outcome(ref_load, path)
+    if want[0] == "error" and not want[1].startswith(f"{path}:"):
+        # link faults: the reference names no line, the package names the
+        # first offending one
+        first = next(lineno for lineno, line in enumerate(lines[1:], start=2)
+                     if _has_link_fault(line, want[1], net.horizon))
+        want = ("error", f"{path}:{first}: {want[1]}")
+    assert got == want
+
+
+def _has_link_fault(line, message, horizon):
+    """Whether a line that parsed carries the fault the reference reported."""
+    parts = line.split(" ")
+    day, t_s, t_l, t_s_n, t_l_n = map(int, parts[:1] + parts[3:])
+    return {
+        "link connects a user to itself": parts[1] == parts[2],
+        "link interval invariants violated":
+            t_s > t_l or t_s_n > t_l_n or t_l_n <= t_s,
+        "link day outside [0, horizon)": not 0 <= day < horizon,
+    }[message]

@@ -192,6 +192,24 @@ class TestRunPlan:
         with pytest.raises(ValueError, match="trace"):
             reconstruct_compare(out_a, out_b)
 
+    @pytest.mark.parametrize("damage", ["tamper", "delete"])
+    def test_compare_verifies_output_digests(self, small_trace, tmp_path, damage):
+        plan = ExperimentPlan(variants=("SDT",), r_t_values=(10.0,),
+                              sigma_values=(0.33,), tau_values=("4",),
+                              runs=2, seeds=5, horizon_days=4)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        run_plan(plan, small_trace, out_a)
+        run_plan(plan, small_trace, out_b)
+        summary = out_b / "summary.csv"
+        if damage == "tamper":
+            data = bytearray(summary.read_bytes())
+            data[-2] = ord("7") if data[-2] != ord("7") else ord("8")
+            summary.write_bytes(bytes(data))
+        else:
+            summary.unlink()
+        with pytest.raises(ValueError, match="summary.csv"):
+            reconstruct_compare(out_a, out_b)
+
 
 def test_one_sided_p_behaviour():
     rng = np.random.default_rng(0)
