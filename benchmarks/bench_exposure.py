@@ -1,7 +1,7 @@
-"""Benchmark the dose-kernel backends.
+"""Benchmark the dose kernel.
 
-Times the compiled extension against the ndarray fallback (and a naive
-per-link Python loop for scale) on random link batches:
+Times every importable backend (and a naive per-link Python loop for
+scale) on random link batches:
 
     python benchmarks/bench_exposure.py [--sizes 1000,100000,1000000]
 """

@@ -1,56 +1,31 @@
-"""Dose-kernel backend selection.
+"""The dose kernel.
 
 The hot inner loop of every simulation is the per-link inhaled-dose
-evaluation. Two interchangeable backends implement it: a compiled Cython
-extension (built via ``python setup.py build_ext --inplace``) and a pure
-ndarray fallback. The compiled backend is preferred when importable; set
-``SPDT_PURE_PYTHON=1`` to force the fallback.
-
-Both backends run the same operation sequence; results agree to
-floating-point rounding. Within one backend, results are bit-stable.
+evaluation, implemented over ndarrays in ``_exposure_np``. ``KERNEL_BACKEND``
+names the implementation in use and ``available_backends()`` lists the
+importable ones, so that benchmarks can report and check each of them.
+Within one numpy version, results are bit-stable.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from . import _exposure_np
 
-
-def _select():
-    if os.environ.get("SPDT_PURE_PYTHON", "") not in ("", "0"):
-        return _exposure_np
-    try:
-        from . import _exposure_cy
-    except ImportError:
-        return _exposure_np
-    return _exposure_cy
-
-
-_impl = _select()
-
-KERNEL_BACKEND: str = _impl.NAME
+KERNEL_BACKEND: str = _exposure_np.NAME
 
 
 def available_backends() -> dict[str, object]:
-    """Importable backends by name (the compiled one may be absent)."""
-    backends: dict[str, object] = {_exposure_np.NAME: _exposure_np}
-    try:
-        from . import _exposure_cy
-    except ImportError:
-        pass
-    else:
-        backends[_exposure_cy.NAME] = _exposure_cy
-    return backends
+    """Importable backends by name."""
+    return {_exposure_np.NAME: _exposure_np}
 
 
 def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p, impl=None):
     """Inhaled dose per link (PFU); equal-length arrays in, float64 array out.
 
-    ``impl`` overrides the selected backend (used by the agreement tests and
-    the benchmark); callers normally leave it unset.
+    ``impl`` overrides the backend (used by the benchmarks); callers
+    normally leave it unset.
     """
     arrs = [np.ascontiguousarray(x, dtype=np.float64)
             for x in (t_s, t_l, t_s_n, t_l_n, r)]
@@ -60,5 +35,5 @@ def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p, impl=None):
     for arr in arrs[1:]:
         if arr.shape != (n,):
             raise ValueError("link arrays must be one-dimensional and equal length")
-    backend = impl if impl is not None else _impl
+    backend = impl if impl is not None else _exposure_np
     return backend.batch_link_exposure(*arrs, float(g), float(V), float(p))

@@ -1,4 +1,4 @@
-"""Vectorised ndarray implementation of the dose kernel (fallback backend)."""
+"""Vectorised ndarray implementation of the dose kernel."""
 
 import numpy as np
 
@@ -7,29 +7,41 @@ NAME = "numpy"
 # Below this, (w - 1 + e^-w)/w is evaluated by series to keep relative accuracy.
 _PSI_SERIES_CUTOFF = 1e-2
 
+# Links per pass: a larger batch is evaluated this many links at a time, so
+# that the kernel's full-length temporaries stay in cache. The kernel is
+# elementwise, so doses do not depend on the block size.
+_BLOCK = 1 << 13
+
 
 def _phi(w):
     # (1 - e^-w)/w with phi(0) = 1; expm1 keeps small-w values exact
-    out = np.ones_like(w)
-    nz = w > 0.0
-    out[nz] = -np.expm1(-w[nz]) / w[nz]
-    return out
+    return np.divide(-np.expm1(-w), w, out=np.ones_like(w), where=w > 0.0)
 
 
 def _psi(w):
     # (w - 1 + e^-w)/w = 1 - phi(w); direct subtraction loses all digits as
     # w -> 0, hence the series branch
-    out = np.empty_like(w)
-    small = w < _PSI_SERIES_CUTOFF
-    ws = w[small]
-    out[small] = ws * (0.5 - ws * (1.0 / 6.0 - ws * (1.0 / 24.0 - ws / 120.0)))
-    wb = w[~small]
-    out[~small] = 1.0 + np.expm1(-wb) / wb
-    return out
+    out = w * (0.5 - w * (1.0 / 6.0 - w * (1.0 / 24.0 - w / 120.0)))
+    big = w >= _PSI_SERIES_CUTOFF
+    ratio = np.divide(np.expm1(-w), w, out=np.zeros_like(w), where=big)
+    return np.add(1.0, ratio, out=out, where=big)
 
 
 def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p):
-    """Inhaled dose (PFU) per link; all time/rate arguments are equal-length arrays.
+    """Inhaled dose (PFU) per link; all time/rate arguments are equal-length arrays."""
+    n = t_s.shape[0]
+    if n <= _BLOCK:
+        return _doses(t_s, t_l, t_s_n, t_l_n, r, g, V, p)
+    out = np.empty(n)
+    for a in range(0, n, _BLOCK):
+        b = a + _BLOCK
+        out[a:b] = _doses(t_s[a:b], t_l[a:b], t_s_n[a:b], t_l_n[a:b], r[a:b],
+                          g, V, p)
+    return out
+
+
+def _doses(t_s, t_l, t_s_n, t_l_n, r, g, V, p):
+    """Dose per link of one block.
 
     The neighbour inhales over [max(t_s, t_s_n), t_l_n], split into a segment
     while the host is still present (concentration rising toward g/(rV)) and a

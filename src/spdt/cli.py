@@ -91,8 +91,11 @@ def _cmd_build(args) -> int:
     visits = segment_all(parsed, cfg.radius_m, cfg.visit_gap_min)
     net = extract_spdt_links(visits, parsed, cfg)
     save_network(net, args.out)
+    reasons = ", ".join(f"{count} {reason}"
+                        for reason, count in sorted(parsed.skip_reasons.items()))
     print(f"built {net!r} from {len(parsed.updates)} updates "
-          f"({parsed.skipped} rows skipped); wrote {args.out}")
+          f"({parsed.skipped} rows skipped{': ' + reasons if reasons else ''}); "
+          f"wrote {args.out}")
     return 0
 
 

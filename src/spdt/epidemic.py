@@ -11,9 +11,19 @@ day of the causing exposure, and prevalence counts everyone currently
 infected including that day's not-yet-transmitting new cases, so
 prevalence(d) = prevalence(d-1) + new_infections(d) - new_recoveries(d).
 
+Runs are stepped in lockstep: a contiguous block of runs moves forward one
+day at a time, its state held as (runs, users) arrays. Each day the
+(run, host) pairs of transmitting hosts are expanded to the hosts' link
+ranges, links whose neighbour is not susceptible in that run are dropped,
+and all remaining links of the block go to the dose kernel in one call;
+doses are summed per (run, neighbour) with one bincount. The pairs are in
+run-major, ascending-link order, so every run sees its links, draws and
+dose sums in the order a run stepped alone would.
+
 Randomness is organised as named substreams derived from
 (rng_seed, run, stream, day), so results are reproducible for any worker
-count and unaffected by unrelated parameter changes.
+count and block size and unaffected by unrelated parameter changes. A
+substream is derived only when a run first draws from it.
 """
 
 from __future__ import annotations
@@ -109,7 +119,10 @@ class IndividualState(NamedTuple):
 
 @dataclass
 class PopulationState:
-    """Array-backed state of every user: status, infection day, period."""
+    """Array-backed state of every user: status, infection day, period.
+
+    A block of runs stepped together holds one row per run.
+    """
 
     status: np.ndarray  # int8: SUSCEPTIBLE/INFECTED/RECOVERED
     day_infected: np.ndarray  # int64; -1 while never infected
@@ -154,26 +167,49 @@ class DailyStats:
     prevalence: int
 
 
-@dataclass(frozen=True)
-class DayStreams:
-    """Named random substreams used within one simulated day of one run."""
+def _generator(key: tuple[int, int, int, int]) -> np.random.Generator:
+    # what np.random.default_rng does with a SeedSequence, without its checks
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
-    tau: np.random.Generator
-    removal: np.random.Generator
-    infection: np.random.Generator
+
+class DayStreams:
+    """Named random substreams used within one simulated day of one run.
+
+    Each stream is derived from (rng_seed, run, stream, day) on first access,
+    so a run that draws nothing on a day costs no generator.
+    """
+
+    __slots__ = ("_key", "_tau", "_removal", "_infection")
+
+    def __init__(self, rng_seed: int, run: int, day: int):
+        self._key = (rng_seed, run, day)
+        self._tau = self._removal = self._infection = None
 
     @classmethod
     def derive(cls, rng_seed: int, run: int, day: int) -> "DayStreams":
-        def gen(stream: int) -> np.random.Generator:
-            return np.random.default_rng(
-                np.random.SeedSequence((rng_seed, run, stream, day))
-            )
+        return cls(rng_seed, run, day)
 
-        return cls(
-            tau=gen(_STREAM_TAU),
-            removal=gen(_STREAM_REMOVAL),
-            infection=gen(_STREAM_INFECTION),
-        )
+    def _gen(self, stream: int) -> np.random.Generator:
+        rng_seed, run, day = self._key
+        return _generator((rng_seed, run, stream, day))
+
+    @property
+    def tau(self) -> np.random.Generator:
+        if self._tau is None:
+            self._tau = self._gen(_STREAM_TAU)
+        return self._tau
+
+    @property
+    def removal(self) -> np.random.Generator:
+        if self._removal is None:
+            self._removal = self._gen(_STREAM_REMOVAL)
+        return self._removal
+
+    @property
+    def infection(self) -> np.random.Generator:
+        if self._infection is None:
+            self._infection = self._gen(_STREAM_INFECTION)
+        return self._infection
 
 
 def removal_rate_from_time(b: float) -> float:
@@ -211,20 +247,26 @@ class _DayLinks(NamedTuple):
     t_l: np.ndarray
     t_s_n: np.ndarray
     t_l_n: np.ndarray
+    # host h's links are [offsets[h], offsets[h + 1]): a day's links are
+    # sorted by host
+    offsets: np.ndarray
 
 
 _EMPTY_DAY = _DayLinks(*(np.empty(0, dtype=np.int64) for _ in range(2)),
-                       *(np.empty(0, dtype=np.float64) for _ in range(4)))
+                       *(np.empty(0, dtype=np.float64) for _ in range(4)),
+                       np.empty(0, dtype=np.int64))
 
 _VIEW_CACHE: "weakref.WeakKeyDictionary[DynamicContactNetwork, list[_DayLinks]]"
 _VIEW_CACHE = weakref.WeakKeyDictionary()
 
 
 def _day_views(net: DynamicContactNetwork) -> list[_DayLinks]:
-    """Per-day link arrays with float64 timestamps, cached per network."""
+    """Per-day link arrays with float64 timestamps and host offsets, cached
+    per network."""
     views = _VIEW_CACHE.get(net)
     if views is None:
         views = []
+        hosts = np.arange(net.n_users + 1)
         for day in range(net.horizon):
             sl = net.day_slice(day)
             if sl.stop == sl.start:
@@ -234,63 +276,105 @@ def _day_views(net: DynamicContactNetwork) -> list[_DayLinks]:
                     net.host[sl], net.nbr[sl],
                     net.t_s[sl].astype(np.float64), net.t_l[sl].astype(np.float64),
                     net.t_s_n[sl].astype(np.float64), net.t_l_n[sl].astype(np.float64),
+                    np.searchsorted(net.host[sl], hosts),
                 ))
         _VIEW_CACHE[net] = views
     return views
 
 
-def _draw_tau(rng: np.random.Generator, n: int, cfg: SimulationConfig) -> np.ndarray:
+# Upper bound on the (run, link) pairs of one lockstep day: a block holds as
+# many runs as fit when every run gathers all links of the network's busiest
+# day. At desk scale (about 190k links on the busiest day) that is 5 runs,
+# whose pair arrays stay a few MB; a small network steps hundreds of runs
+# together.
+_BLOCK_PAIRS = 1 << 20
+
+
+def _block_runs(views: list[_DayLinks]) -> int:
+    """Runs stepped together in one block."""
+    busiest = max((links.host.size for links in views), default=0)
+    return max(1, _BLOCK_PAIRS // max(busiest, 1))
+
+
+def _draw_tau(rng: np.random.Generator | None, n: int,
+              cfg: SimulationConfig) -> np.ndarray:
+    # 'mean3' pins the period and draws nothing from rng
     lo, hi = cfg.tau_range
     if cfg.tau_mode == "uniform":
         return rng.integers(lo, hi + 1, size=n, dtype=np.int64)
     return np.full(n, lo, dtype=np.int64)
 
 
-def _step_inplace(
+def _per_run_draws(counts: np.ndarray, draw) -> np.ndarray:
+    """Concatenate draw(run, k) over the runs with k > 0 draws, in run order."""
+    return np.concatenate([draw(run, k) for run, k in enumerate(counts.tolist())
+                           if k])
+
+
+def _step_block(
     views: list[_DayLinks],
     state: PopulationState,
     day: int,
     cfg: SimulationConfig,
-    streams: DayStreams,
-) -> DailyStats:
+    streams: list[DayStreams],
+) -> list[DailyStats]:
+    """Advance a block of runs by one day in place; one DailyStats per run.
+
+    ``state`` holds one row per run and ``streams`` one DayStreams per row.
+    """
     status, day_infected, tau = state.status, state.day_infected, state.tau
+    runs, n_users = status.shape
 
     # recoveries first: an individual whose period elapsed today no longer
     # transmits today
-    infected = status == INFECTED
-    due = infected & (day - day_infected >= tau)
-    n_recovered = int(np.count_nonzero(due))
-    if n_recovered:
-        status[due] = RECOVERED
+    due = (status == INFECTED) & (day - day_infected >= tau)
+    n_recovered = np.count_nonzero(due, axis=1)
+    status[due] = RECOVERED
 
-    n_new = 0
+    n_new = np.zeros(runs, dtype=np.int64)
     links = views[day] if day < len(views) else _EMPTY_DAY
     if links.host.size:
-        transmitting = (status == INFECTED) & (day_infected <= day)
-        sel = transmitting[links.host] & (status[links.nbr] == SUSCEPTIBLE)
-        idx = np.flatnonzero(sel)
-        if idx.size:
-            b = _sample_removal_times(cfg.r_t, cfg.b_range, streams.removal, idx.size)
+        # (run, host) pairs of transmitting hosts, run-major, each expanded
+        # to the host's link range: (run, link) pairs in ascending link order
+        # within each run, the order a per-run step would visit them in
+        run, host = np.nonzero((status == INFECTED) & (day_infected <= day))
+        first = links.offsets[host]
+        count = links.offsets[host + 1] - first
+        ends = np.cumsum(count)
+        total = int(ends[-1]) if ends.size else 0
+        link = np.arange(total) + np.repeat(first - (ends - count), count)
+        key = np.repeat(run * n_users, count) + links.nbr[link]
+        susceptible = status.ravel()[key] == SUSCEPTIBLE
+        link, key = link[susceptible], key[susceptible]
+        if link.size:
+            per_run = np.bincount(key // n_users, minlength=runs)
+            b = _per_run_draws(per_run, lambda r, k: _sample_removal_times(
+                cfg.r_t, cfg.b_range, streams[r].removal, k))
             doses = batch_link_exposure(
-                links.t_s[idx], links.t_l[idx],
-                links.t_s_n[idx], links.t_l_n[idx],
+                links.t_s[link], links.t_l[link],
+                links.t_s_n[link], links.t_l_n[link],
                 1.0 / b, cfg.g, cfg.V, cfg.p,
             )
-            totals = np.bincount(links.nbr[idx], weights=doses,
-                                 minlength=status.shape[0])
+            totals = np.bincount(key, weights=doses, minlength=runs * n_users)
             exposed = np.flatnonzero(totals > 0.0)
             if exposed.size:
                 p_inf = -np.expm1(-cfg.sigma * totals[exposed])
-                u = streams.infection.random(exposed.size)
+                u = _per_run_draws(np.bincount(exposed // n_users, minlength=runs),
+                                   lambda r, k: streams[r].infection.random(k))
                 newly = exposed[u < p_inf]
                 if newly.size:
-                    status[newly] = INFECTED
-                    day_infected[newly] = day + 1  # latent until tomorrow
-                    tau[newly] = _draw_tau(streams.tau, newly.size, cfg)
-                    n_new = int(newly.size)
+                    n_new = np.bincount(newly // n_users, minlength=runs)
+                    np.put(status, newly, INFECTED)
+                    np.put(day_infected, newly, day + 1)  # latent until tomorrow
+                    if cfg.tau_mode == "uniform":
+                        np.put(tau, newly, _per_run_draws(
+                            n_new, lambda r, k: _draw_tau(streams[r].tau, k, cfg)))
+                    else:
+                        np.put(tau, newly, _draw_tau(None, newly.size, cfg))
 
-    prevalence = int(np.count_nonzero(status == INFECTED))
-    return DailyStats(day, n_new, n_recovered, prevalence)
+    prevalence = np.count_nonzero(status == INFECTED, axis=1)
+    return [DailyStats(day, i_n, i_r, i_p) for i_n, i_r, i_p in
+            zip(n_new.tolist(), n_recovered.tolist(), prevalence.tolist())]
 
 
 def step_day(
@@ -303,9 +387,10 @@ def step_day(
     """Advance one day; returns the new state and the day's counts."""
     if day < 0 or day >= cfg.horizon_days:
         raise ValueError(f"day {day} outside [0, {cfg.horizon_days})")
-    new_state = states.copy()
-    stats = _step_inplace(_day_views(net), new_state, day, cfg, rng)
-    return new_state, stats
+    block = PopulationState(states.status[None].copy(),
+                            states.day_infected[None].copy(), states.tau[None].copy())
+    (stats,) = _step_block(_day_views(net), block, day, cfg, [rng])
+    return PopulationState(block.status[0], block.day_infected[0], block.tau[0]), stats
 
 
 def seeded_state(
@@ -326,14 +411,18 @@ def seeded_state(
     return state
 
 
-def _simulate_run(
-    views: list[_DayLinks], n_users: int, cfg: SimulationConfig, run: int
-) -> list[DailyStats]:
-    state = seeded_state(n_users, cfg, run)
-    out = []
+def _simulate_block(
+    views: list[_DayLinks], n_users: int, cfg: SimulationConfig, block: range
+) -> list[list[DailyStats]]:
+    """Runs ``block`` stepped in lockstep; one stats list per run."""
+    seeded = [seeded_state(n_users, cfg, run) for run in block]
+    state = PopulationState(*(np.stack([getattr(s, field) for s in seeded])
+                              for field in ("status", "day_infected", "tau")))
+    out: list[list[DailyStats]] = [[] for _ in block]
     for day in range(cfg.horizon_days):
-        streams = DayStreams.derive(cfg.rng_seed, run, day)
-        out.append(_step_inplace(views, state, day, cfg, streams))
+        streams = [DayStreams.derive(cfg.rng_seed, run, day) for run in block]
+        for run_stats, stats in zip(out, _step_block(views, state, day, cfg, streams)):
+            run_stats.append(stats)
     return out
 
 
@@ -346,9 +435,9 @@ def _pool_init(views, n_users, cfg):
     _POOL_STATE["cfg"] = cfg
 
 
-def _pool_run(run: int) -> list[DailyStats]:
-    return _simulate_run(
-        _POOL_STATE["views"], _POOL_STATE["n_users"], _POOL_STATE["cfg"], run
+def _pool_block(block: range) -> list[list[DailyStats]]:
+    return _simulate_block(
+        _POOL_STATE["views"], _POOL_STATE["n_users"], _POOL_STATE["cfg"], block
     )
 
 
@@ -368,21 +457,27 @@ def run_simulation(
 ) -> list[list[DailyStats]]:
     """Run the configured number of independent runs; one stats list per run.
 
-    Outputs are fully determined by (network, config); the worker count only
-    changes scheduling.
+    Runs are stepped in contiguous lockstep blocks; with several workers the
+    blocks are spread over processes. Outputs are fully determined by
+    (network, config); the worker count only changes scheduling.
     """
     if cfg.seeds > net.n_users:
         raise ValueError(f"seeds={cfg.seeds} exceeds population {net.n_users}")
     workers = resolve_workers(workers)
     views = _day_views(net)
-    if workers == 1 or cfg.runs == 1:
-        return [_simulate_run(views, net.n_users, cfg, run) for run in range(cfg.runs)]
-    with ProcessPoolExecutor(
-        max_workers=min(workers, cfg.runs),
-        initializer=_pool_init,
-        initargs=(views, net.n_users, cfg),
-    ) as pool:
-        return list(pool.map(_pool_run, range(cfg.runs), chunksize=8))
+    size = _block_runs(views)
+    blocks = [range(start, min(start + size, cfg.runs))
+              for start in range(0, cfg.runs, size)]
+    if workers == 1 or len(blocks) == 1:
+        parts = [_simulate_block(views, net.n_users, cfg, block) for block in blocks]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(blocks)),
+            initializer=_pool_init,
+            initargs=(views, net.n_users, cfg),
+        ) as pool:
+            parts = list(pool.map(_pool_block, blocks))
+    return [run_stats for part in parts for run_stats in part]
 
 
 def write_daily_csv(runs_stats: Iterable[list[DailyStats]], path) -> None:

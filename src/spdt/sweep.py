@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -259,9 +260,16 @@ def run_plan(plan: ExperimentPlan, trace_path, out_dir,
     same-trace variant pair, and `manifest.json` listing each output with
     its content digest. A failing cell is recorded in the manifest and
     skipped; other cells still run.
+
+    The manifest marks a complete run: an existing one is deleted before
+    any output is written, and the new one is written to a temporary file
+    and renamed into place last, so an interrupted sweep never leaves
+    outputs that look complete.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest_path = out / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     cells_dir = out / "cells"
     cells_dir.mkdir(exist_ok=True)
 
@@ -348,9 +356,14 @@ def run_plan(plan: ExperimentPlan, trace_path, out_dir,
             str(p.relative_to(out)): _sha256_file(p) for p in sorted(outputs)
         },
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    partial = out / "manifest.json.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(partial, manifest_path)
+    finally:
+        partial.unlink(missing_ok=True)
     return manifest
 
 

@@ -46,10 +46,12 @@ class Visit(NamedTuple):
 
 @dataclass
 class ParsedTrace:
-    """Updates sorted by (user_id, t) plus the count of rows dropped as malformed."""
+    """Updates sorted by (user_id, t) plus the count of rows dropped as
+    malformed, in total and by reason."""
 
     updates: list[LocationUpdate] = field(default_factory=list)
     skipped: int = 0
+    skip_reasons: dict[str, int] = field(default_factory=dict)
 
     def by_user(self) -> dict[str, list[LocationUpdate]]:
         grouped: dict[str, list[LocationUpdate]] = {}
@@ -61,15 +63,20 @@ class ParsedTrace:
 def _project_equirectangular(rows: list[tuple[str, float, float, float]]):
     """Map (lat, lon) degrees to planar metres about the trace centroid.
 
-    City-scale traces make the projection error negligible relative to the
-    20 m co-location radius.
+    The lon centroid is circular and lon offsets are wrapped to
+    (-180, 180], so a trace that straddles the antimeridian stays in one
+    piece. City-scale traces make the projection error negligible relative
+    to the 20 m co-location radius.
     """
     lat0 = math.radians(sum(r[2] for r in rows) / len(rows))
-    lon0 = math.radians(sum(r[3] for r in rows) / len(rows))
+    lons = [math.radians(r[3]) for r in rows]
+    lon0 = math.degrees(math.atan2(sum(map(math.sin, lons)),
+                                   sum(map(math.cos, lons))))
     cos_lat0 = math.cos(lat0)
     projected = []
     for user_id, t, lat, lon in rows:
-        x = EARTH_RADIUS_M * cos_lat0 * (math.radians(lon) - lon0)
+        dlon = 180.0 - (180.0 - (lon - lon0)) % 360.0
+        x = EARTH_RADIUS_M * cos_lat0 * math.radians(dlon)
         y = EARTH_RADIUS_M * (math.radians(lat) - lat0)
         projected.append((user_id, t, x, y))
     return projected
@@ -79,9 +86,10 @@ def parse_trace(source: str | Path | TextIO, project_latlon: bool = False) -> Pa
     """Parse a trace CSV into per-user time-sorted updates.
 
     Rows with the wrong field count, non-numeric or non-finite values, or an
-    empty user id are counted and skipped. A missing or wrong header raises.
-    With ``project_latlon`` the input columns are geographic coordinates,
-    converted to planar metres about the trace centroid.
+    empty user id are counted by reason and skipped. A missing or wrong
+    header raises. With ``project_latlon`` the input columns are geographic
+    coordinates, converted to planar metres about the trace centroid; rows
+    with |lat| > 90 or |lon| > 180 are skipped too.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -97,32 +105,40 @@ def parse_trace(source: str | Path | TextIO, project_latlon: bool = False) -> Pa
                          f"expected {','.join(expected)!r}")
 
     rows: list[tuple[str, float, float, float]] = []
-    skipped = 0
+    reasons: dict[str, int] = {}
     for line in source:
         line = line.strip()
         if not line:
             continue
+        reason = None
         parts = line.split(",")
         if len(parts) != 4:
-            skipped += 1
-            continue
-        user_id = parts[0].strip()
-        try:
-            t, a, b = float(parts[1]), float(parts[2]), float(parts[3])
-        except ValueError:
-            skipped += 1
-            continue
-        if not user_id or not all(map(math.isfinite, (t, a, b))):
-            skipped += 1
-            continue
-        rows.append((user_id, t, a, b))
+            reason = "wrong field count"
+        else:
+            user_id = parts[0].strip()
+            try:
+                t, a, b = float(parts[1]), float(parts[2]), float(parts[3])
+            except ValueError:
+                reason = "non-numeric value"
+            else:
+                if not user_id:
+                    reason = "empty user id"
+                elif not all(map(math.isfinite, (t, a, b))):
+                    reason = "non-finite value"
+                elif project_latlon and not (abs(a) <= 90.0 and abs(b) <= 180.0):
+                    reason = "lat/lon out of range"
+        if reason is None:
+            rows.append((user_id, t, a, b))
+        else:
+            reasons[reason] = reasons.get(reason, 0) + 1
 
     if project_latlon and rows:
         rows = _project_equirectangular(rows)
 
     updates = [LocationUpdate(u, t, x, y) for u, t, x, y in rows]
     updates.sort(key=lambda upd: (upd.user_id, upd.t))
-    return ParsedTrace(updates=updates, skipped=skipped)
+    return ParsedTrace(updates=updates, skipped=sum(reasons.values()),
+                       skip_reasons=reasons)
 
 
 def write_trace_csv(updates: Iterable[LocationUpdate], path: str | Path) -> None:

@@ -7,6 +7,7 @@ The trend criteria run the desk-scale profile (2,000 users, 14 days,
 
 import math
 import time
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -45,6 +46,7 @@ from spdt.sweep import (
     ExperimentPlan,
     amplification_gap_p,
     cell_config,
+    match_sigma,
     one_sided_p_mean_greater,
     simulate_cell,
 )
@@ -251,22 +253,11 @@ def test_criterion_6_reconstruction_sign_pattern(desk):
 
     # bisect the infectiousness that reproduces the full network's outbreak
     # at the high removal time on the direct-only network
-    lo, hi = 0.33, 4.0
     probe = SimulationConfig(
         seeds=plan.seeds, horizon_days=plan.horizon_days, r_t=60.0,
         rng_seed=cell_config(plan, "SST", 60.0, 0.33, "3-5").rng_seed,
         runs=60)
-    for _ in range(7):
-        mid = 0.5 * (lo + hi)
-        stats = run_simulation(sst, SimulationConfig(
-            seeds=probe.seeds, horizon_days=probe.horizon_days, r_t=60.0,
-            sigma=mid, rng_seed=probe.rng_seed, runs=probe.runs))
-        mean_out = float(np.mean([outbreak_size(rs) for rs in stats]))
-        if mean_out < target:
-            lo = mid
-        else:
-            hi = mid
-    sigma_star = 0.5 * (lo + hi)
+    sigma_star = match_sigma(sst, probe, target, 0.33, 4.0, iterations=7)
     assert sigma_star > 0.4, "matching requires an elevated infectiousness"
 
     # verify the match at the high endpoint, then test the stated mismatch
@@ -294,17 +285,8 @@ def test_criterion_6_reconstruction_sign_pattern(desk):
     # the crossing's other side: matching at the low endpoint instead leaves
     # the direct-only model short at the high one
     target_low = float(sdt_low.mean())
-    lo2, hi2 = 0.33, 4.0
-    for _ in range(7):
-        mid = 0.5 * (lo2 + hi2)
-        stats = run_simulation(sst, SimulationConfig(
-            seeds=plan.seeds, horizon_days=plan.horizon_days, r_t=10.0,
-            sigma=mid, rng_seed=probe.rng_seed, runs=probe.runs))
-        if float(np.mean([outbreak_size(rs) for rs in stats])) < target_low:
-            lo2 = mid
-        else:
-            hi2 = mid
-    sigma_low_match = 0.5 * (lo2 + hi2)
+    sigma_low_match = match_sigma(sst, replace(probe, r_t=10.0), target_low,
+                                  0.33, 4.0, iterations=7)
     under_60 = np.array([
         outbreak_size(rs) for rs in run_simulation(sst, SimulationConfig(
             seeds=plan.seeds, horizon_days=plan.horizon_days, r_t=60.0,

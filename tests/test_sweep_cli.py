@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spdt import sweep
 from spdt.cli import main
 from spdt.network import load_network
 from spdt.sweep import (
@@ -165,6 +166,43 @@ class TestRunPlan:
         assert (out_a / "manifest.json").read_bytes() == \
             (out_b / "manifest.json").read_bytes()
 
+    def test_interrupted_rerun_leaves_no_manifest(self, small_trace, tmp_path,
+                                                  monkeypatch):
+        out = tmp_path / "run"
+        run_plan(SMALL_PLAN, small_trace, out)
+        assert (out / "manifest.json").is_file()
+
+        real = sweep.simulate_cell
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(args[2:])
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "simulate_cell", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_plan(SMALL_PLAN, small_trace, out)
+        assert len(calls) == 2
+        # the first cell's daily CSV is new, so the old manifest must be gone
+        assert not (out / "manifest.json").exists()
+        assert not list(out.glob("manifest*"))
+
+    def test_manifest_written_whole(self, small_trace, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        real_dump = json.dump
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(sweep.json, "dump", failing_dump)
+        with pytest.raises(OSError):
+            run_plan(SMALL_PLAN, small_trace, out)
+        monkeypatch.setattr(sweep.json, "dump", real_dump)
+        assert not list(out.glob("manifest*"))
+
     def test_compare_same_run_zero_differences(self, small_trace, tmp_path):
         plan = ExperimentPlan(variants=("SDT",), r_t_values=(10.0, 60.0),
                               sigma_values=(0.33,), tau_values=("3-5",),
@@ -250,6 +288,17 @@ class TestCli:
         assert Path(f"{prefix}degree_hist.csv").exists()
         assert Path(f"{prefix}clustering_hist.csv").exists()
         assert Path(f"{prefix}daily_metrics.csv").exists()
+
+    def test_build_reports_skip_reasons(self, tmp_path, capsys):
+        trace = tmp_path / "latlon.csv"
+        trace.write_text("user_id,t_min,lat,lon\n"
+                         "a,0,51.5,179.9999\n" "b,1,51.5,-179.9999\n"
+                         "a,2,95.0,0.0\n" "b,3,51.5\n")
+        assert main(["build", "--trace", str(trace), "--out",
+                     str(tmp_path / "net.spdt"), "--horizon", "1",
+                     "--project-latlon"]) == 0
+        out = capsys.readouterr().out
+        assert "2 rows skipped: 1 lat/lon out of range, 1 wrong field count" in out
 
     def test_simulate_config_file_with_cli_override(self, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -51,6 +51,10 @@ class TestParseTrace:
         ]))
         assert len(parsed.updates) == 2
         assert parsed.skipped == 4
+        assert parsed.skip_reasons == {"non-numeric value": 1,
+                                       "wrong field count": 1,
+                                       "empty user id": 1,
+                                       "non-finite value": 1}
 
     def test_file_round_trip(self, tmp_path):
         updates = [LocationUpdate("u1", 0.0, 1.5, -2.0),
@@ -69,6 +73,33 @@ class TestParseTrace:
         a, b = parsed.updates
         dist = math.hypot(a.x - b.x, a.y - b.y)
         assert dist == pytest.approx(111.2, rel=0.01)
+
+    def test_latlon_projection_across_antimeridian(self):
+        # 0.001 deg of longitude either side of 180 is ~111 m at the equator;
+        # an arithmetic lon centroid puts the points 360 deg apart
+        parsed = parse_trace(make_trace(
+            ["a,0,0.0,179.9995", "a,1,0.0,-179.9995", "b,0,0.0,179.9990"],
+            header="user_id,t_min,lat,lon",
+        ), project_latlon=True)
+        a0, a1, b = parsed.updates
+        assert math.hypot(a0.x - a1.x, a0.y - a1.y) == pytest.approx(111.2, rel=0.01)
+        assert math.hypot(a0.x - b.x, a0.y - b.y) == pytest.approx(55.6, rel=0.01)
+        assert max(abs(u.x) for u in parsed.updates) < 200.0
+
+    def test_latlon_projection_counts_out_of_range_rows(self):
+        parsed = parse_trace(make_trace(
+            ["a,0,10.0,20.0", "a,1,90.5,20.0", "a,2,-91,20.0", "a,3,10.0,180.01",
+             "a,4,10.0,-181", "a,5,-90,-180", "a,6,90,180", "a,7,10.0,zz"],
+            header="user_id,t_min,lat,lon",
+        ), project_latlon=True)
+        assert [u.t for u in parsed.updates] == [0.0, 5.0, 6.0]
+        assert parsed.skipped == 5
+        assert parsed.skip_reasons == {"lat/lon out of range": 4,
+                                       "non-numeric value": 1}
+
+    def test_planar_rows_not_range_checked(self):
+        parsed = parse_trace(make_trace(["a,0,500.0,-900.0"]))
+        assert parsed.skipped == 0 and parsed.skip_reasons == {}
 
 
 class TestSegmentVisits:
