@@ -15,8 +15,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .epidemic import SimulationConfig, run_simulation, write_daily_csv
+from .epidemic import TAU_MODES, SimulationConfig, run_simulation, write_daily_csv
 from .metrics import (
+    DEFAULT_EDGE_THRESHOLD,
     clustering_distribution,
     daily_network_metrics,
     degree_distribution,
@@ -26,6 +27,7 @@ from .metrics import (
     write_summary_csv,
 )
 from .network import (
+    DEFAULT_INDIRECT_WINDOW_MIN,
     BuilderConfig,
     densify,
     extract_spdt_links,
@@ -45,32 +47,45 @@ from .synth import SynthConfig, generate_trace
 from .trace import parse_trace, segment_all, write_trace_csv
 
 
-def _read_overrides(path, allowed: set[str]) -> dict[str, str]:
-    overrides = read_config_file(path)
-    unknown = set(overrides) - allowed
+# config key -> (dataclass field, flag dest, parser)
+_SYNTH_OPTIONS = {
+    "n_users": ("n_users", "users", int),
+    "n_locations": ("n_locations", "locations", int),
+    "days": ("days", "days", int),
+    "active_day_probability": ("active_day_probability", "active_day_prob", float),
+    "zipf_exponent": ("zipf_exponent", "zipf", float),
+    "rng_seed": ("rng_seed", "seed", int),
+}
+_SIM_OPTIONS = {
+    "r_t": ("r_t", "r_t", float),
+    "sigma": ("sigma", "sigma", float),
+    "runs": ("runs", "runs", int),
+    "seeds": ("seeds", "seeds", int),
+    "rng_seed": ("rng_seed", "seed", int),
+    "tau": ("tau_range", "tau", parse_tau_spec),
+    "tau_mode": ("tau_mode", "tau_mode", str),
+    "horizon_days": ("horizon_days", "horizon", int),
+}
+
+
+def _config_kwargs(args, options) -> dict:
+    """Dataclass fields set by the --config file or by flags, flags winning.
+
+    Fields that neither sets keep the dataclass default.
+    """
+    given = read_config_file(args.config) if args.config else {}
+    unknown = set(given) - set(options)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}; "
-                         f"valid: {sorted(allowed)}")
-    return overrides
-
-
-_SYNTH_KEYS = {"n_users", "n_locations", "days", "active_day_probability",
-               "zipf_exponent", "rng_seed"}
-_SIM_KEYS = {"r_t", "sigma", "runs", "seeds", "rng_seed", "tau", "tau_mode",
-             "horizon_days"}
+                         f"valid: {sorted(options)}")
+    for key, (_, dest, _) in options.items():
+        if (flag := getattr(args, dest)) is not None:
+            given[key] = flag
+    return {options[key][0]: options[key][2](value) for key, value in given.items()}
 
 
 def _cmd_synth(args) -> int:
-    overrides = _read_overrides(args.config, _SYNTH_KEYS) if args.config else {}
-    cfg = SynthConfig(
-        n_users=int(_pick(args.users, overrides.get("n_users"), 1000)),
-        n_locations=int(_pick(args.locations, overrides.get("n_locations"), 120)),
-        days=int(_pick(args.days, overrides.get("days"), 32)),
-        active_day_probability=float(_pick(
-            args.active_day_prob, overrides.get("active_day_probability"), 0.11)),
-        zipf_exponent=float(_pick(args.zipf, overrides.get("zipf_exponent"), 1.0)),
-        rng_seed=int(_pick(args.seed, overrides.get("rng_seed"), 0)),
-    )
+    cfg = SynthConfig(**_config_kwargs(args, _SYNTH_OPTIONS))
     if args.area:
         w, h = (float(v) for v in args.area.split(","))
         cfg = replace(cfg, area_m=(w, h))
@@ -125,28 +140,10 @@ def _cmd_make_ldt_lst(args) -> int:
     return 0
 
 
-def _pick(*candidates):
-    for value in candidates:
-        if value is not None:
-            return value
-    raise ValueError("missing required value")
-
-
 def _cmd_simulate(args) -> int:
     net = load_network(args.net)
-    overrides = _read_overrides(args.config, _SIM_KEYS) if args.config else {}
-    tau_spec = _pick(args.tau, overrides.get("tau"), "3-5")
-    cfg = SimulationConfig(
-        seeds=int(_pick(args.seeds, overrides.get("seeds"), 500)),
-        horizon_days=int(_pick(args.horizon, overrides.get("horizon_days"),
-                               net.horizon)),
-        r_t=float(_pick(args.r_t, overrides.get("r_t"), 60.0)),
-        sigma=float(_pick(args.sigma, overrides.get("sigma"), 0.33)),
-        tau_range=parse_tau_spec(tau_spec),
-        tau_mode=str(_pick(args.tau_mode, overrides.get("tau_mode"), "uniform")),
-        rng_seed=int(_pick(args.seed, overrides.get("rng_seed"), 0)),
-        runs=int(_pick(args.runs, overrides.get("runs"), 1)),
-    )
+    cfg = SimulationConfig(**{"horizon_days": net.horizon,
+                              **_config_kwargs(args, _SIM_OPTIONS)})
     stats = run_simulation(net, cfg, workers=args.workers)
     write_daily_csv(stats, args.out_daily)
     write_summary_csv(stats, args.out_summary)
@@ -229,12 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="extract the sparse network from a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--horizon", type=int, default=32)
+    p.add_argument("--horizon", type=int, default=BuilderConfig.horizon_days)
     p.add_argument("--project-latlon", action="store_true")
-    p.add_argument("--radius", type=float, default=20.0)
-    p.add_argument("--delta", type=float, default=200.0,
+    p.add_argument("--radius", type=float, default=BuilderConfig.radius_m)
+    p.add_argument("--delta", type=float, default=BuilderConfig.indirect_window_min,
                    help="indirect window after host departure (minutes)")
-    p.add_argument("--gap", type=float, default=30.0)
+    p.add_argument("--gap", type=float, default=BuilderConfig.visit_gap_min)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("project-spst", help="drop indirect parts of a network")
@@ -252,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--out-ldt", required=True)
     p.add_argument("--out-lst", required=True)
-    p.add_argument("--delta", type=float, default=200.0)
+    p.add_argument("--delta", type=float, default=DEFAULT_INDIRECT_WINDOW_MIN)
     p.add_argument("--keep-departure", action="store_true",
                    help="keep the neighbour departure instead of the duration")
     p.set_defaults(func=_cmd_make_ldt_lst)
@@ -267,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--tau", help="infectious period: '3-5' or '4' days")
-    p.add_argument("--tau-mode", choices=("uniform", "mean3"), dest="tau_mode")
+    p.add_argument("--tau-mode", choices=TAU_MODES, dest="tau_mode")
     p.add_argument("--horizon", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--config")
@@ -277,10 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--variant", default="SDT")
-    p.add_argument("--r-t", default="60", dest="r_t",
+    p.add_argument("--r-t", default=str(SimulationConfig.r_t), dest="r_t",
                    help="comma-separated removal times")
     p.add_argument("--daily", action="store_true")
-    p.add_argument("--threshold", type=float, default=0.01)
+    p.add_argument("--threshold", type=float, default=DEFAULT_EDGE_THRESHOLD)
     p.add_argument("--universe-net",
                    help="network whose user set becomes the node universe")
     p.set_defaults(func=_cmd_metrics)

@@ -42,6 +42,7 @@ from .exposure import (
     DEFAULT_PROXIMITY_VOLUME,
     DEFAULT_PULMONARY_RATE,
     DEFAULT_SIGMA,
+    check_positive,
 )
 from .network import DynamicContactNetwork
 
@@ -77,26 +78,23 @@ class SimulationConfig:
     tau_mode: str = "uniform"
     rng_seed: int = 0
     runs: int = 1
-    g: float = DEFAULT_GENERATION_RATE
-    V: float = DEFAULT_PROXIMITY_VOLUME
-    p: float = DEFAULT_PULMONARY_RATE
 
     def __post_init__(self):
         lo, hi = self.b_range
-        if not 0 < lo <= hi:
-            raise ValueError(f"invalid removal-time bounds {self.b_range!r}")
+        check_positive("b_range", lo)
+        check_positive("b_range", hi)
+        if not lo <= hi:
+            raise ValueError(f"invalid removal-time bounds b_range={self.b_range!r}")
         if not lo <= self.r_t <= hi:
-            raise ValueError(
-                f"median removal time {self.r_t} outside bounds {self.b_range}"
-            )
+            raise ValueError(f"median removal time r_t={self.r_t!r} outside "
+                             f"b_range={self.b_range!r}")
         if self.seeds < 0:
             raise ValueError("seeds must be non-negative")
         if self.horizon_days < 1:
             raise ValueError("horizon_days must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        check_positive("sigma", self.sigma)
         tlo, thi = self.tau_range
         if tlo < 1 or thi < tlo:
             raise ValueError(f"invalid infectious-period range {self.tau_range!r}")
@@ -104,17 +102,6 @@ class SimulationConfig:
             raise ValueError(f"tau_mode must be one of {TAU_MODES}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
-        for name in ("g", "V", "p"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-
-
-class IndividualState(NamedTuple):
-    """Status snapshot of one user (status, infection day, infectious period)."""
-
-    status: int
-    day_infected: int | None
-    tau: int | None
 
 
 @dataclass
@@ -139,14 +126,6 @@ class PopulationState:
     def copy(self) -> "PopulationState":
         return PopulationState(
             self.status.copy(), self.day_infected.copy(), self.tau.copy()
-        )
-
-    def individual(self, i: int) -> IndividualState:
-        infected_ever = self.day_infected[i] >= 0
-        return IndividualState(
-            int(self.status[i]),
-            int(self.day_infected[i]) if infected_ever else None,
-            int(self.tau[i]) if infected_ever else None,
         )
 
     def counts(self) -> tuple[int, int, int]:
@@ -353,7 +332,8 @@ def _step_block(
             doses = batch_link_exposure(
                 links.t_s[link], links.t_l[link],
                 links.t_s_n[link], links.t_l_n[link],
-                1.0 / b, cfg.g, cfg.V, cfg.p,
+                1.0 / b, DEFAULT_GENERATION_RATE, DEFAULT_PROXIMITY_VOLUME,
+                DEFAULT_PULMONARY_RATE,
             )
             totals = np.bincount(key, weights=doses, minlength=runs * n_users)
             exposed = np.flatnonzero(totals > 0.0)
@@ -444,7 +424,12 @@ def _pool_block(block: range) -> list[list[DailyStats]]:
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, else SPDT_WORKERS, else 1."""
     if workers is None:
-        workers = int(os.environ.get("SPDT_WORKERS", "1"))
+        raw = os.environ.get("SPDT_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"SPDT_WORKERS must be an integer, got {raw!r}") from None
     if workers < 1:
         raise ValueError("worker count must be at least 1")
     return workers

@@ -30,6 +30,12 @@ DEFAULT_PULMONARY_RATE = 0.0075  # m^3/min (7.5 L/min)
 DEFAULT_SIGMA = 0.33  # per PFU
 
 
+def check_positive(name: str, value: float) -> None:
+    """Reject a parameter value that is not a positive finite number."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnvironmentParams:
     """Location environment driving particle build-up and removal.
@@ -47,9 +53,7 @@ class EnvironmentParams:
 
     def __post_init__(self):
         for name in ("g", "V", "p", "r"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            check_positive(name, getattr(self, name))
 
     @property
     def steady_state(self) -> float:
@@ -103,29 +107,6 @@ class LinkInterval:
         if self.t_s_n >= self.t_l:
             return "indirect"
         return "mixed"
-
-
-@dataclass(frozen=True)
-class DiseaseParams:
-    """Disease-level constants: dose response and infectious period.
-
-    sigma: infectiousness (per PFU); tau_range: inclusive bounds of the
-    infectious period in days; latent_days: delay before a new infection
-    starts transmitting.
-    """
-
-    sigma: float = DEFAULT_SIGMA
-    tau_range: tuple[int, int] = (3, 5)
-    latent_days: int = 1
-
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        lo, hi = self.tau_range
-        if lo < 1 or hi < lo:
-            raise ValueError(f"invalid infectious-period bounds {self.tau_range!r}")
-        if self.latent_days < 0:
-            raise ValueError("latent_days must be non-negative")
 
 
 def concentration_during_presence(env: EnvironmentParams, t_s: float, t: float) -> float:
@@ -190,8 +171,7 @@ def infection_probability(exposure: float, sigma: float) -> float:
     """Dose-response conversion: P = 1 - e^{-sigma * exposure}, in [0, 1)."""
     if exposure < 0.0:
         raise ValueError(f"exposure must be non-negative, got {exposure!r}")
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    check_positive("sigma", sigma)
     return -math.expm1(-sigma * exposure)
 
 

@@ -19,18 +19,18 @@ the strong links at the day bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._kernel import batch_link_exposure
-from .epidemic import DailyStats
+from .epidemic import DailyStats, SimulationConfig
 from .exposure import (
     DEFAULT_GENERATION_RATE,
     DEFAULT_PROXIMITY_VOLUME,
     DEFAULT_PULMONARY_RATE,
+    check_positive,
 )
 from .network import DynamicContactNetwork
 
@@ -193,11 +193,6 @@ class StaticGraph:
         return coeffs
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def _graph_nodes(net: DynamicContactNetwork, universe
                  ) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
     """Sorted node ids, their positions, and the position of each network user."""
@@ -209,10 +204,8 @@ def _graph_nodes(net: DynamicContactNetwork, universe
     return nodes, index, np.array([index[u] for u in net.users], dtype=np.int64)
 
 
-def _strong_links(
-    net: DynamicContactNetwork, r_t: float, threshold: float,
-    g: float, V: float, p: float,
-) -> np.ndarray:
+def _strong_links(net: DynamicContactNetwork, r_t: float, threshold: float
+                  ) -> np.ndarray:
     """Ascending indices of the links whose dose at ``r_t`` reaches the threshold.
 
     Doses are evaluated in blocks of ``_DOSE_CHUNK`` links, so that the
@@ -225,18 +218,18 @@ def _strong_links(
     for a in range(0, n, _DOSE_CHUNK):
         b = min(a + _DOSE_CHUNK, n)
         doses = batch_link_exposure(net.t_s[a:b], net.t_l[a:b], net.t_s_n[a:b],
-                                    net.t_l_n[a:b], r[:b - a], g, V, p)
+                                    net.t_l_n[a:b], r[:b - a],
+                                    DEFAULT_GENERATION_RATE,
+                                    DEFAULT_PROXIMITY_VOLUME,
+                                    DEFAULT_PULMONARY_RATE)
         strong[a:b] = doses >= threshold
     return np.flatnonzero(strong)
 
 
 def static_graph(
     net: DynamicContactNetwork,
-    r_t: float = 60.0,
+    r_t: float = SimulationConfig.r_t,
     threshold: float = DEFAULT_EDGE_THRESHOLD,
-    g: float = DEFAULT_GENERATION_RATE,
-    V: float = DEFAULT_PROXIMITY_VOLUME,
-    p: float = DEFAULT_PULMONARY_RATE,
     universe: Iterable[str] | None = None,
 ) -> StaticGraph:
     """Whole-horizon graph: an edge wherever any link's dose reaches the threshold.
@@ -245,10 +238,10 @@ def static_graph(
     removal time ``r_t``. Pass a ``universe`` superset to compare variants of
     the same trace over a common node set.
     """
-    _check_positive("r_t", r_t)
-    _check_positive("threshold", threshold)
+    check_positive("r_t", r_t)
+    check_positive("threshold", threshold)
     nodes, index, node_of = _graph_nodes(net, universe)
-    strong = _strong_links(net, r_t, threshold, g, V, p)
+    strong = _strong_links(net, r_t, threshold)
     return StaticGraph._from_indices(nodes, index, node_of[net.host[strong]],
                                      node_of[net.nbr[strong]])
 
@@ -282,22 +275,19 @@ def daily_network_metrics(
     net: DynamicContactNetwork,
     r_t_values: Sequence[float],
     threshold: float = DEFAULT_EDGE_THRESHOLD,
-    g: float = DEFAULT_GENERATION_RATE,
-    V: float = DEFAULT_PROXIMITY_VOLUME,
-    p: float = DEFAULT_PULMONARY_RATE,
     universe: Iterable[str] | None = None,
 ) -> list[DailyMetricsRow]:
     """One aggregated graph per day per r_t; mean degree and clustering over
     the universe (absent users count as isolated)."""
     for r_t in r_t_values:
-        _check_positive("r_t", r_t)
-    _check_positive("threshold", threshold)
+        check_positive("r_t", r_t)
+    check_positive("threshold", threshold)
     nodes, index, node_of = _graph_nodes(net, universe)
     host, nbr = node_of[net.host], node_of[net.nbr]
     # links are sorted by day: cut each r_t's strong links at the day bounds
     strong_by_r_t = []
     for r_t in r_t_values:
-        strong = _strong_links(net, r_t, threshold, g, V, p)
+        strong = _strong_links(net, r_t, threshold)
         strong_by_r_t.append((strong, np.searchsorted(strong, net._day_bounds)))
     rows = []
     for day in range(net.horizon):

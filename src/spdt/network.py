@@ -22,7 +22,15 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .trace import MINUTES_PER_DAY, LocationUpdate, ParsedTrace, Visit
+from .exposure import check_positive
+from .trace import (
+    DEFAULT_VISIT_GAP_MIN,
+    DEFAULT_VISIT_RADIUS_M,
+    MINUTES_PER_DAY,
+    LocationUpdate,
+    ParsedTrace,
+    Visit,
+)
 
 NETWORK_FORMAT_VERSION = 1
 
@@ -33,15 +41,14 @@ DEFAULT_INDIRECT_WINDOW_MIN = 200.0
 class BuilderConfig:
     """Construction rules: co-location radius, indirect window, visit gap."""
 
-    radius_m: float = 20.0
+    radius_m: float = DEFAULT_VISIT_RADIUS_M
     indirect_window_min: float = DEFAULT_INDIRECT_WINDOW_MIN
-    visit_gap_min: float = 30.0
+    visit_gap_min: float = DEFAULT_VISIT_GAP_MIN
     horizon_days: int = 32
 
     def __post_init__(self):
         for name in ("radius_m", "indirect_window_min", "visit_gap_min"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            check_positive(name, getattr(self, name))
         if self.horizon_days < 1:
             raise ValueError("horizon_days must be at least 1")
 

@@ -59,19 +59,22 @@ def parse_tau_spec(spec: str | int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Sweep grid plus simulation scale; see desk() and full() profiles."""
+    """Sweep grid plus simulation scale; see desk() and full() profiles.
+
+    A plan is valid when the SimulationConfig of every cell is.
+    """
 
     variants: tuple[str, ...] = ("SDT", "SST")
     r_t_values: tuple[float, ...] = (10.0, 35.0, 60.0)
-    sigma_values: tuple[float, ...] = (0.33,)
-    tau_values: tuple[str, ...] = ("3-5",)
+    sigma_values: tuple[float, ...] = (SimulationConfig.sigma,)
+    tau_values: tuple[str, ...] = ("{}-{}".format(*SimulationConfig.tau_range),)
     runs: int = 200
     seeds: int = 50
     horizon_days: int = 14
     rng_seed: int = 0
     densify_seed: int = 0
-    tau_mode: str = "uniform"
-    b_range: tuple[float, float] = (7.5, 300.0)
+    tau_mode: str = SimulationConfig.tau_mode
+    b_range: tuple[float, float] = SimulationConfig.b_range
 
     def __post_init__(self):
         unknown = set(self.variants) - set(VARIANTS)
@@ -80,10 +83,9 @@ class ExperimentPlan:
         for name in ("variants", "r_t_values", "sigma_values", "tau_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        for spec in self.tau_values:
-            parse_tau_spec(spec)
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
+        for r_t, sigma, tau_spec in product(self.r_t_values, self.sigma_values,
+                                            self.tau_values):
+            cell_config(self, self.variants[0], r_t, sigma, tau_spec)
         for name, values, scale in (("r_t", self.r_t_values, _R_T_SEED_SCALE),
                                     ("sigma", self.sigma_values, _SIGMA_SEED_SCALE)):
             seen: dict[int, float] = {}
@@ -150,8 +152,10 @@ def read_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in entries:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            entries[key] = value
     return entries
 
 
@@ -213,7 +217,7 @@ def cell_seed(plan_seed: int, variant: str, r_t: float, sigma: float,
 
 def cell_config(plan: ExperimentPlan, variant: str, r_t: float, sigma: float,
                 tau_spec: str) -> SimulationConfig:
-    return SimulationConfig(
+    cfg = SimulationConfig(
         seeds=plan.seeds,
         horizon_days=plan.horizon_days,
         r_t=r_t,
@@ -221,9 +225,11 @@ def cell_config(plan: ExperimentPlan, variant: str, r_t: float, sigma: float,
         sigma=sigma,
         tau_range=parse_tau_spec(tau_spec),
         tau_mode=plan.tau_mode,
-        rng_seed=cell_seed(plan.rng_seed, variant, r_t, sigma, tau_spec),
         runs=plan.runs,
     )
+    # the seed is derived only from values SimulationConfig has accepted
+    return replace(cfg, rng_seed=cell_seed(plan.rng_seed, variant, r_t, sigma,
+                                           tau_spec))
 
 
 def simulate_cell(

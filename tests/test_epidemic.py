@@ -67,6 +67,11 @@ class TestRemovalSampler:
 
 
 class TestConfigValidation:
+    def test_disease_defaults(self):
+        cfg = SimulationConfig()
+        assert cfg.sigma == 0.33
+        assert cfg.tau_range == (3, 5)
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             SimulationConfig(r_t=500.0)
@@ -78,6 +83,23 @@ class TestConfigValidation:
             SimulationConfig(tau_mode="weird")
         with pytest.raises(ValueError):
             SimulationConfig(runs=0)
+        with pytest.raises(ValueError):
+            SimulationConfig(sigma=-1.0)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("sigma", {"sigma": float("inf")}),
+        ("sigma", {"sigma": float("nan")}),
+        ("b_range", {"b_range": (7.5, float("inf"))}),
+        ("r_t", {"r_t": float("inf")}),
+    ])
+    def test_rejects_non_finite(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**kwargs)
+
+    def test_bad_worker_variable_named(self, monkeypatch):
+        monkeypatch.setenv("SPDT_WORKERS", "two")
+        with pytest.raises(ValueError, match="SPDT_WORKERS.*'two'"):
+            run_simulation(chain_net(), SimulationConfig(seeds=1, horizon_days=2))
 
 
 class TestStepDay:
@@ -229,14 +251,6 @@ class TestRunSimulation:
         taus_p = state_p.tau[state_p.status == INFECTED]
         assert set(taus_u.tolist()) <= {3, 4, 5} and len(set(taus_u.tolist())) > 1
         assert set(taus_p.tolist()) == {3}
-
-    def test_individual_view(self):
-        state = PopulationState.initial(2)
-        assert state.individual(0) == (SUSCEPTIBLE, None, None)
-        state.status[1] = INFECTED
-        state.day_infected[1] = 4
-        state.tau[1] = 5
-        assert state.individual(1) == (INFECTED, 4, 5)
 
 
 def test_spdt_outbreaks_exceed_spst_on_same_trace():

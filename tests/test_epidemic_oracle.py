@@ -26,6 +26,11 @@ from spdt.epidemic import (
     seeded_state,
     step_day,
 )
+from spdt.exposure import (
+    DEFAULT_GENERATION_RATE,
+    DEFAULT_PROXIMITY_VOLUME,
+    DEFAULT_PULMONARY_RATE,
+)
 from spdt.network import BuilderConfig, DynamicContactNetwork, extract_spdt_links
 from spdt.synth import SynthConfig, generate_trace
 from spdt.trace import ParsedTrace, segment_all
@@ -68,7 +73,8 @@ def _reference_step(net, state, day, cfg, tau_rng, removal_rng, infection_rng):
                                               idx.size)
                 doses = epi.batch_link_exposure(
                     t_s[idx], t_l[idx], t_s_n[idx], t_l_n[idx],
-                    1.0 / b, cfg.g, cfg.V, cfg.p)
+                    1.0 / b, DEFAULT_GENERATION_RATE, DEFAULT_PROXIMITY_VOLUME,
+                    DEFAULT_PULMONARY_RATE)
                 totals = np.bincount(nbr[idx], weights=doses,
                                      minlength=status.shape[0])
                 exposed = np.flatnonzero(totals > 0.0)

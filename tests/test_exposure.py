@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from spdt.epidemic import SimulationConfig
 from spdt.exposure import (
-    DiseaseParams,
     EnvironmentParams,
     LinkInterval,
     concentration_after_departure,
@@ -308,16 +308,14 @@ class TestInfectionProbability:
 
 
 class TestDiseaseParams:
-    def test_defaults_valid(self):
-        params = DiseaseParams()
-        assert params.sigma == 0.33
-        assert params.tau_range == (3, 5)
+    """The disease-level constants (sigma, infectious period) live on
+    SimulationConfig; a zero period bound or a negative sigma is refused."""
 
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
-            DiseaseParams(tau_range=(0, 5))
+            SimulationConfig(tau_range=(0, 5))
         with pytest.raises(ValueError):
-            DiseaseParams(sigma=-1.0)
+            SimulationConfig(sigma=-1.0)
 
 
 class TestConcentrationCurve:

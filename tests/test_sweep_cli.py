@@ -11,7 +11,20 @@ import pytest
 
 from spdt import sweep
 from spdt.cli import main
-from spdt.network import load_network
+from spdt.epidemic import SimulationConfig, run_simulation, write_daily_csv
+from spdt.metrics import (
+    degree_distribution,
+    static_graph,
+    write_histogram_csv,
+    write_summary_csv,
+)
+from spdt.network import (
+    BuilderConfig,
+    extract_spdt_links,
+    load_network,
+    make_ldt_lst,
+    save_network,
+)
 from spdt.sweep import (
     ExperimentPlan,
     build_variants,
@@ -23,7 +36,7 @@ from spdt.sweep import (
     run_plan,
 )
 from spdt.synth import SynthConfig, generate_trace
-from spdt.trace import write_trace_csv
+from spdt.trace import parse_trace, segment_all, write_trace_csv
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +94,22 @@ class TestPlan:
         with pytest.raises(ValueError, match=r"0\.33.*0\.3300001"):
             ExperimentPlan(sigma_values=(0.33, 0.3300001))
 
+    @pytest.mark.parametrize("key, value", [
+        ("b_range", "7.5, inf"), ("sigma", "0.33, inf"), ("sigma", "nan"),
+        ("runs", "0"), ("seeds", "-1"), ("tau_mode", "weird"), ("tau", "3-5, 0"),
+        ("r_t", "5"),
+    ])
+    def test_rejects_invalid_cell(self, key, value):
+        name = {"r_t": "removal time", "tau": "infectious-period"}.get(key, key)
+        with pytest.raises(ValueError, match=name):
+            ExperimentPlan.from_mapping({key: value})
+
+    def test_defaults_follow_simulation_config(self):
+        plan, cfg = ExperimentPlan(), SimulationConfig()
+        assert plan.sigma_values == (cfg.sigma,)
+        assert [parse_tau_spec(t) for t in plan.tau_values] == [cfg.tau_range]
+        assert (plan.tau_mode, plan.b_range) == (cfg.tau_mode, cfg.b_range)
+
     def test_distinct_grid_values_accepted(self):
         plan = ExperimentPlan(r_t_values=(10.0, 10.001), sigma_values=(0.33, 0.330001))
         assert plan.r_t_values == (10.0, 10.001)
@@ -101,6 +130,10 @@ def test_read_config_file(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ValueError):
         read_config_file(bad)
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("runs = 9\n# again\nruns = 10\n")
+    with pytest.raises(ValueError, match=r"twice\.cfg:3: duplicate key 'runs'"):
+        read_config_file(twice)
 
 
 class TestBuildVariants:
@@ -340,6 +373,20 @@ class TestCli:
                      "--out", str(cmp_path)]) == 0
         assert cmp_path.exists()
 
+    def test_sweep_rejects_non_finite_plan(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        main(["synth", "--out", str(trace), "--users", "150", "--days", "4",
+              "--seed", "3", "--locations", "12", "--area", "800,800",
+              "--active-day-prob", "0.45"])
+        plan_file = tmp_path / "plan.cfg"
+        plan_file.write_text("variants = SDT\nr_t = 10\nruns = 2\nseeds = 5\n"
+                             "horizon_days = 4\nb_range = 7.5, inf\n")
+        out = tmp_path / "run"
+        assert main(["sweep", "--trace", str(trace), "--out-dir", str(out),
+                     "--config", str(plan_file)]) == 2
+        assert "b_range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("r_t = 35\nsgima = 0.4\n")  # typo must not pass silently
@@ -366,3 +413,63 @@ class TestCli:
             [sys.executable, "-m", "spdt.cli", "--version"],
             capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip()
+
+
+class TestCliDefaults:
+    """Each subcommand run without options matches the library defaults."""
+
+    @pytest.fixture(scope="class")
+    def default_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("defaults")
+        trace, net = root / "trace.csv", root / "sdt.spdt"
+        assert main(["synth", "--out", str(trace)]) == 0
+        assert main(["build", "--trace", str(trace), "--out", str(net)]) == 0
+        return trace, net
+
+    def test_synth(self, default_run, tmp_path):
+        trace, _ = default_run
+        expected = tmp_path / "trace.csv"
+        write_trace_csv(generate_trace(SynthConfig()), expected)
+        assert trace.read_bytes() == expected.read_bytes()
+
+    def test_build(self, default_run, tmp_path):
+        trace, net = default_run
+        cfg = BuilderConfig()
+        parsed = parse_trace(trace)
+        expected = tmp_path / "sdt.spdt"
+        save_network(extract_spdt_links(
+            segment_all(parsed, cfg.radius_m, cfg.visit_gap_min), parsed, cfg),
+            expected)
+        assert net.read_bytes() == expected.read_bytes()
+
+    def test_simulate(self, default_run, tmp_path):
+        _, net_path = default_run
+        daily, summary = tmp_path / "daily.csv", tmp_path / "summary.csv"
+        assert main(["simulate", "--net", str(net_path), "--out-daily", str(daily),
+                     "--out-summary", str(summary)]) == 0
+        net = load_network(net_path)
+        stats = run_simulation(net, SimulationConfig(horizon_days=net.horizon))
+        write_daily_csv(stats, tmp_path / "ref_daily.csv")
+        write_summary_csv(stats, tmp_path / "ref_summary.csv")
+        assert daily.read_bytes() == (tmp_path / "ref_daily.csv").read_bytes()
+        assert summary.read_bytes() == (tmp_path / "ref_summary.csv").read_bytes()
+
+    def test_make_ldt_lst_and_metrics(self, default_run, tmp_path):
+        _, net_path = default_run
+        ldt, lst = tmp_path / "ldt.spdt", tmp_path / "lst.spdt"
+        assert main(["make-ldt-lst", "--net", str(net_path), "--out-ldt", str(ldt),
+                     "--out-lst", str(lst)]) == 0
+        net = load_network(net_path)
+        ref_ldt, ref_lst = make_ldt_lst(net)
+        save_network(ref_ldt, tmp_path / "ref_ldt.spdt")
+        save_network(ref_lst, tmp_path / "ref_lst.spdt")
+        assert ldt.read_bytes() == (tmp_path / "ref_ldt.spdt").read_bytes()
+        assert lst.read_bytes() == (tmp_path / "ref_lst.spdt").read_bytes()
+
+        prefix = tmp_path / "m_"
+        assert main(["metrics", "--net", str(net_path),
+                     "--out-prefix", str(prefix)]) == 0
+        write_histogram_csv(degree_distribution(static_graph(net)),
+                            tmp_path / "ref_degree.csv")
+        assert Path(f"{prefix}degree_hist.csv").read_bytes() == \
+            (tmp_path / "ref_degree.csv").read_bytes()
