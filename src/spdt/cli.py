@@ -21,12 +21,14 @@ from .metrics import (
     clustering_distribution,
     daily_network_metrics,
     degree_distribution,
+    outbreak_size,
     static_graph,
     write_daily_metrics_csv,
     write_histogram_csv,
     write_summary_csv,
 )
 from .network import (
+    DEFAULT_DENSIFY_SEED,
     DEFAULT_INDIRECT_WINDOW_MIN,
     BuilderConfig,
     densify,
@@ -144,10 +146,10 @@ def _cmd_simulate(args) -> int:
     net = load_network(args.net)
     cfg = SimulationConfig(**{"horizon_days": net.horizon,
                               **_config_kwargs(args, _SIM_OPTIONS)})
-    stats = run_simulation(net, cfg, workers=args.workers)
-    write_daily_csv(stats, args.out_daily)
-    write_summary_csv(stats, args.out_summary)
-    total = sum(s.new_infections for rs in stats for s in rs)
+    counts = run_simulation(net, cfg, workers=args.workers)
+    write_daily_csv(counts, args.out_daily)
+    write_summary_csv(counts, args.out_summary)
+    total = int(outbreak_size(counts).sum())
     print(f"simulated {cfg.runs} runs x {cfg.horizon_days} days on {net!r}; "
           f"{total} infections caused; wrote {args.out_daily}, {args.out_summary}")
     return 0
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("densify", help="repeat links onto each host's missing days")
     p.add_argument("--net", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=DEFAULT_DENSIFY_SEED)
     p.set_defaults(func=_cmd_densify)
 
     p = sub.add_parser("make-ldt-lst", help="density-controlled variant pair")

@@ -6,9 +6,11 @@ doses are summed and one Bernoulli draw decides infection. New infections
 start transmitting the next day (the one-day latency) and recover once their
 assigned infectious period has elapsed. Seed users transmit from day 0.
 
-Daily counts follow the convention that new infections are attributed to the
-day of the causing exposure, and prevalence counts everyone currently
-infected including that day's not-yet-transmitting new cases, so
+Results are one int64 array ``counts[run, day, col]`` of shape
+(runs, horizon_days, 3), whose columns are NEW_INFECTIONS, NEW_RECOVERIES
+and PREVALENCE. New infections are attributed to the day of the causing
+exposure, and prevalence counts everyone currently infected including that
+day's not-yet-transmitting new cases, so
 prevalence(d) = prevalence(d-1) + new_infections(d) - new_recoveries(d).
 
 Runs are stepped in lockstep: a contiguous block of runs moves forward one
@@ -32,7 +34,7 @@ import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,11 +46,16 @@ from .exposure import (
     DEFAULT_SIGMA,
     check_positive,
 )
-from .network import DynamicContactNetwork
+from .network import _ROW_BLOCK, DynamicContactNetwork
 
 SUSCEPTIBLE = 0
 INFECTED = 1
 RECOVERED = 2
+
+# columns of the counts array
+NEW_INFECTIONS = 0
+NEW_RECOVERIES = 1
+PREVALENCE = 2
 
 _STREAM_INIT = 0
 _STREAM_TAU = 1
@@ -123,28 +130,6 @@ class PopulationState:
             tau=np.zeros(n_users, dtype=np.int64),
         )
 
-    def copy(self) -> "PopulationState":
-        return PopulationState(
-            self.status.copy(), self.day_infected.copy(), self.tau.copy()
-        )
-
-    def counts(self) -> tuple[int, int, int]:
-        return (
-            int(np.count_nonzero(self.status == SUSCEPTIBLE)),
-            int(np.count_nonzero(self.status == INFECTED)),
-            int(np.count_nonzero(self.status == RECOVERED)),
-        )
-
-
-@dataclass(frozen=True)
-class DailyStats:
-    """One day's counts: new infections, new recoveries, prevalence."""
-
-    day: int
-    new_infections: int
-    new_recoveries: int
-    prevalence: int
-
 
 def _generator(key: tuple[int, int, int, int]) -> np.random.Generator:
     # what np.random.default_rng does with a SeedSequence, without its checks
@@ -163,10 +148,6 @@ class DayStreams:
     def __init__(self, rng_seed: int, run: int, day: int):
         self._key = (rng_seed, run, day)
         self._tau = self._removal = self._infection = None
-
-    @classmethod
-    def derive(cls, rng_seed: int, run: int, day: int) -> "DayStreams":
-        return cls(rng_seed, run, day)
 
     def _gen(self, stream: int) -> np.random.Generator:
         rng_seed, run, day = self._key
@@ -296,10 +277,12 @@ def _step_block(
     day: int,
     cfg: SimulationConfig,
     streams: list[DayStreams],
-) -> list[DailyStats]:
-    """Advance a block of runs by one day in place; one DailyStats per run.
+    row: np.ndarray,
+) -> None:
+    """Advance a block of runs by one day in place.
 
-    ``state`` holds one row per run and ``streams`` one DayStreams per row.
+    ``state`` holds one row per run and ``streams`` one DayStreams per row;
+    the day's counts are written into ``row``, of shape (runs, 3).
     """
     status, day_infected, tau = state.status, state.day_infected, state.tau
     runs, n_users = status.shape
@@ -307,10 +290,10 @@ def _step_block(
     # recoveries first: an individual whose period elapsed today no longer
     # transmits today
     due = (status == INFECTED) & (day - day_infected >= tau)
-    n_recovered = np.count_nonzero(due, axis=1)
+    row[:, NEW_RECOVERIES] = np.count_nonzero(due, axis=1)
+    row[:, NEW_INFECTIONS] = 0
     status[due] = RECOVERED
 
-    n_new = np.zeros(runs, dtype=np.int64)
     links = views[day] if day < len(views) else _EMPTY_DAY
     if links.host.size:
         # (run, host) pairs of transmitting hosts, run-major, each expanded
@@ -344,6 +327,7 @@ def _step_block(
                 newly = exposed[u < p_inf]
                 if newly.size:
                     n_new = np.bincount(newly // n_users, minlength=runs)
+                    row[:, NEW_INFECTIONS] = n_new
                     np.put(status, newly, INFECTED)
                     np.put(day_infected, newly, day + 1)  # latent until tomorrow
                     if cfg.tau_mode == "uniform":
@@ -352,9 +336,7 @@ def _step_block(
                     else:
                         np.put(tau, newly, _draw_tau(None, newly.size, cfg))
 
-    prevalence = np.count_nonzero(status == INFECTED, axis=1)
-    return [DailyStats(day, i_n, i_r, i_p) for i_n, i_r, i_p in
-            zip(n_new.tolist(), n_recovered.tolist(), prevalence.tolist())]
+    row[:, PREVALENCE] = np.count_nonzero(status == INFECTED, axis=1)
 
 
 def step_day(
@@ -363,14 +345,16 @@ def step_day(
     day: int,
     cfg: SimulationConfig,
     rng: DayStreams,
-) -> tuple[PopulationState, DailyStats]:
-    """Advance one day; returns the new state and the day's counts."""
+) -> tuple[PopulationState, np.ndarray]:
+    """Advance one day; returns the new state and the day's counts, a
+    length-3 row of the counts array."""
     if day < 0 or day >= cfg.horizon_days:
         raise ValueError(f"day {day} outside [0, {cfg.horizon_days})")
     block = PopulationState(states.status[None].copy(),
                             states.day_infected[None].copy(), states.tau[None].copy())
-    (stats,) = _step_block(_day_views(net), block, day, cfg, [rng])
-    return PopulationState(block.status[0], block.day_infected[0], block.tau[0]), stats
+    row = np.empty((1, 3), dtype=np.int64)
+    _step_block(_day_views(net), block, day, cfg, [rng], row)
+    return PopulationState(block.status[0], block.day_infected[0], block.tau[0]), row[0]
 
 
 def seeded_state(
@@ -393,17 +377,16 @@ def seeded_state(
 
 def _simulate_block(
     views: list[_DayLinks], n_users: int, cfg: SimulationConfig, block: range
-) -> list[list[DailyStats]]:
-    """Runs ``block`` stepped in lockstep; one stats list per run."""
+) -> np.ndarray:
+    """Counts of the runs ``block``, stepped in lockstep."""
     seeded = [seeded_state(n_users, cfg, run) for run in block]
     state = PopulationState(*(np.stack([getattr(s, field) for s in seeded])
                               for field in ("status", "day_infected", "tau")))
-    out: list[list[DailyStats]] = [[] for _ in block]
+    counts = np.empty((len(block), cfg.horizon_days, 3), dtype=np.int64)
     for day in range(cfg.horizon_days):
-        streams = [DayStreams.derive(cfg.rng_seed, run, day) for run in block]
-        for run_stats, stats in zip(out, _step_block(views, state, day, cfg, streams)):
-            run_stats.append(stats)
-    return out
+        streams = [DayStreams(cfg.rng_seed, run, day) for run in block]
+        _step_block(views, state, day, cfg, streams, counts[:, day])
+    return counts
 
 
 _POOL_STATE: dict = {}
@@ -415,7 +398,7 @@ def _pool_init(views, n_users, cfg):
     _POOL_STATE["cfg"] = cfg
 
 
-def _pool_block(block: range) -> list[list[DailyStats]]:
+def _pool_block(block: range) -> np.ndarray:
     return _simulate_block(
         _POOL_STATE["views"], _POOL_STATE["n_users"], _POOL_STATE["cfg"], block
     )
@@ -439,8 +422,9 @@ def run_simulation(
     net: DynamicContactNetwork,
     cfg: SimulationConfig,
     workers: int | None = None,
-) -> list[list[DailyStats]]:
-    """Run the configured number of independent runs; one stats list per run.
+) -> np.ndarray:
+    """Run the configured number of independent runs; returns their counts,
+    of shape (runs, horizon_days, 3).
 
     Runs are stepped in contiguous lockstep blocks; with several workers the
     blocks are spread over processes. Outputs are fully determined by
@@ -462,14 +446,18 @@ def run_simulation(
             initargs=(views, net.n_users, cfg),
         ) as pool:
             parts = list(pool.map(_pool_block, blocks))
-    return [run_stats for part in parts for run_stats in part]
+    return np.concatenate(parts)
 
 
-def write_daily_csv(runs_stats: Iterable[list[DailyStats]], path) -> None:
-    """Write per-run daily counts as `run,day,I_n,I_r,I_p` rows."""
+def write_daily_csv(counts: np.ndarray, path) -> None:
+    """Write a counts array as `run,day,I_n,I_r,I_p` rows."""
+    days = counts.shape[1]
+    rows = counts.reshape(-1, 3)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("run,day,I_n,I_r,I_p\n")
-        for run, stats in enumerate(runs_stats):
-            for s in stats:
-                fh.write(f"{run},{s.day},{s.new_infections},"
-                         f"{s.new_recoveries},{s.prevalence}\n")
+        for i in range(0, rows.shape[0], _ROW_BLOCK):
+            run, day = np.divmod(np.arange(i, min(i + _ROW_BLOCK, rows.shape[0])), days)
+            fh.write("".join([
+                f"{r},{d},{i_n},{i_r},{i_p}\n" for r, d, (i_n, i_r, i_p)
+                in zip(run.tolist(), day.tolist(), rows[i:i + _ROW_BLOCK].tolist())
+            ]))

@@ -1,8 +1,10 @@
-"""Reproduction-number series, run aggregates and network-structure metrics.
+"""Per-run outbreak and reproduction numbers, and network-structure metrics.
 
 The daily reproduction ratio is the day's new infections divided by the
 day's recoveries, defined only on days with at least one recovery; the
-run-level value is the mean of the defined days. Structure metrics are
+run-level value R_e is the mean of the defined days, and the initial R_t
+is the ratio of the first defined day. Both are read from the counts array
+of ``epidemic.run_simulation``. Structure metrics are
 computed on unweighted graphs thresholded on per-link inhaled dose.
 
 Graphs are integer arrays over the sorted node universe: each network user
@@ -25,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._kernel import batch_link_exposure
-from .epidemic import DailyStats, SimulationConfig
+from .epidemic import NEW_INFECTIONS, NEW_RECOVERIES, SimulationConfig
 from .exposure import (
     DEFAULT_GENERATION_RATE,
     DEFAULT_PROXIMITY_VOLUME,
@@ -37,39 +39,30 @@ from .network import DynamicContactNetwork
 DEFAULT_EDGE_THRESHOLD = 0.01  # PFU
 
 
-@dataclass(frozen=True)
-class ReproductionSeries:
-    """Per-day reproduction ratios and their run-level mean.
+def outbreak_size(counts: np.ndarray) -> np.ndarray:
+    """Infections caused in each run (seed users not counted)."""
+    return counts[:, :, NEW_INFECTIONS].sum(axis=1)
 
-    ``daily`` maps day index to new_infections/new_recoveries for days with
-    recoveries; ``effective`` is the mean of those values, or None when no
-    day had a recovery (undefined, never coerced to zero).
+
+def run_summaries(counts: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-run outbreak size, R_e and initial R_t of a counts array.
+
+    R_e and the initial R_t are NaN in a run without a recovery: undefined,
+    never coerced to zero. R_e adds the defined ratios one day at a time,
+    left to right, so its bits do not depend on numpy's pairwise summation.
     """
-
-    daily: dict[int, float]
-    effective: float | None
-
-
-def reproduction_series(stats: Sequence[DailyStats]) -> ReproductionSeries:
-    """Daily infection/recovery ratios for one run."""
-    daily: dict[int, float] = {}
-    for s in stats:
-        if s.new_recoveries > 0:
-            daily[s.day] = s.new_infections / s.new_recoveries
-    effective = sum(daily.values()) / len(daily) if daily else None
-    return ReproductionSeries(daily=daily, effective=effective)
-
-
-def outbreak_size(stats: Sequence[DailyStats]) -> int:
-    """Total infections caused over the run (seed users not counted)."""
-    return sum(s.new_infections for s in stats)
-
-
-def initial_reproduction(series: ReproductionSeries) -> float | None:
-    """Reproduction ratio of the earliest day on which it is defined."""
-    if not series.daily:
-        return None
-    return series.daily[min(series.daily)]
+    new, recovered = counts[:, :, NEW_INFECTIONS], counts[:, :, NEW_RECOVERIES]
+    defined = recovered > 0
+    ratios = np.divide(new, recovered, out=np.zeros(new.shape), where=defined)
+    n_defined = defined.sum(axis=1)
+    has_any = n_defined > 0
+    # cumsum adds one day at a time; an undefined day adds an exact +0.0
+    total = np.cumsum(ratios, axis=1)[:, -1]
+    effective = np.where(has_any, total / np.maximum(n_defined, 1), np.nan)
+    first = ratios[np.arange(len(counts)), defined.argmax(axis=1)]
+    initial = np.where(has_any, first, np.nan)
+    return outbreak_size(counts), effective, initial
 
 
 # popcount of every byte value, for counting the set bits of packed rows
@@ -300,35 +293,18 @@ def daily_network_metrics(
     return rows
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    run: int
-    outbreak_size: int
-    effective: float | None
-    initial: float | None
+def _fmt(value: float) -> str:
+    return "" if np.isnan(value) else repr(float(value))
 
 
-def run_summaries(runs_stats: Sequence[Sequence[DailyStats]]) -> list[RunSummary]:
-    out = []
-    for run, stats in enumerate(runs_stats):
-        series = reproduction_series(stats)
-        out.append(RunSummary(
-            run, outbreak_size(stats), series.effective, initial_reproduction(series)
-        ))
-    return out
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def write_summary_csv(runs_stats: Sequence[Sequence[DailyStats]], path) -> None:
+def write_summary_csv(counts: np.ndarray, path) -> None:
     """Write per-run aggregates as `run,outbreak_size,R_e` rows (empty R_e when
     undefined)."""
+    outbreak, effective, _ = run_summaries(counts)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("run,outbreak_size,R_e\n")
-        for s in run_summaries(runs_stats):
-            fh.write(f"{s.run},{s.outbreak_size},{_fmt(s.effective)}\n")
+        fh.write("".join([f"{run},{size},{_fmt(r_e)}\n" for run, (size, r_e)
+                          in enumerate(zip(outbreak.tolist(), effective.tolist()))]))
 
 
 def write_daily_metrics_csv(rows: Sequence[DailyMetricsRow], variant: str, path) -> None:

@@ -35,6 +35,7 @@ from .trace import (
 NETWORK_FORMAT_VERSION = 1
 
 DEFAULT_INDIRECT_WINDOW_MIN = 200.0
+DEFAULT_DENSIFY_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -402,7 +403,8 @@ def _user_hash(user_id: str) -> int:
     return int.from_bytes(hashlib.sha256(user_id.encode("utf-8")).digest()[:8], "big")
 
 
-def densify(net: DynamicContactNetwork, rng_seed: int = 0) -> DynamicContactNetwork:
+def densify(net: DynamicContactNetwork,
+            rng_seed: int = DEFAULT_DENSIFY_SEED) -> DynamicContactNetwork:
     """Copy each host's links onto their missing days (uniform source day, seeded).
 
     For every host, each day without links receives a time-shifted copy of

@@ -21,9 +21,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .epidemic import DailyStats, SimulationConfig, run_simulation, write_daily_csv
+from .epidemic import PREVALENCE, SimulationConfig, run_simulation, write_daily_csv
 from .metrics import _fmt, outbreak_size, run_summaries
 from .network import (
+    DEFAULT_DENSIFY_SEED,
     BuilderConfig,
     DynamicContactNetwork,
     densify,
@@ -72,7 +73,7 @@ class ExperimentPlan:
     seeds: int = 50
     horizon_days: int = 14
     rng_seed: int = 0
-    densify_seed: int = 0
+    densify_seed: int = DEFAULT_DENSIFY_SEED
     tau_mode: str = SimulationConfig.tau_mode
     b_range: tuple[float, float] = SimulationConfig.b_range
 
@@ -163,18 +164,15 @@ def build_variants(
     trace_path,
     horizon_days: int,
     variants: Iterable[str],
-    densify_seed: int = 0,
+    densify_seed: int = DEFAULT_DENSIFY_SEED,
     project_latlon: bool = False,
-    builder: BuilderConfig | None = None,
 ) -> dict[str, DynamicContactNetwork]:
     """Parse a trace and derive the requested network variants."""
     wanted = set(variants)
     unknown = wanted - set(VARIANTS)
     if unknown:
         raise ValueError(f"unknown variants {sorted(unknown)}")
-    cfg = builder if builder is not None else BuilderConfig(horizon_days=horizon_days)
-    if cfg.horizon_days != horizon_days:
-        cfg = replace(cfg, horizon_days=horizon_days)
+    cfg = BuilderConfig(horizon_days=horizon_days)
 
     parsed = parse_trace(trace_path, project_latlon=project_latlon)
     visits = segment_all(parsed, cfg.radius_m, cfg.visit_gap_min)
@@ -240,7 +238,7 @@ def simulate_cell(
     sigma: float,
     tau_spec: str,
     workers: int | None = None,
-) -> list[list[DailyStats]]:
+) -> np.ndarray:
     return run_simulation(net, cell_config(plan, variant, r_t, sigma, tau_spec),
                           workers=workers)
 
@@ -255,6 +253,24 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _cell_rows(cell: str, counts: np.ndarray) -> tuple[list[str], list[str], float]:
+    """One cell's summary rows, mean-prevalence rows and mean outbreak.
+
+    Rows start with ``cell``, the cell's key columns; ``counts`` is the
+    cell's counts array.
+    """
+    outbreak, effective, initial = run_summaries(counts)
+    summary = [f"{cell},{run},{size},{_fmt(r_e)},{_fmt(r_0)}"
+               for run, (size, r_e, r_0) in enumerate(zip(
+                   outbreak.tolist(), effective.tolist(), initial.tolist()))]
+    # dividing the numpy scalar keeps the `np.float64(...)` repr that the
+    # sweep's recorded digests pin
+    totals = counts[:, :, PREVALENCE].sum(axis=0)
+    prevalence = [f"{cell},{day},{total / len(counts)!r}"
+                  for day, total in enumerate(totals)]
+    return summary, prevalence, float(outbreak.mean())
 
 
 def run_plan(plan: ExperimentPlan, trace_path, out_dir,
@@ -293,29 +309,17 @@ def run_plan(plan: ExperimentPlan, trace_path, out_dir,
     for variant, r_t, sigma, tau_spec in grid:
         record = {"variant": variant, "r_t": r_t, "sigma": sigma, "tau": tau_spec}
         try:
-            stats = simulate_cell(nets[variant], plan, variant, r_t, sigma, tau_spec)
+            counts = simulate_cell(nets[variant], plan, variant, r_t, sigma, tau_spec)
             name = _cell_name(variant, r_t, sigma, tau_spec)
             cell_path = cells_dir / f"{name}_daily.csv"
-            write_daily_csv(stats, cell_path)
+            write_daily_csv(counts, cell_path)
             outputs.append(cell_path)
 
-            for summ in run_summaries(stats):
-                summary_rows.append(
-                    f"{variant},{r_t:g},{sigma:g},{tau_spec},{summ.run},"
-                    f"{summ.outbreak_size},{_fmt(summ.effective)},{_fmt(summ.initial)}"
-                )
-            day_totals = np.zeros(plan.horizon_days)
-            for run_stats in stats:
-                for s in run_stats:
-                    day_totals[s.day] += s.prevalence
-            for day in range(plan.horizon_days):
-                prevalence_rows.append(
-                    f"{variant},{r_t:g},{sigma:g},{tau_spec},{day},"
-                    f"{day_totals[day] / plan.runs!r}"
-                )
-            mean_outbreaks[(variant, r_t, sigma, tau_spec)] = float(
-                np.mean([outbreak_size(rs) for rs in stats])
-            )
+            summary, prevalence, mean_outbreak = _cell_rows(
+                f"{variant},{r_t:g},{sigma:g},{tau_spec}", counts)
+            summary_rows.extend(summary)
+            prevalence_rows.extend(prevalence)
+            mean_outbreaks[(variant, r_t, sigma, tau_spec)] = mean_outbreak
             record["status"] = "ok"
         except Exception as exc:  # cell-level isolation
             record["status"] = "error"
@@ -496,8 +500,8 @@ def match_sigma(
     lo, hi = sigma_lo, sigma_hi
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        stats = run_simulation(net, replace(base_cfg, sigma=mid))
-        mean_out = float(np.mean([outbreak_size(rs) for rs in stats]))
+        counts = run_simulation(net, replace(base_cfg, sigma=mid))
+        mean_out = float(outbreak_size(counts).mean())
         if mean_out < target_mean_outbreak:
             lo = mid
         else:

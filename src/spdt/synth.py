@@ -11,10 +11,12 @@ are whole minutes. Generation is deterministic under the configured seed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .exposure import check_positive
 from .trace import MINUTES_PER_DAY, LocationUpdate
 
 _STREAM_LAYOUT = 0
@@ -54,10 +56,15 @@ class SynthConfig:
             lo, hi = getattr(self, name)
             if lo < 1 or hi < lo:
                 raise ValueError(f"invalid range for {name}")
-        if self.update_interval_min <= 0:
-            raise ValueError("update_interval_min must be positive")
-        if min(self.area_m) <= 40.0:
-            raise ValueError("area must exceed 40 m on each side")
+        check_positive("update_interval_min", self.update_interval_min)
+        if not math.isfinite(self.zipf_exponent):
+            raise ValueError(f"zipf_exponent must be finite, got {self.zipf_exponent!r}")
+        if not (math.isfinite(self.position_jitter_m) and self.position_jitter_m >= 0):
+            raise ValueError("position_jitter_m must be non-negative and finite, "
+                             f"got {self.position_jitter_m!r}")
+        if not all(math.isfinite(side) and side > 40.0 for side in self.area_m):
+            raise ValueError("area_m must be finite and exceed 40 m on each side, "
+                             f"got {self.area_m!r}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 

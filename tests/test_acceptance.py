@@ -16,6 +16,9 @@ from scipy.integrate import quad
 
 from spdt.epidemic import (
     INFECTED,
+    NEW_INFECTIONS,
+    NEW_RECOVERIES,
+    PREVALENCE,
     RECOVERED,
     SUSCEPTIBLE,
     DayStreams,
@@ -74,9 +77,8 @@ def desk(tmp_path_factory):
     outbreaks: dict[tuple[str, float], np.ndarray] = {}
     for variant, net in (("SDT", sdt), ("SST", sst)):
         for r_t in plan.r_t_values:
-            stats = simulate_cell(net, plan, variant, r_t, 0.33, "3-5")
-            outbreaks[(variant, r_t)] = np.array(
-                [outbreak_size(rs) for rs in stats], dtype=np.float64)
+            counts = simulate_cell(net, plan, variant, r_t, 0.33, "3-5")
+            outbreaks[(variant, r_t)] = outbreak_size(counts).astype(np.float64)
     elapsed = time.monotonic() - t0
     return {"sdt": sdt, "sst": sst, "plan": plan, "outbreaks": outbreaks,
             "elapsed": elapsed}
@@ -262,19 +264,15 @@ def test_criterion_6_reconstruction_sign_pattern(desk):
 
     # verify the match at the high endpoint, then test the stated mismatch
     # sign at the low endpoint: the matched direct-only model overestimates
-    matched_60 = np.array([
-        outbreak_size(rs) for rs in run_simulation(sst, SimulationConfig(
-            seeds=plan.seeds, horizon_days=plan.horizon_days, r_t=60.0,
-            sigma=sigma_star, rng_seed=probe.rng_seed, runs=plan.runs))
-    ], dtype=np.float64)
+    matched_60 = outbreak_size(run_simulation(sst, SimulationConfig(
+        seeds=plan.seeds, horizon_days=plan.horizon_days, r_t=60.0,
+        sigma=sigma_star, rng_seed=probe.rng_seed, runs=plan.runs))).astype(np.float64)
     assert abs(matched_60.mean() - target) / target < 0.15, \
         f"match quality off: {matched_60.mean():.0f} vs {target:.0f}"
 
-    sst_low = np.array([
-        outbreak_size(rs) for rs in run_simulation(sst, SimulationConfig(
-            seeds=plan.seeds, horizon_days=plan.horizon_days, r_t=10.0,
-            sigma=sigma_star, rng_seed=probe.rng_seed, runs=plan.runs))
-    ], dtype=np.float64)
+    sst_low = outbreak_size(run_simulation(sst, SimulationConfig(
+        seeds=plan.seeds, horizon_days=plan.horizon_days, r_t=10.0,
+        sigma=sigma_star, rng_seed=probe.rng_seed, runs=plan.runs))).astype(np.float64)
     sdt_low = out[("SDT", 10.0)]
 
     p_over = one_sided_p_mean_greater(sst_low, sdt_low)
@@ -287,11 +285,9 @@ def test_criterion_6_reconstruction_sign_pattern(desk):
     target_low = float(sdt_low.mean())
     sigma_low_match = match_sigma(sst, replace(probe, r_t=10.0), target_low,
                                   0.33, 4.0, iterations=7)
-    under_60 = np.array([
-        outbreak_size(rs) for rs in run_simulation(sst, SimulationConfig(
-            seeds=plan.seeds, horizon_days=plan.horizon_days, r_t=60.0,
-            sigma=sigma_low_match, rng_seed=probe.rng_seed, runs=probe.runs))
-    ], dtype=np.float64)
+    under_60 = outbreak_size(run_simulation(sst, SimulationConfig(
+        seeds=plan.seeds, horizon_days=plan.horizon_days, r_t=60.0,
+        sigma=sigma_low_match, rng_seed=probe.rng_seed, runs=probe.runs))).astype(np.float64)
     assert under_60.mean() < target, (
         f"no underestimate at high removal time: {under_60.mean():.0f} "
         f"vs {target:.0f}")
@@ -323,16 +319,17 @@ def test_criterion_7_epidemic_invariants(tmp_path):
     prev_prevalence = None
     for day in range(cfg.horizon_days):
         before = state.status.copy()
-        state, stats = step_day(net, state, day, cfg,
-                                DayStreams.derive(cfg.rng_seed, 0, day))
-        s, i, r = state.counts()
+        state, row = step_day(net, state, day, cfg,
+                              DayStreams(cfg.rng_seed, 0, day))
+        s, i, r = (np.count_nonzero(state.status == v)
+                   for v in (SUSCEPTIBLE, INFECTED, RECOVERED))
         assert s + i + r == net.n_users
         assert all(order[int(a)] >= order[int(b)]
                    for a, b in zip(state.status, before))
         if prev_prevalence is not None:
-            assert stats.prevalence == (prev_prevalence + stats.new_infections
-                                        - stats.new_recoveries)
-        prev_prevalence = stats.prevalence
+            assert row[PREVALENCE] == (prev_prevalence + row[NEW_INFECTIONS]
+                                       - row[NEW_RECOVERIES])
+        prev_prevalence = row[PREVALENCE]
 
     # bit-identical CSVs across executions and worker counts
     paths = []

@@ -6,6 +6,9 @@ import pytest
 
 from spdt.epidemic import (
     INFECTED,
+    NEW_INFECTIONS,
+    NEW_RECOVERIES,
+    PREVALENCE,
     RECOVERED,
     SUSCEPTIBLE,
     DayStreams,
@@ -107,16 +110,16 @@ class TestStepDay:
         net = chain_net()
         cfg = SimulationConfig(seeds=0, horizon_days=6, r_t=60.0, runs=1)
         state = seeded_state(net.n_users, cfg, run=0)
-        new_state, stats = step_day(net, state, 0, cfg, DayStreams.derive(0, 0, 0))
-        assert stats.new_infections == 0 and stats.prevalence == 0
-        assert new_state.counts() == (3, 0, 0)
+        new_state, row = step_day(net, state, 0, cfg, DayStreams(0, 0, 0))
+        assert row[NEW_INFECTIONS] == 0 and row[PREVALENCE] == 0
+        assert np.bincount(new_state.status, minlength=3).tolist() == [3, 0, 0]
 
     def test_input_state_not_mutated(self):
         net = chain_net()
         cfg = SimulationConfig(seeds=3, horizon_days=6, r_t=60.0, runs=1)
         state = seeded_state(net.n_users, cfg, run=0)
         before = state.status.copy()
-        step_day(net, state, 0, cfg, DayStreams.derive(0, 0, 0))
+        step_day(net, state, 0, cfg, DayStreams(0, 0, 0))
         assert np.array_equal(state.status, before)
 
     def test_enormous_exposure_infects_almost_always(self):
@@ -133,8 +136,8 @@ class TestStepDay:
             state.status[h] = INFECTED
             state.day_infected[h] = 0
             state.tau[h] = 3
-            _, stats = step_day(net, state, 0, cfg, DayStreams.derive(trial, 0, 0))
-            hits += stats.new_infections
+            _, row = step_day(net, state, 0, cfg, DayStreams(trial, 0, 0))
+            hits += row[NEW_INFECTIONS]
         assert hits >= 990
 
     def test_latent_day_then_transmission(self):
@@ -148,13 +151,13 @@ class TestStepDay:
         state.day_infected[a] = 0
         state.tau[a] = 3
 
-        state, s0 = step_day(net, state, 0, cfg, DayStreams.derive(1, 0, 0))
-        assert s0.new_infections == 1  # b caught it
+        state, s0 = step_day(net, state, 0, cfg, DayStreams(1, 0, 0))
+        assert s0[NEW_INFECTIONS] == 1  # b caught it
         assert state.status[b] == INFECTED and state.day_infected[b] == 1
-        assert s0.prevalence == 2
+        assert s0[PREVALENCE] == 2
 
-        state, s1 = step_day(net, state, 1, cfg, DayStreams.derive(1, 0, 1))
-        assert s1.new_infections == 1  # b, now infectious, reached c
+        state, s1 = step_day(net, state, 1, cfg, DayStreams(1, 0, 1))
+        assert s1[NEW_INFECTIONS] == 1  # b, now infectious, reached c
         assert state.status[c] == INFECTED and state.day_infected[c] == 2
 
     def test_recovery_after_period(self):
@@ -168,8 +171,8 @@ class TestStepDay:
         state.tau[a] = 3
         recoveries = []
         for day in range(5):
-            state, stats = step_day(net, state, day, cfg, DayStreams.derive(2, 0, day))
-            recoveries.append(stats.new_recoveries)
+            state, row = step_day(net, state, day, cfg, DayStreams(2, 0, day))
+            recoveries.append(row[NEW_RECOVERIES])
         assert recoveries == [0, 0, 0, 1, 0]
         assert state.status[a] == RECOVERED
 
@@ -178,15 +181,17 @@ class TestRunSimulation:
     def test_zero_seeds_all_zero(self):
         net = synth_net()
         cfg = SimulationConfig(seeds=0, horizon_days=4, r_t=60.0, runs=3)
-        for stats in run_simulation(net, cfg):
-            assert all(s.new_infections == 0 and s.prevalence == 0 for s in stats)
+        counts = run_simulation(net, cfg)
+        assert counts.shape == (3, 4, 3)
+        assert not counts[:, :, NEW_INFECTIONS].any()
+        assert not counts[:, :, PREVALENCE].any()
 
     def test_full_seeding_no_susceptibles(self):
         net = synth_net()
         cfg = SimulationConfig(seeds=net.n_users, horizon_days=1, r_t=60.0, runs=2)
         for stats in run_simulation(net, cfg):
-            assert stats[0].prevalence == net.n_users
-            assert stats[0].new_infections == 0
+            assert stats[0, PREVALENCE] == net.n_users
+            assert stats[0, NEW_INFECTIONS] == 0
 
     def test_seeds_beyond_population_rejected(self):
         net = synth_net()
@@ -198,14 +203,14 @@ class TestRunSimulation:
         net = synth_net()
         cfg = SimulationConfig(seeds=20, horizon_days=6, r_t=35.0, rng_seed=5,
                                runs=4)
-        assert run_simulation(net, cfg) == run_simulation(net, cfg)
+        assert np.array_equal(run_simulation(net, cfg), run_simulation(net, cfg))
 
     def test_worker_count_does_not_change_results(self):
         net = synth_net()
         cfg = SimulationConfig(seeds=20, horizon_days=6, r_t=35.0, rng_seed=5,
                                runs=6)
-        assert run_simulation(net, cfg, workers=1) == \
-            run_simulation(net, cfg, workers=4)
+        assert np.array_equal(run_simulation(net, cfg, workers=1),
+                              run_simulation(net, cfg, workers=4))
 
     def test_conservation_and_monotone_recovery(self):
         net = synth_net()
@@ -214,17 +219,16 @@ class TestRunSimulation:
         for stats in run_simulation(net, cfg):
             total_recovered = 0
             prev_prevalence = None
-            for s in stats:
-                total_recovered += s.new_recoveries
-                assert s.new_infections >= 0 and s.new_recoveries >= 0
+            for new, recovered, prevalence in stats.tolist():
+                total_recovered += recovered
+                assert new >= 0 and recovered >= 0
                 if prev_prevalence is not None:
                     # prevalence ledger balances day over day
-                    assert s.prevalence == (prev_prevalence + s.new_infections
-                                            - s.new_recoveries)
-                prev_prevalence = s.prevalence
+                    assert prevalence == prev_prevalence + new - recovered
+                prev_prevalence = prevalence
             # day 0 ledger starts from the seeds
-            assert stats[0].prevalence == (cfg.seeds + stats[0].new_infections
-                                           - stats[0].new_recoveries)
+            assert stats[0, PREVALENCE] == (cfg.seeds + stats[0, NEW_INFECTIONS]
+                                            - stats[0, NEW_RECOVERIES])
 
     def test_status_transitions_only_forward(self):
         net = chain_net()
@@ -233,7 +237,7 @@ class TestRunSimulation:
         state = seeded_state(net.n_users, cfg, run=0)
         seen = [state.status.copy()]
         for day in range(cfg.horizon_days):
-            state, _ = step_day(net, state, day, cfg, DayStreams.derive(3, 0, day))
+            state, _ = step_day(net, state, day, cfg, DayStreams(3, 0, day))
             seen.append(state.status.copy())
         order = {SUSCEPTIBLE: 0, INFECTED: 1, RECOVERED: 2}
         for before, after in zip(seen, seen[1:]):
@@ -262,8 +266,8 @@ def test_spdt_outbreaks_exceed_spst_on_same_trace():
     sst = project_spst(sdt)
     cfg = SimulationConfig(seeds=15, horizon_days=6, r_t=60.0, rng_seed=2,
                            runs=200)
-    out_sdt = [outbreak_size(rs) for rs in run_simulation(sdt, cfg)]
-    out_sst = [outbreak_size(rs) for rs in run_simulation(sst, cfg)]
+    out_sdt = outbreak_size(run_simulation(sdt, cfg))
+    out_sst = outbreak_size(run_simulation(sst, cfg))
     assert one_sided_p_mean_greater(out_sdt, out_sst) < 0.01
 
 
@@ -279,7 +283,7 @@ def test_direct_only_network_is_its_own_projection():
     assert proj == net
     cfg = SimulationConfig(seeds=2, horizon_days=3, r_t=35.0, rng_seed=4,
                            runs=10)
-    assert run_simulation(net, cfg) == run_simulation(proj, cfg)
+    assert np.array_equal(run_simulation(net, cfg), run_simulation(proj, cfg))
 
 
 def test_daily_csv_format(tmp_path):

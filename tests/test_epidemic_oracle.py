@@ -2,9 +2,9 @@
 
 The reference below is the per-run simulator: one run at a time, one day at
 a time, every day gathering over all of that day's links, with all three
-random substreams derived eagerly. The lockstep path must give `==`
-DailyStats lists for any network, seed count, tau mode, run count and
-worker count, and `step_day` must match the reference step.
+random substreams derived eagerly. The lockstep path must give an equal
+counts array for any network, seed count, tau mode, run count and worker
+count, and `step_day` must match the reference step.
 """
 
 from dataclasses import replace
@@ -19,8 +19,8 @@ from spdt.epidemic import (
     INFECTED,
     RECOVERED,
     SUSCEPTIBLE,
-    DailyStats,
     DayStreams,
+    PopulationState,
     SimulationConfig,
     run_simulation,
     seeded_state,
@@ -89,7 +89,7 @@ def _reference_step(net, state, day, cfg, tau_rng, removal_rng, infection_rng):
                         n_new = int(newly.size)
 
     prevalence = int(np.count_nonzero(status == INFECTED))
-    return DailyStats(day, n_new, n_recovered, prevalence)
+    return n_new, n_recovered, prevalence
 
 
 def _reference_run(net, cfg, run):
@@ -100,7 +100,8 @@ def _reference_run(net, cfg, run):
 
 
 def _reference_simulation(net, cfg):
-    return [_reference_run(net, cfg, run) for run in range(cfg.runs)]
+    return np.array([_reference_run(net, cfg, run) for run in range(cfg.runs)],
+                    dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,7 @@ _SETTINGS = settings(max_examples=150, deadline=None,
 def test_lockstep_matches_reference_on_random_networks(data):
     net = data.draw(networks())
     cfg = data.draw(configs(net.n_users, net.horizon))
-    assert run_simulation(net, cfg) == _reference_simulation(net, cfg)
+    assert np.array_equal(run_simulation(net, cfg), _reference_simulation(net, cfg))
 
 
 @_SETTINGS
@@ -185,7 +186,7 @@ def test_block_boundaries_match_reference(small_blocks, data, runs_per_block):
     net = data.draw(networks())
     cfg = data.draw(configs(net.n_users, net.horizon))
     small_blocks(runs_per_block, net)
-    assert run_simulation(net, cfg) == _reference_simulation(net, cfg)
+    assert np.array_equal(run_simulation(net, cfg), _reference_simulation(net, cfg))
 
 
 @_SETTINGS
@@ -195,12 +196,13 @@ def test_step_day_matches_reference_step(data):
     cfg = data.draw(configs(net.n_users, net.horizon))
     run = data.draw(st.integers(0, 3))
     state = seeded_state(net.n_users, cfg, run)
-    ref = state.copy()
+    ref = PopulationState(state.status.copy(), state.day_infected.copy(),
+                          state.tau.copy())
     for day in range(cfg.horizon_days):
-        state, stats = step_day(net, state, day, cfg,
-                                DayStreams.derive(cfg.rng_seed, run, day))
-        assert stats == _reference_step(net, ref, day, cfg,
-                                        *_eager_streams(cfg.rng_seed, run, day))
+        state, row = step_day(net, state, day, cfg,
+                              DayStreams(cfg.rng_seed, run, day))
+        assert row.tolist() == list(_reference_step(
+            net, ref, day, cfg, *_eager_streams(cfg.rng_seed, run, day)))
         for field in ("status", "day_infected", "tau"):
             assert getattr(state, field).shape == (net.n_users,)
             assert np.array_equal(getattr(state, field), getattr(ref, field))
@@ -229,21 +231,23 @@ def test_synthetic_network_blocks_and_workers(synth_net, small_blocks, tau_mode,
     cfg = SimulationConfig(seeds=6, horizon_days=7, r_t=60.0, sigma=0.5,
                            tau_mode=tau_mode, rng_seed=11, runs=runs)
     got = run_simulation(synth_net, cfg, workers=workers)
-    assert got == _reference_simulation(synth_net, cfg)
-    assert any(s.new_infections for rs in got for s in rs)
+    assert np.array_equal(got, _reference_simulation(synth_net, cfg))
+    assert got[:, :, epi.NEW_INFECTIONS].any()
 
 
 def test_every_user_seeded(synth_net):
     cfg = SimulationConfig(seeds=synth_net.n_users, horizon_days=6, r_t=35.0,
                            rng_seed=2, runs=3)
-    assert run_simulation(synth_net, cfg) == _reference_simulation(synth_net, cfg)
+    assert np.array_equal(run_simulation(synth_net, cfg),
+                          _reference_simulation(synth_net, cfg))
 
 
 def test_default_block_holds_several_runs(synth_net):
     # the whole point of lockstep: small networks step many runs together
     assert epi._block_runs(epi._day_views(synth_net)) > 1
     cfg = SimulationConfig(seeds=5, horizon_days=5, r_t=60.0, rng_seed=9, runs=9)
-    assert run_simulation(synth_net, cfg) == _reference_simulation(synth_net, cfg)
+    assert np.array_equal(run_simulation(synth_net, cfg),
+                          _reference_simulation(synth_net, cfg))
 
 
 def test_streams_derived_lazily(monkeypatch):
@@ -251,7 +255,7 @@ def test_streams_derived_lazily(monkeypatch):
     real = epi._generator
     monkeypatch.setattr(epi, "_generator",
                         lambda key: derived.append(key) or real(key))
-    streams = DayStreams.derive(3, 1, 2)
+    streams = DayStreams(3, 1, 2)
     assert derived == []
     ref_tau, ref_removal, ref_infection = _eager_streams(3, 1, 2)
     assert streams.removal.random(4).tolist() == ref_removal.random(4).tolist()
@@ -273,5 +277,6 @@ def test_runs_without_draws_derive_no_streams(synth_net, monkeypatch):
     assert derived == []  # no infectious host, nothing drawn
 
     cfg = replace(cfg, seeds=3, tau_mode="mean3")
-    assert run_simulation(synth_net, cfg) == _reference_simulation(synth_net, cfg)
+    assert np.array_equal(run_simulation(synth_net, cfg),
+                          _reference_simulation(synth_net, cfg))
     assert derived and all(key[2] != epi._STREAM_TAU for key in derived)

@@ -6,15 +6,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from spdt.epidemic import DailyStats
 from spdt.metrics import (
     StaticGraph,
     clustering_distribution,
     daily_network_metrics,
     degree_distribution,
-    initial_reproduction,
     outbreak_size,
-    reproduction_series,
     run_summaries,
     static_graph,
     write_daily_metrics_csv,
@@ -27,41 +24,39 @@ from spdt.synth import SynthConfig, generate_trace
 from spdt.trace import ParsedTrace, segment_all
 
 
-def stats_row(day, i_n, i_r, i_p=0):
-    return DailyStats(day, i_n, i_r, i_p)
+def counts_of(*runs):
+    """Counts array from per-run lists of (I_n, I_r) days, prevalence 0."""
+    return np.array([[(i_n, i_r, 0) for i_n, i_r in run] for run in runs],
+                    dtype=np.int64)
 
 
 class TestReproductionSeries:
     def test_simple_ratio(self):
-        series = reproduction_series([stats_row(0, 10, 5)])
-        assert series.daily == {0: 2.0}
-        assert series.effective == 2.0
+        _, effective, initial = run_summaries(counts_of([(10, 5)]))
+        assert effective.tolist() == [2.0]
+        assert initial.tolist() == [2.0]
 
     def test_zero_recovery_days_excluded(self):
-        series = reproduction_series([
-            stats_row(0, 10, 0), stats_row(1, 6, 3), stats_row(2, 4, 4),
-        ])
-        assert set(series.daily) == {1, 2}
-        assert series.effective == pytest.approx((2.0 + 1.0) / 2)
+        _, effective, initial = run_summaries(counts_of([(10, 0), (6, 3), (4, 4)]))
+        assert initial.tolist() == [2.0]  # day 0 has no recovery
+        assert effective[0] == pytest.approx((2.0 + 1.0) / 2)
 
     def test_all_undefined_gives_none(self):
-        series = reproduction_series([stats_row(0, 5, 0), stats_row(1, 2, 0)])
-        assert series.effective is None
-        assert initial_reproduction(series) is None
+        _, effective, initial = run_summaries(counts_of([(5, 0), (2, 0)]))
+        assert np.isnan(effective[0])
+        assert np.isnan(initial[0])
 
     def test_constant_ratio_identity(self):
-        series = reproduction_series(
-            [stats_row(d, 3 * k, k) for d, k in enumerate((1, 2, 5, 4))])
-        assert series.effective == pytest.approx(3.0)
+        _, effective, _ = run_summaries(
+            counts_of([(3 * k, k) for k in (1, 2, 5, 4)]))
+        assert effective[0] == pytest.approx(3.0)
 
     def test_initial_is_earliest_defined(self):
-        series = reproduction_series([
-            stats_row(0, 5, 0), stats_row(1, 8, 2), stats_row(2, 1, 1),
-        ])
-        assert initial_reproduction(series) == 4.0
+        _, _, initial = run_summaries(counts_of([(5, 0), (8, 2), (1, 1)]))
+        assert initial.tolist() == [4.0]
 
     def test_outbreak_size_sums_new_infections(self):
-        assert outbreak_size([stats_row(0, 3, 0), stats_row(1, 7, 2)]) == 10
+        assert outbreak_size(counts_of([(3, 0), (7, 2)])).tolist() == [10]
 
 
 class TestStaticGraphBasics:
@@ -232,22 +227,19 @@ class TestVariantDominance:
 
 class TestWriters:
     def test_summary_csv(self, tmp_path):
-        stats = [
-            [stats_row(0, 4, 0), stats_row(1, 6, 2)],
-            [stats_row(0, 0, 0), stats_row(1, 0, 0)],
-        ]
+        counts = counts_of([(4, 0), (6, 2)], [(0, 0), (0, 0)])
         path = tmp_path / "summary.csv"
-        write_summary_csv(stats, path)
+        write_summary_csv(counts, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "run,outbreak_size,R_e"
         assert lines[1] == "0,10,3.0"
         assert lines[2] == "2,0,".replace("2", "1", 1)  # run 1, outbreak 0, blank R_e
 
     def test_run_summaries_fields(self):
-        summ = run_summaries([[stats_row(0, 4, 2), stats_row(1, 1, 1)]])[0]
-        assert (summ.run, summ.outbreak_size) == (0, 5)
-        assert summ.effective == pytest.approx(1.5)
-        assert summ.initial == pytest.approx(2.0)
+        outbreak, effective, initial = run_summaries(counts_of([(4, 2), (1, 1)]))
+        assert outbreak.tolist() == [5]
+        assert effective[0] == pytest.approx(1.5)
+        assert initial[0] == pytest.approx(2.0)
 
     def test_histogram_csv(self, tmp_path):
         path = tmp_path / "hist.csv"

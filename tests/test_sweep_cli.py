@@ -387,6 +387,18 @@ class TestCli:
         assert "b_range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--zipf", "nan"], "zipf_exponent"),
+        (["--area", "nan,500"], "area_m"),
+        (["--area", "inf,500"], "area_m"),
+    ])
+    def test_synth_rejects_non_finite(self, tmp_path, capsys, flags, field):
+        trace = tmp_path / "trace.csv"
+        assert main(["synth", "--out", str(trace), "--users", "20",
+                     "--days", "2", *flags]) == 2
+        assert field in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("r_t = 35\nsgima = 0.4\n")  # typo must not pass silently
@@ -448,9 +460,9 @@ class TestCliDefaults:
         assert main(["simulate", "--net", str(net_path), "--out-daily", str(daily),
                      "--out-summary", str(summary)]) == 0
         net = load_network(net_path)
-        stats = run_simulation(net, SimulationConfig(horizon_days=net.horizon))
-        write_daily_csv(stats, tmp_path / "ref_daily.csv")
-        write_summary_csv(stats, tmp_path / "ref_summary.csv")
+        counts = run_simulation(net, SimulationConfig(horizon_days=net.horizon))
+        write_daily_csv(counts, tmp_path / "ref_daily.csv")
+        write_summary_csv(counts, tmp_path / "ref_summary.csv")
         assert daily.read_bytes() == (tmp_path / "ref_daily.csv").read_bytes()
         assert summary.read_bytes() == (tmp_path / "ref_summary.csv").read_bytes()
 

@@ -98,3 +98,26 @@ def test_invalid_configs_rejected():
         SynthConfig(active_day_probability=1.5)
     with pytest.raises(ValueError):
         SynthConfig(updates_per_visit=(0, 3))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("position_jitter_m", float("nan")),
+    ("position_jitter_m", float("inf")),
+    ("position_jitter_m", -1.0),
+    ("update_interval_min", float("inf")),
+    ("update_interval_min", float("nan")),
+    ("update_interval_min", 0.0),
+    ("zipf_exponent", float("nan")),
+    ("zipf_exponent", float("inf")),
+    ("area_m", (float("nan"), 500.0)),
+    ("area_m", (500.0, float("inf"))),
+])
+def test_non_finite_fields_named(field, value):
+    with pytest.raises(ValueError, match=field):
+        SynthConfig(**{field: value})
+
+
+def test_zero_jitter_accepted():
+    updates = generate_trace(SynthConfig(n_users=5, days=2, rng_seed=1,
+                                         position_jitter_m=0.0))
+    assert all(np.isfinite([u.x for u in updates]))
