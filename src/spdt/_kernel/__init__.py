@@ -27,8 +27,7 @@ def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p, impl=None):
     ``impl`` overrides the backend (used by the benchmarks); callers
     normally leave it unset.
     """
-    arrs = [np.ascontiguousarray(x, dtype=np.float64)
-            for x in (t_s, t_l, t_s_n, t_l_n, r)]
+    arrs = [np.asarray(x) for x in (t_s, t_l, t_s_n, t_l_n, r)]
     if arrs[0].ndim != 1:
         raise ValueError("link arrays must be one-dimensional and equal length")
     n = arrs[0].shape[0]

@@ -28,15 +28,17 @@ def _psi(w):
 
 
 def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p):
-    """Inhaled dose (PFU) per link; all time/rate arguments are equal-length arrays."""
+    """Inhaled dose (PFU) per link; all time/rate arguments are equal-length arrays.
+
+    Each block is converted to float64 on its own, so integer times (exact in
+    float64) need no full-length float copy.
+    """
     n = t_s.shape[0]
-    if n <= _BLOCK:
-        return _doses(t_s, t_l, t_s_n, t_l_n, r, g, V, p)
     out = np.empty(n)
     for a in range(0, n, _BLOCK):
         b = a + _BLOCK
-        out[a:b] = _doses(t_s[a:b], t_l[a:b], t_s_n[a:b], t_l_n[a:b], r[a:b],
-                          g, V, p)
+        out[a:b] = _doses(*(np.asarray(x[a:b], dtype=np.float64)
+                            for x in (t_s, t_l, t_s_n, t_l_n, r)), g, V, p)
     return out
 
 

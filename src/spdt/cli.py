@@ -83,14 +83,24 @@ def _config_kwargs(args, options) -> dict:
     for key, (_, dest, _) in options.items():
         if (flag := getattr(args, dest)) is not None:
             given[key] = flag
-    return {options[key][0]: options[key][2](value) for key, value in given.items()}
+    kwargs = {}
+    for key, value in given.items():
+        field, _, parse = options[key]
+        try:
+            kwargs[field] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return kwargs
 
 
 def _cmd_synth(args) -> int:
     cfg = SynthConfig(**_config_kwargs(args, _SYNTH_OPTIONS))
     if args.area:
-        w, h = (float(v) for v in args.area.split(","))
-        cfg = replace(cfg, area_m=(w, h))
+        try:
+            area = tuple(float(v) for v in args.area.split(","))
+        except ValueError as exc:
+            raise ValueError(f"--area: {exc}") from None
+        cfg = replace(cfg, area_m=area)
     updates = generate_trace(cfg)
     write_trace_csv(updates, args.out)
     print(f"wrote {len(updates)} updates for {cfg.n_users} users to {args.out}")
@@ -143,9 +153,9 @@ def _cmd_make_ldt_lst(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    given = _config_kwargs(args, _SIM_OPTIONS)  # bad values fail before the load
     net = load_network(args.net)
-    cfg = SimulationConfig(**{"horizon_days": net.horizon,
-                              **_config_kwargs(args, _SIM_OPTIONS)})
+    cfg = SimulationConfig(**{"horizon_days": net.horizon, **given})
     counts = run_simulation(net, cfg, workers=args.workers)
     write_daily_csv(counts, args.out_daily)
     write_summary_csv(counts, args.out_summary)

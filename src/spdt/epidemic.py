@@ -22,19 +22,23 @@ doses are summed per (run, neighbour) with one bincount. The pairs are in
 run-major, ascending-link order, so every run sees its links, draws and
 dose sums in the order a run stepped alone would.
 
+The stepper reads the network's own columns. Host link ranges come from one
+(day, host) offsets array per ``run_simulation`` call, and each block-day
+gathers its links' int64 times, which the kernel converts to float64
+exactly, one kernel block at a time; no per-network copy of the columns is
+kept.
+
 Randomness is organised as named substreams derived from
 (rng_seed, run, stream, day), so results are reproducible for any worker
 count and block size and unaffected by unrelated parameter changes. A
-substream is derived only when a run first draws from it.
+substream is derived only when a run draws from it, once per day.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -136,42 +140,6 @@ def _generator(key: tuple[int, int, int, int]) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
-class DayStreams:
-    """Named random substreams used within one simulated day of one run.
-
-    Each stream is derived from (rng_seed, run, stream, day) on first access,
-    so a run that draws nothing on a day costs no generator.
-    """
-
-    __slots__ = ("_key", "_tau", "_removal", "_infection")
-
-    def __init__(self, rng_seed: int, run: int, day: int):
-        self._key = (rng_seed, run, day)
-        self._tau = self._removal = self._infection = None
-
-    def _gen(self, stream: int) -> np.random.Generator:
-        rng_seed, run, day = self._key
-        return _generator((rng_seed, run, stream, day))
-
-    @property
-    def tau(self) -> np.random.Generator:
-        if self._tau is None:
-            self._tau = self._gen(_STREAM_TAU)
-        return self._tau
-
-    @property
-    def removal(self) -> np.random.Generator:
-        if self._removal is None:
-            self._removal = self._gen(_STREAM_REMOVAL)
-        return self._removal
-
-    @property
-    def infection(self) -> np.random.Generator:
-        if self._infection is None:
-            self._infection = self._gen(_STREAM_INFECTION)
-        return self._infection
-
-
 def removal_rate_from_time(b: float) -> float:
     """Removal rate (per minute) for a removal time of b minutes."""
     if not b > 0:
@@ -200,46 +168,13 @@ def sample_removal_rate(
     return removal_rate_from_time(float(_sample_removal_times(r_t, b_range, rng, 1)[0]))
 
 
-class _DayLinks(NamedTuple):
-    host: np.ndarray
-    nbr: np.ndarray
-    t_s: np.ndarray
-    t_l: np.ndarray
-    t_s_n: np.ndarray
-    t_l_n: np.ndarray
-    # host h's links are [offsets[h], offsets[h + 1]): a day's links are
-    # sorted by host
-    offsets: np.ndarray
-
-
-_EMPTY_DAY = _DayLinks(*(np.empty(0, dtype=np.int64) for _ in range(2)),
-                       *(np.empty(0, dtype=np.float64) for _ in range(4)),
-                       np.empty(0, dtype=np.int64))
-
-_VIEW_CACHE: "weakref.WeakKeyDictionary[DynamicContactNetwork, list[_DayLinks]]"
-_VIEW_CACHE = weakref.WeakKeyDictionary()
-
-
-def _day_views(net: DynamicContactNetwork) -> list[_DayLinks]:
-    """Per-day link arrays with float64 timestamps and host offsets, cached
-    per network."""
-    views = _VIEW_CACHE.get(net)
-    if views is None:
-        views = []
-        hosts = np.arange(net.n_users + 1)
-        for day in range(net.horizon):
-            sl = net.day_slice(day)
-            if sl.stop == sl.start:
-                views.append(_EMPTY_DAY)
-            else:
-                views.append(_DayLinks(
-                    net.host[sl], net.nbr[sl],
-                    net.t_s[sl].astype(np.float64), net.t_l[sl].astype(np.float64),
-                    net.t_s_n[sl].astype(np.float64), net.t_l_n[sl].astype(np.float64),
-                    np.searchsorted(net.host[sl], hosts),
-                ))
-        _VIEW_CACHE[net] = views
-    return views
+def _host_offsets(net: DynamicContactNetwork) -> np.ndarray:
+    """Link offsets by (day, host): with n users, host h's links on day d are
+    [offsets[d * n + h], offsets[d * n + h + 1]), as links are in canonical
+    (day, host, ...) order."""
+    key = net.day * net.n_users
+    key += net.host
+    return np.searchsorted(key, np.arange(net.horizon * net.n_users + 1))
 
 
 # Upper bound on the (run, link) pairs of one lockstep day: a block holds as
@@ -250,9 +185,9 @@ def _day_views(net: DynamicContactNetwork) -> list[_DayLinks]:
 _BLOCK_PAIRS = 1 << 20
 
 
-def _block_runs(views: list[_DayLinks]) -> int:
+def _block_runs(net: DynamicContactNetwork) -> int:
     """Runs stepped together in one block."""
-    busiest = max((links.host.size for links in views), default=0)
+    busiest = int(net.day_link_counts().max(initial=0))
     return max(1, _BLOCK_PAIRS // max(busiest, 1))
 
 
@@ -265,27 +200,29 @@ def _draw_tau(rng: np.random.Generator | None, n: int,
     return np.full(n, lo, dtype=np.int64)
 
 
-def _per_run_draws(counts: np.ndarray, draw) -> np.ndarray:
-    """Concatenate draw(run, k) over the runs with k > 0 draws, in run order."""
-    return np.concatenate([draw(run, k) for run, k in enumerate(counts.tolist())
-                           if k])
-
-
 def _step_block(
-    views: list[_DayLinks],
+    net: DynamicContactNetwork,
+    offsets: np.ndarray,
     state: PopulationState,
     day: int,
     cfg: SimulationConfig,
-    streams: list[DayStreams],
+    runs: range,
     row: np.ndarray,
 ) -> None:
-    """Advance a block of runs by one day in place.
+    """Advance the block of runs ``runs`` by one day in place.
 
-    ``state`` holds one row per run and ``streams`` one DayStreams per row;
-    the day's counts are written into ``row``, of shape (runs, 3).
+    ``state`` holds one row per run and ``offsets`` is _host_offsets(net);
+    the day's counts are written into ``row``, of shape (runs, 3). Each
+    (run, stream, day) substream is derived at most once, when drawn from.
     """
     status, day_infected, tau = state.status, state.day_infected, state.tau
-    runs, n_users = status.shape
+    n_runs, n_users = status.shape
+
+    def per_run_draws(counts: np.ndarray, stream: int, draw) -> np.ndarray:
+        # draw(rng, k) concatenated over the runs with k > 0 draws, in run
+        # order, rng being the run's (rng_seed, run, stream, day) substream
+        return np.concatenate([draw(_generator((cfg.rng_seed, run, stream, day)), k)
+                               for run, k in zip(runs, counts.tolist()) if k])
 
     # recoveries first: an individual whose period elapsed today no longer
     # transmits today
@@ -294,45 +231,46 @@ def _step_block(
     row[:, NEW_INFECTIONS] = 0
     status[due] = RECOVERED
 
-    links = views[day] if day < len(views) else _EMPTY_DAY
-    if links.host.size:
+    if day < net.horizon:
         # (run, host) pairs of transmitting hosts, run-major, each expanded
         # to the host's link range: (run, link) pairs in ascending link order
         # within each run, the order a per-run step would visit them in
         run, host = np.nonzero((status == INFECTED) & (day_infected <= day))
-        first = links.offsets[host]
-        count = links.offsets[host + 1] - first
+        at = day * n_users + host
+        first = offsets[at]
+        count = offsets[at + 1] - first
         ends = np.cumsum(count)
         total = int(ends[-1]) if ends.size else 0
         link = np.arange(total) + np.repeat(first - (ends - count), count)
-        key = np.repeat(run * n_users, count) + links.nbr[link]
+        key = np.repeat(run * n_users, count) + net.nbr[link]
         susceptible = status.ravel()[key] == SUSCEPTIBLE
         link, key = link[susceptible], key[susceptible]
         if link.size:
-            per_run = np.bincount(key // n_users, minlength=runs)
-            b = _per_run_draws(per_run, lambda r, k: _sample_removal_times(
-                cfg.r_t, cfg.b_range, streams[r].removal, k))
+            per_run = np.bincount(key // n_users, minlength=n_runs)
+            b = per_run_draws(per_run, _STREAM_REMOVAL, lambda rng, k:
+                              _sample_removal_times(cfg.r_t, cfg.b_range, rng, k))
+            # the kernel converts the gathered int64 minutes, exact in
+            # float64, block by block: no float copy of a column is made
             doses = batch_link_exposure(
-                links.t_s[link], links.t_l[link],
-                links.t_s_n[link], links.t_l_n[link],
+                net.t_s[link], net.t_l[link], net.t_s_n[link], net.t_l_n[link],
                 1.0 / b, DEFAULT_GENERATION_RATE, DEFAULT_PROXIMITY_VOLUME,
                 DEFAULT_PULMONARY_RATE,
             )
-            totals = np.bincount(key, weights=doses, minlength=runs * n_users)
+            totals = np.bincount(key, weights=doses, minlength=n_runs * n_users)
             exposed = np.flatnonzero(totals > 0.0)
             if exposed.size:
                 p_inf = -np.expm1(-cfg.sigma * totals[exposed])
-                u = _per_run_draws(np.bincount(exposed // n_users, minlength=runs),
-                                   lambda r, k: streams[r].infection.random(k))
+                u = per_run_draws(np.bincount(exposed // n_users, minlength=n_runs),
+                                  _STREAM_INFECTION, lambda rng, k: rng.random(k))
                 newly = exposed[u < p_inf]
                 if newly.size:
-                    n_new = np.bincount(newly // n_users, minlength=runs)
+                    n_new = np.bincount(newly // n_users, minlength=n_runs)
                     row[:, NEW_INFECTIONS] = n_new
                     np.put(status, newly, INFECTED)
                     np.put(day_infected, newly, day + 1)  # latent until tomorrow
                     if cfg.tau_mode == "uniform":
-                        np.put(tau, newly, _per_run_draws(
-                            n_new, lambda r, k: _draw_tau(streams[r].tau, k, cfg)))
+                        np.put(tau, newly, per_run_draws(
+                            n_new, _STREAM_TAU, lambda rng, k: _draw_tau(rng, k, cfg)))
                     else:
                         np.put(tau, newly, _draw_tau(None, newly.size, cfg))
 
@@ -344,16 +282,16 @@ def step_day(
     states: PopulationState,
     day: int,
     cfg: SimulationConfig,
-    rng: DayStreams,
+    run: int,
 ) -> tuple[PopulationState, np.ndarray]:
-    """Advance one day; returns the new state and the day's counts, a
-    length-3 row of the counts array."""
+    """Advance run ``run`` by one day; returns the new state and the day's
+    counts, a length-3 row of the counts array."""
     if day < 0 or day >= cfg.horizon_days:
         raise ValueError(f"day {day} outside [0, {cfg.horizon_days})")
     block = PopulationState(states.status[None].copy(),
                             states.day_infected[None].copy(), states.tau[None].copy())
     row = np.empty((1, 3), dtype=np.int64)
-    _step_block(_day_views(net), block, day, cfg, [rng], row)
+    _step_block(net, _host_offsets(net), block, day, cfg, range(run, run + 1), row)
     return PopulationState(block.status[0], block.day_infected[0], block.tau[0]), row[0]
 
 
@@ -376,32 +314,28 @@ def seeded_state(
 
 
 def _simulate_block(
-    views: list[_DayLinks], n_users: int, cfg: SimulationConfig, block: range
+    net: DynamicContactNetwork, offsets: np.ndarray, cfg: SimulationConfig,
+    block: range
 ) -> np.ndarray:
     """Counts of the runs ``block``, stepped in lockstep."""
-    seeded = [seeded_state(n_users, cfg, run) for run in block]
+    seeded = [seeded_state(net.n_users, cfg, run) for run in block]
     state = PopulationState(*(np.stack([getattr(s, field) for s in seeded])
                               for field in ("status", "day_infected", "tau")))
     counts = np.empty((len(block), cfg.horizon_days, 3), dtype=np.int64)
     for day in range(cfg.horizon_days):
-        streams = [DayStreams(cfg.rng_seed, run, day) for run in block]
-        _step_block(views, state, day, cfg, streams, counts[:, day])
+        _step_block(net, offsets, state, day, cfg, block, counts[:, day])
     return counts
 
 
 _POOL_STATE: dict = {}
 
 
-def _pool_init(views, n_users, cfg):
-    _POOL_STATE["views"] = views
-    _POOL_STATE["n_users"] = n_users
-    _POOL_STATE["cfg"] = cfg
+def _pool_init(net, offsets, cfg):
+    _POOL_STATE["args"] = (net, offsets, cfg)
 
 
 def _pool_block(block: range) -> np.ndarray:
-    return _simulate_block(
-        _POOL_STATE["views"], _POOL_STATE["n_users"], _POOL_STATE["cfg"], block
-    )
+    return _simulate_block(*_POOL_STATE["args"], block)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -433,17 +367,17 @@ def run_simulation(
     if cfg.seeds > net.n_users:
         raise ValueError(f"seeds={cfg.seeds} exceeds population {net.n_users}")
     workers = resolve_workers(workers)
-    views = _day_views(net)
-    size = _block_runs(views)
+    offsets = _host_offsets(net)
+    size = _block_runs(net)
     blocks = [range(start, min(start + size, cfg.runs))
               for start in range(0, cfg.runs, size)]
     if workers == 1 or len(blocks) == 1:
-        parts = [_simulate_block(views, net.n_users, cfg, block) for block in blocks]
+        parts = [_simulate_block(net, offsets, cfg, block) for block in blocks]
     else:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(blocks)),
             initializer=_pool_init,
-            initargs=(views, net.n_users, cfg),
+            initargs=(net, offsets, cfg),
         ) as pool:
             parts = list(pool.map(_pool_block, blocks))
     return np.concatenate(parts)

@@ -75,8 +75,7 @@ class DynamicContactNetwork:
     """
 
     __slots__ = ("users", "horizon", "day", "host", "nbr",
-                 "t_s", "t_l", "t_s_n", "t_l_n", "_day_bounds", "_index",
-                 "__weakref__")
+                 "t_s", "t_l", "t_s_n", "t_l_n", "_day_bounds", "_index")
 
     def __reduce__(self):
         return (
@@ -151,9 +150,8 @@ class DynamicContactNetwork:
                 day, host, nbr = day[order], host[order], nbr[order]
                 t_s, t_l = t_s[order], t_l[order]
                 t_s_n, t_l_n = t_s_n[order], t_l_n[order]
-        return cls(users, horizon, day.astype(np.int64), host.astype(np.int64),
-                   nbr.astype(np.int64), t_s.astype(np.int64), t_l.astype(np.int64),
-                   t_s_n.astype(np.int64), t_l_n.astype(np.int64))
+        return cls(users, horizon, *(col.astype(np.int64, copy=False) for col in
+                                     (day, host, nbr, t_s, t_l, t_s_n, t_l_n)))
 
     @property
     def n_links(self) -> int:
@@ -194,9 +192,6 @@ class DynamicContactNetwork:
                 for f in ("day", "host", "nbr", "t_s", "t_l", "t_s_n", "t_l_n")
             )
         )
-
-    # identity hashing: networks are immutable and cached by instance
-    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return (f"DynamicContactNetwork(users={self.n_users}, links={self.n_links}, "

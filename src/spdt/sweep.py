@@ -47,12 +47,12 @@ _SIGMA_SEED_SCALE = 1_000_000
 
 def parse_tau_spec(spec: str | int) -> tuple[int, int]:
     """Infectious-period spec: '3-5' for a uniform range, '4' for a fixed value."""
-    text = str(spec).strip()
-    if "-" in text:
-        lo_s, hi_s = text.split("-", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    lo_s, dash, hi_s = str(spec).strip().partition("-")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if dash else lo
+    except ValueError:
+        raise ValueError(f"invalid infectious-period spec {spec!r}") from None
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid infectious-period spec {spec!r}")
     return lo, hi
@@ -123,23 +123,26 @@ class ExperimentPlan:
         plan = base if base is not None else cls.desk()
         kwargs: dict = {}
         for key, raw in mapping.items():
-            if key == "variants":
-                kwargs[key] = tuple(v.strip().upper() for v in raw.split(","))
-            elif key == "r_t":
-                kwargs["r_t_values"] = tuple(float(v) for v in raw.split(","))
-            elif key == "sigma":
-                kwargs["sigma_values"] = tuple(float(v) for v in raw.split(","))
-            elif key == "tau":
-                kwargs["tau_values"] = tuple(v.strip() for v in raw.split(","))
-            elif key in ("runs", "seeds", "horizon_days", "rng_seed", "densify_seed"):
-                kwargs[key] = int(raw)
-            elif key == "tau_mode":
-                kwargs[key] = raw.strip()
-            elif key == "b_range":
-                lo, hi = (float(v) for v in raw.split(","))
-                kwargs["b_range"] = (lo, hi)
-            else:
-                raise ValueError(f"unknown plan key {key!r}")
+            try:
+                if key == "variants":
+                    kwargs[key] = tuple(v.strip().upper() for v in raw.split(","))
+                elif key == "r_t":
+                    kwargs["r_t_values"] = tuple(float(v) for v in raw.split(","))
+                elif key == "sigma":
+                    kwargs["sigma_values"] = tuple(float(v) for v in raw.split(","))
+                elif key == "tau":
+                    kwargs["tau_values"] = tuple(v.strip() for v in raw.split(","))
+                elif key in ("runs", "seeds", "horizon_days", "rng_seed", "densify_seed"):
+                    kwargs[key] = int(raw)
+                elif key == "tau_mode":
+                    kwargs[key] = raw.strip()
+                elif key == "b_range":
+                    lo, hi = (float(v) for v in raw.split(","))
+                    kwargs["b_range"] = (lo, hi)
+                else:
+                    raise ValueError("unknown plan key")
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         return replace(plan, **kwargs)
 
 

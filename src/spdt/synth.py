@@ -62,9 +62,10 @@ class SynthConfig:
         if not (math.isfinite(self.position_jitter_m) and self.position_jitter_m >= 0):
             raise ValueError("position_jitter_m must be non-negative and finite, "
                              f"got {self.position_jitter_m!r}")
-        if not all(math.isfinite(side) and side > 40.0 for side in self.area_m):
-            raise ValueError("area_m must be finite and exceed 40 m on each side, "
-                             f"got {self.area_m!r}")
+        if len(self.area_m) != 2 or not all(math.isfinite(side) and side > 40.0
+                                            for side in self.area_m):
+            raise ValueError("area_m must be (width, height), each finite and over "
+                             f"40 m, got {self.area_m!r}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 

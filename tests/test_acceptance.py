@@ -21,7 +21,6 @@ from spdt.epidemic import (
     PREVALENCE,
     RECOVERED,
     SUSCEPTIBLE,
-    DayStreams,
     SimulationConfig,
     run_simulation,
     sample_removal_rate,
@@ -319,8 +318,7 @@ def test_criterion_7_epidemic_invariants(tmp_path):
     prev_prevalence = None
     for day in range(cfg.horizon_days):
         before = state.status.copy()
-        state, row = step_day(net, state, day, cfg,
-                              DayStreams(cfg.rng_seed, 0, day))
+        state, row = step_day(net, state, day, cfg, 0)
         s, i, r = (np.count_nonzero(state.status == v)
                    for v in (SUSCEPTIBLE, INFECTED, RECOVERED))
         assert s + i + r == net.n_users

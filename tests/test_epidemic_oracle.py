@@ -7,6 +7,7 @@ counts array for any network, seed count, tau mode, run count and worker
 count, and `step_day` must match the reference step.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,6 @@ from spdt.epidemic import (
     INFECTED,
     RECOVERED,
     SUSCEPTIBLE,
-    DayStreams,
     PopulationState,
     SimulationConfig,
     run_simulation,
@@ -32,7 +32,7 @@ from spdt.exposure import (
     DEFAULT_PULMONARY_RATE,
 )
 from spdt.network import BuilderConfig, DynamicContactNetwork, extract_spdt_links
-from spdt.synth import SynthConfig, generate_trace
+from spdt.synth import SynthConfig, desk_profile, generate_trace
 from spdt.trace import ParsedTrace, segment_all
 
 
@@ -159,7 +159,7 @@ def small_blocks(monkeypatch):
     def set_block_runs(runs_per_block, net):
         busiest = int(net.day_link_counts().max(initial=0))
         monkeypatch.setattr(epi, "_BLOCK_PAIRS", runs_per_block * max(busiest, 1))
-        assert epi._block_runs(epi._day_views(net)) == runs_per_block
+        assert epi._block_runs(net) == runs_per_block
     return set_block_runs
 
 
@@ -199,8 +199,7 @@ def test_step_day_matches_reference_step(data):
     ref = PopulationState(state.status.copy(), state.day_infected.copy(),
                           state.tau.copy())
     for day in range(cfg.horizon_days):
-        state, row = step_day(net, state, day, cfg,
-                              DayStreams(cfg.rng_seed, run, day))
+        state, row = step_day(net, state, day, cfg, run)
         assert row.tolist() == list(_reference_step(
             net, ref, day, cfg, *_eager_streams(cfg.rng_seed, run, day)))
         for field in ("status", "day_infected", "tau"):
@@ -244,27 +243,10 @@ def test_every_user_seeded(synth_net):
 
 def test_default_block_holds_several_runs(synth_net):
     # the whole point of lockstep: small networks step many runs together
-    assert epi._block_runs(epi._day_views(synth_net)) > 1
+    assert epi._block_runs(synth_net) > 1
     cfg = SimulationConfig(seeds=5, horizon_days=5, r_t=60.0, rng_seed=9, runs=9)
     assert np.array_equal(run_simulation(synth_net, cfg),
                           _reference_simulation(synth_net, cfg))
-
-
-def test_streams_derived_lazily(monkeypatch):
-    derived = []
-    real = epi._generator
-    monkeypatch.setattr(epi, "_generator",
-                        lambda key: derived.append(key) or real(key))
-    streams = DayStreams(3, 1, 2)
-    assert derived == []
-    ref_tau, ref_removal, ref_infection = _eager_streams(3, 1, 2)
-    assert streams.removal.random(4).tolist() == ref_removal.random(4).tolist()
-    assert streams.infection.random(4).tolist() == ref_infection.random(4).tolist()
-    assert streams.tau.integers(0, 9, 4).tolist() == ref_tau.integers(0, 9, 4).tolist()
-    # the same object hands out the same generator: draws continue the stream
-    assert streams.removal.random(2).tolist() == ref_removal.random(2).tolist()
-    assert [key[2] for key in derived] == [
-        epi._STREAM_REMOVAL, epi._STREAM_INFECTION, epi._STREAM_TAU]
 
 
 def test_runs_without_draws_derive_no_streams(synth_net, monkeypatch):
@@ -280,3 +262,37 @@ def test_runs_without_draws_derive_no_streams(synth_net, monkeypatch):
     assert np.array_equal(run_simulation(synth_net, cfg),
                           _reference_simulation(synth_net, cfg))
     assert derived and all(key[2] != epi._STREAM_TAU for key in derived)
+
+
+def test_no_stream_derived_twice(synth_net, small_blocks, monkeypatch):
+    # a repeated (seed, run, stream, day) key would replay the same numbers
+    small_blocks(2, synth_net)
+    derived = []
+    real = epi._generator
+    monkeypatch.setattr(epi, "_generator",
+                        lambda key: derived.append(key) or real(key))
+    cfg = SimulationConfig(seeds=6, horizon_days=7, r_t=60.0, sigma=0.5,
+                           rng_seed=11, runs=7)
+    assert np.array_equal(run_simulation(synth_net, cfg),
+                          _reference_simulation(synth_net, cfg))
+    assert {key[2] for key in derived} == {
+        epi._STREAM_TAU, epi._STREAM_REMOVAL, epi._STREAM_INFECTION}
+    assert len(set(derived)) == len(derived)
+
+
+def test_simulate_keeps_no_copy_of_the_columns():
+    # the network's seven int64 columns take 56 B per link; the stepper may
+    # add offsets and per-block-day gathers, but no per-link copy
+    parsed = ParsedTrace(updates=generate_trace(replace(desk_profile(0),
+                                                        n_users=300)))
+    net = extract_spdt_links(segment_all(parsed), parsed,
+                             BuilderConfig(horizon_days=14))
+    cfg = SimulationConfig(seeds=30, horizon_days=14, rng_seed=3, runs=1)
+    tracemalloc.start()
+    try:
+        counts = run_simulation(net, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[:, :, epi.NEW_INFECTIONS].any()
+    assert peak < 32 * net.n_links

@@ -136,7 +136,7 @@ def test_simulate_csvs_match_golden_digests(simulate_digests):
 def test_mini_sweep_crosses_a_block_boundary(trace_and_net):
     runs = int(SWEEP_PLAN.split("runs = ")[1].split()[0])
     sdt = load_network(trace_and_net[2])
-    assert epidemic._block_runs(epidemic._day_views(sdt)) < runs
+    assert epidemic._block_runs(sdt) < runs
 
 
 def test_mini_sweep_outputs_match_golden_digests(sweep_digests):

@@ -66,6 +66,10 @@ class TestPlan:
         assert parse_tau_spec(4) == (4, 4)
         with pytest.raises(ValueError):
             parse_tau_spec("5-3")
+        for spec in ("abc", "3-x", "-3"):
+            with pytest.raises(ValueError,
+                               match=f"invalid infectious-period spec '{spec}'"):
+                parse_tau_spec(spec)
 
     def test_profiles(self):
         desk, full = ExperimentPlan.desk(), ExperimentPlan.full()
@@ -391,6 +395,9 @@ class TestCli:
         (["--zipf", "nan"], "zipf_exponent"),
         (["--area", "nan,500"], "area_m"),
         (["--area", "inf,500"], "area_m"),
+        (["--area", "500"], "area_m"),
+        (["--area", "500,600,700"], "area_m"),
+        (["--area", "abc,500"], "--area"),
     ])
     def test_synth_rejects_non_finite(self, tmp_path, capsys, flags, field):
         trace = tmp_path / "trace.csv"
@@ -398,6 +405,24 @@ class TestCli:
                      "--days", "2", *flags]) == 2
         assert field in capsys.readouterr().err
         assert not trace.exists()
+
+    @pytest.mark.parametrize("command, flags, config, named", [
+        ("simulate", ["--tau", "abc"], "", "invalid infectious-period spec 'abc'"),
+        ("simulate", [], "runs = x\n", "runs"),
+        ("simulate", [], "tau = 3-y\n", "tau"),
+        ("sweep", [], "runs = x\n", "runs"),
+        ("sweep", [], "b_range = 7.5\n", "b_range"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, command, flags,
+                                     config, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        missing = str(tmp_path / "missing")
+        args = {"simulate": ["--net", missing, "--out-daily", missing,
+                             "--out-summary", missing],
+                "sweep": ["--trace", missing, "--out-dir", missing]}[command]
+        assert main([command, *args, "--config", str(cfg), *flags]) == 2
+        assert named in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

@@ -111,6 +111,8 @@ def test_invalid_configs_rejected():
     ("zipf_exponent", float("inf")),
     ("area_m", (float("nan"), 500.0)),
     ("area_m", (500.0, float("inf"))),
+    ("area_m", (500.0,)),
+    ("area_m", (500.0, 600.0, 700.0)),
 ])
 def test_non_finite_fields_named(field, value):
     with pytest.raises(ValueError, match=field):
