@@ -166,11 +166,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    try:  # bad values fail before the load
+        r_t_values = [float(v) for v in args.r_t.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--r-t: {exc}") from None
     net = load_network(args.net)
     universe = None
     if args.universe_net:
         universe = load_network(args.universe_net).users
-    r_t_values = [float(v) for v in args.r_t.split(",")]
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
 

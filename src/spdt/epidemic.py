@@ -22,11 +22,11 @@ doses are summed per (run, neighbour) with one bincount. The pairs are in
 run-major, ascending-link order, so every run sees its links, draws and
 dose sums in the order a run stepped alone would.
 
-The stepper reads the network's own columns. Host link ranges come from one
-(day, host) offsets array per ``run_simulation`` call, and each block-day
-gathers its links' int64 times, which the kernel converts to float64
-exactly, one kernel block at a time; no per-network copy of the columns is
-kept.
+The stepper reads the network's own columns. Host link ranges come from the
+network module's (day, host) offsets tables, made once per
+``run_simulation`` call, and each block-day gathers its links' int64
+times, which the kernel converts to float64 exactly, one kernel block at a
+time; no per-network copy of the columns is kept.
 
 Randomness is organised as named substreams derived from
 (rng_seed, run, stream, day), so results are reproducible for any worker
@@ -50,7 +50,7 @@ from .exposure import (
     DEFAULT_SIGMA,
     check_positive,
 )
-from .network import _ROW_BLOCK, DynamicContactNetwork
+from .network import _ROW_BLOCK, DynamicContactNetwork, _host_offsets, _ranges
 
 SUSCEPTIBLE = 0
 INFECTED = 1
@@ -168,15 +168,6 @@ def sample_removal_rate(
     return removal_rate_from_time(float(_sample_removal_times(r_t, b_range, rng, 1)[0]))
 
 
-def _host_offsets(net: DynamicContactNetwork) -> np.ndarray:
-    """Link offsets by (day, host): with n users, host h's links on day d are
-    [offsets[d * n + h], offsets[d * n + h + 1]), as links are in canonical
-    (day, host, ...) order."""
-    key = net.day * net.n_users
-    key += net.host
-    return np.searchsorted(key, np.arange(net.horizon * net.n_users + 1))
-
-
 # Upper bound on the (run, link) pairs of one lockstep day: a block holds as
 # many runs as fit when every run gathers all links of the network's busiest
 # day. At desk scale (about 190k links on the busiest day) that is 5 runs,
@@ -202,7 +193,7 @@ def _draw_tau(rng: np.random.Generator | None, n: int,
 
 def _step_block(
     net: DynamicContactNetwork,
-    offsets: np.ndarray,
+    offsets: tuple[np.ndarray, np.ndarray],
     state: PopulationState,
     day: int,
     cfg: SimulationConfig,
@@ -236,12 +227,8 @@ def _step_block(
         # to the host's link range: (run, link) pairs in ascending link order
         # within each run, the order a per-run step would visit them in
         run, host = np.nonzero((status == INFECTED) & (day_infected <= day))
-        at = day * n_users + host
-        first = offsets[at]
-        count = offsets[at + 1] - first
-        ends = np.cumsum(count)
-        total = int(ends[-1]) if ends.size else 0
-        link = np.arange(total) + np.repeat(first - (ends - count), count)
+        first, count = (table[day, host] for table in offsets)
+        link = _ranges(first, count)
         key = np.repeat(run * n_users, count) + net.nbr[link]
         susceptible = status.ravel()[key] == SUSCEPTIBLE
         link, key = link[susceptible], key[susceptible]
@@ -314,8 +301,8 @@ def seeded_state(
 
 
 def _simulate_block(
-    net: DynamicContactNetwork, offsets: np.ndarray, cfg: SimulationConfig,
-    block: range
+    net: DynamicContactNetwork, offsets: tuple[np.ndarray, np.ndarray],
+    cfg: SimulationConfig, block: range
 ) -> np.ndarray:
     """Counts of the runs ``block``, stepped in lockstep."""
     seeded = [seeded_state(net.n_users, cfg, run) for run in block]

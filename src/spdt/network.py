@@ -249,6 +249,24 @@ def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.searchsorted(distinct, values)
 
 
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The index ranges [first, first + count), concatenated in order."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(first - (ends - count), count)
+
+
+def _host_offsets(net: DynamicContactNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Link ranges by (day, host), two (horizon, n_users) tables: host h's
+    links on day d are rows [first[d, h], first[d, h] + count[d, h]), as
+    links are in canonical (day, host, ...) order."""
+    key = net.day * net.n_users
+    key += net.host
+    offsets = np.searchsorted(key, np.arange(net.horizon * net.n_users + 1))
+    shape = (net.horizon, net.n_users)
+    return offsets[:-1].reshape(shape), np.diff(offsets).reshape(shape)
+
+
 def _find(distinct: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Position of each query in a sorted distinct array, or -1 if absent."""
     pos = np.searchsorted(distinct, queries)
@@ -343,10 +361,9 @@ def extract_spdt_links(
         done = per_visit[a - 1] if a else 0
         b = max(int(np.searchsorted(per_visit, done + _PAIR_BLOCK, side="right")), a + 1)
         c = counts[a:b].ravel()
-        total = int(c.sum())
-        if total:
+        if c.any():
             vis = np.repeat(np.arange(a, b), counts[a:b].sum(axis=1))
-            pos = np.repeat(lo[a:b].ravel() - (np.cumsum(c) - c), c) + np.arange(total)
+            pos = _ranges(lo[a:b].ravel(), c)
             dx = x[pos] - v_x[vis]
             dy = y[pos] - v_y[vis]
             tc = t[pos]
@@ -406,46 +423,38 @@ def densify(net: DynamicContactNetwork,
     that host's links from one of their active days, drawn uniformly from a
     per-host stream so the result is independent of iteration order. Links on
     originally active days are untouched.
+
+    The result is one gather: a (day, host) table of source days, the
+    identity where the host has links, picks each cell's rows from its
+    source cell, and every time is shifted by the whole days between them.
+    A constant shift keeps a cell's canonical order, so nothing is sorted.
     """
-    if net.n_links == 0:
+    first, count = _host_offsets(net)
+    horizon, n_users = count.shape
+    active = count > 0
+    n_active = np.count_nonzero(active, axis=0)
+    partial = np.flatnonzero((n_active > 0) & (n_active < horizon))
+    if not partial.size:
         return net
-
-    # links are in canonical order, so each host's rows are in day order
-    order = np.argsort(net.host, kind="stable")
-    hosts_sorted = net.host[order]
-    starts = np.flatnonzero(_run_starts(hosts_sorted))
-    bounds = np.append(starts, hosts_sorted.size)
-
-    extra = {f: [] for f in ("day", "host", "nbr", "t_s", "t_l", "t_s_n", "t_l_n")}
-    for k, h in enumerate(hosts_sorted[starts].tolist()):
-        rows = order[bounds[k]:bounds[k + 1]]
-        days = net.day[rows]
-        days_avail = days[_run_starts(days)]
-        if days_avail.size >= net.horizon:
-            continue
+    source = np.repeat(np.arange(horizon)[:, None], n_users, axis=1)
+    for h in partial.tolist():
+        days = np.flatnonzero(active[:, h])
+        missing = np.flatnonzero(~active[:, h])
         rng = np.random.default_rng(
             np.random.SeedSequence((rng_seed, _user_hash(net.users[h])))
         )
-        avail_set = set(days_avail.tolist())
-        rows_by_day = {d: rows[days == d] for d in avail_set}
-        for d in range(net.horizon):
-            if d in avail_set:
-                continue
-            src = int(days_avail[rng.integers(days_avail.size)])
-            src_rows = rows_by_day[src]
-            shift = (d - src) * MINUTES_PER_DAY
-            extra["day"].append(np.full(src_rows.size, d, dtype=np.int64))
-            extra["host"].append(net.host[src_rows])
-            extra["nbr"].append(net.nbr[src_rows])
-            for f in ("t_s", "t_l", "t_s_n", "t_l_n"):
-                extra[f].append(getattr(net, f)[src_rows] + shift)
+        # one source day per missing day, drawn in day order
+        source[missing, h] = days[rng.integers(days.size, size=missing.size)]
 
-    if not extra["day"]:
-        return net
-    cat = {f: np.concatenate([getattr(net, f)] + extra[f]) for f in extra}
+    hosts = np.arange(n_users)
+    size = count[source, hosts].ravel()
+    rows = _ranges(first[source, hosts].ravel(), size)
+    shift = np.repeat((np.arange(horizon)[:, None] - source).ravel(), size)
+    day = net.day[rows] + shift
+    shift *= MINUTES_PER_DAY
     return DynamicContactNetwork._from_arrays(
-        net.users, net.horizon, cat["day"], cat["host"], cat["nbr"],
-        cat["t_s"], cat["t_l"], cat["t_s_n"], cat["t_l_n"],
+        net.users, net.horizon, day, net.host[rows], net.nbr[rows],
+        *(col[rows] + shift for col in (net.t_s, net.t_l, net.t_s_n, net.t_l_n)),
     )
 
 
@@ -469,8 +478,7 @@ def make_ldt_lst(
     """
     delta = int(round(indirect_window_min))
     keep = net.t_l > net.t_s
-    t_s, t_l = net.t_s.copy(), net.t_l.copy()
-    t_s_n, t_l_n = net.t_s_n.copy(), net.t_l_n.copy()
+    t_s, t_l, t_s_n, t_l_n = net.t_s, net.t_l, net.t_s_n, net.t_l_n
 
     indirect = keep & (t_s_n >= t_l)
     if keep_departure:

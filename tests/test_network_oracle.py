@@ -1,11 +1,14 @@
-"""Differential oracle for the array-based link extraction and network I/O.
+"""Differential oracle for the array-based link extraction, densification
+and network I/O.
 
 The references below are the earlier implementations: extraction as one
-Python iteration per visit over every update in the 3x3 grid cells, saving
-one formatted line per `SPDTLink`, and loading one parsed line at a time.
-The package's array passes must agree with them exactly: networks compared
-with ``==`` (users, horizon and every array in canonical order), files
-compared byte for byte, and load errors compared by message.
+Python iteration per visit over every update in the 3x3 grid cells,
+densification as one Python iteration per host and missing day followed by
+a full canonical sort, saving one formatted line per `SPDTLink`, and
+loading one parsed line at a time. The package's array passes must agree
+with them exactly: networks compared with ``==`` (users, horizon and every
+array in canonical order), files compared byte for byte, and load errors
+compared by message.
 """
 
 import math
@@ -23,11 +26,13 @@ from spdt.network import (
     BuilderConfig,
     DynamicContactNetwork,
     SPDTLink,
+    densify,
     extract_spdt_links,
     load_network,
     save_network,
 )
-from spdt.trace import MINUTES_PER_DAY, LocationUpdate, ParsedTrace, Visit
+from spdt.synth import SynthConfig, generate_trace
+from spdt.trace import MINUTES_PER_DAY, LocationUpdate, ParsedTrace, Visit, segment_all
 
 
 def ref_extract(visits, updates, cfg):
@@ -152,6 +157,39 @@ def ref_load(path):
     return DynamicContactNetwork.from_links(links, horizon)
 
 
+def ref_densify(net, rng_seed):
+    if net.n_links == 0:
+        return net
+    extra = {f: [] for f in ("day", "host", "nbr", "t_s", "t_l", "t_s_n", "t_l_n")}
+    for h in np.unique(net.host).tolist():
+        rows = np.flatnonzero(net.host == h)
+        days = net.day[rows]
+        days_avail = np.unique(days)
+        if days_avail.size >= net.horizon:
+            continue
+        rng = np.random.default_rng(
+            np.random.SeedSequence((rng_seed, network._user_hash(net.users[h])))
+        )
+        for d in range(net.horizon):
+            if d in days_avail:
+                continue
+            src = int(days_avail[rng.integers(days_avail.size)])
+            src_rows = rows[days == src]
+            shift = (d - src) * MINUTES_PER_DAY
+            extra["day"].append(np.full(src_rows.size, d, dtype=np.int64))
+            extra["host"].append(net.host[src_rows])
+            extra["nbr"].append(net.nbr[src_rows])
+            for f in ("t_s", "t_l", "t_s_n", "t_l_n"):
+                extra[f].append(getattr(net, f)[src_rows] + shift)
+    if not extra["day"]:
+        return net
+    cat = {f: np.concatenate([getattr(net, f)] + extra[f]) for f in extra}
+    order = np.lexsort((cat["t_l_n"], cat["t_s_n"], cat["nbr"], cat["t_s"],
+                        cat["host"], cat["day"]))
+    return DynamicContactNetwork(
+        net.users, net.horizon, *(cat[f][order] for f in extra))
+
+
 # --- extraction ------------------------------------------------------------
 
 USERS = ["a", "b", "c", "d", "e10", "e9"]
@@ -215,9 +253,6 @@ def test_extract_matches_per_visit_reference(case, block):
 
 
 def test_extract_matches_reference_on_synthetic_trace():
-    from spdt.synth import SynthConfig, generate_trace
-    from spdt.trace import segment_all
-
     parsed = ParsedTrace(updates=generate_trace(SynthConfig(
         n_users=150, days=3, rng_seed=4, n_locations=10, area_m=(700.0, 700.0),
         active_day_probability=0.5)))
@@ -359,3 +394,68 @@ def _has_link_fault(line, message, horizon):
             t_s > t_l or t_s_n > t_l_n or t_l_n <= t_s,
         "link day outside [0, horizon)": not 0 <= day < horizon,
     }[message]
+
+
+# --- densification ---------------------------------------------------------
+
+HOSTS = ["a", "b", "u10", "u9"]
+
+
+@st.composite
+def dense_link(draw, host, day):
+    # small offsets tie t_s (and whole sort keys) within a (day, host) cell
+    nbr = draw(st.sampled_from([u for u in HOSTS + ["z"] if u != host]))
+    t_s = day * MINUTES_PER_DAY + draw(st.integers(-2, 2))
+    t_l = t_s + draw(st.integers(0, 2))
+    t_s_n = t_s + draw(st.integers(-1, 3))
+    t_l_n = max(t_s_n, t_s + 1) + draw(st.integers(0, 2))
+    return SPDTLink(host, nbr, t_s, t_l, t_s_n, t_l_n, day)
+
+
+@st.composite
+def densify_case(draw):
+    """A network whose hosts are active on every day, on one day or on some;
+    "z" is only ever a neighbour."""
+    horizon = draw(st.integers(1, 6))
+    links = []
+    for host in draw(st.lists(st.sampled_from(HOSTS), unique=True, max_size=4)):
+        days = draw(st.one_of(
+            st.just(range(horizon)),
+            st.integers(0, horizon - 1).map(lambda d: [d]),
+            st.sets(st.integers(0, horizon - 1), min_size=1),
+        ))
+        for day in days:
+            links += draw(st.lists(dense_link(host, day), min_size=1, max_size=3))
+    net = DynamicContactNetwork.from_links(draw(st.permutations(links)), horizon)
+    return net, draw(st.sampled_from([0, 1, 5, 2**40 + 3]))
+
+
+@given(densify_case())
+def test_densify_matches_per_host_reference(case):
+    net, seed = case
+    assert densify(net, rng_seed=seed) == ref_densify(net, seed)
+
+
+def test_densify_matches_reference_on_synthetic_network():
+    cfg = SynthConfig(n_users=120, days=6, rng_seed=4, n_locations=10,
+                      area_m=(700.0, 700.0), active_day_probability=0.3)
+    parsed = ParsedTrace(updates=generate_trace(cfg))
+    net = extract_spdt_links(segment_all(parsed), parsed, BuilderConfig(horizon_days=6))
+    for seed in (0, 7):
+        dense = densify(net, rng_seed=seed)
+        assert dense.n_links > net.n_links
+        assert dense == ref_densify(net, seed)
+
+
+def test_densify_calls_no_sort():
+    net = DynamicContactNetwork.from_links([
+        SPDTLink("h", "v", 2 * MINUTES_PER_DAY, 2 * MINUTES_PER_DAY + 30,
+                 2 * MINUTES_PER_DAY + 5, 2 * MINUTES_PER_DAY + 40, 2),
+        SPDTLink("v", "h", 10, 20, 15, 25, 0),
+        SPDTLink("v", "w", 5, 20, 15, 25, 0),
+    ], horizon=4)
+    fail = mock.Mock(side_effect=AssertionError("densify sorted"))
+    with mock.patch.multiple(np, lexsort=fail, argsort=fail, sort=fail):
+        dense = densify(net)
+    assert dense == ref_densify(net, network.DEFAULT_DENSIFY_SEED)
+    assert list(dense.day_link_counts()) == [3, 3, 3, 3]

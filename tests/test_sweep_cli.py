@@ -424,6 +424,15 @@ class TestCli:
         assert main([command, *args, "--config", str(cfg), *flags]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r_t", ["10,abc", "abc", "10,,60"])
+    def test_metrics_bad_r_t_named_before_the_load(self, tmp_path, capsys, r_t):
+        # the network does not exist: only a parse before the load names --r-t
+        missing = str(tmp_path / "missing.spdt")
+        assert main(["metrics", "--net", missing, "--out-prefix",
+                     str(tmp_path / "m_"), "--r-t", r_t]) == 2
+        err = capsys.readouterr().err
+        assert "--r-t" in err and "missing.spdt" not in err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("r_t = 35\nsgima = 0.4\n")  # typo must not pass silently
