@@ -28,10 +28,14 @@ network module's (day, host) offsets tables, made once per
 times, which the kernel converts to float64 exactly, one kernel block at a
 time; no per-network copy of the columns is kept.
 
-Randomness is organised as named substreams derived from
+Randomness is organised as named substreams keyed by
 (rng_seed, run, stream, day), so results are reproducible for any worker
-count and block size and unaffected by unrelated parameter changes. A
-substream is derived only when a run draws from it, once per day.
+count and block size and unaffected by unrelated parameter changes. A block
+mixes all of its keys once, with a vectorised copy of numpy's SeedSequence
+hash, into the words SeedSequence(key) would hand PCG64; a generator is built
+from those words only for a run that draws, at most once per (run, stream,
+day). Removal times are drawn as one (coin, uniform) pair of rows per run
+and turned into times once per block-day.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ _STREAM_INIT = 0
 _STREAM_TAU = 1
 _STREAM_REMOVAL = 2
 _STREAM_INFECTION = 3
+# the per-day streams, in the order of a block's stream axis
+_DAY_STREAMS = (_STREAM_TAU, _STREAM_REMOVAL, _STREAM_INFECTION)
 
 TAU_MODES = ("uniform", "mean3")
 
@@ -127,17 +133,22 @@ class PopulationState:
     tau: np.ndarray  # int64; 0 while unset
 
     @classmethod
-    def initial(cls, n_users: int) -> "PopulationState":
+    def initial(cls, shape: int | tuple[int, int]) -> "PopulationState":
+        """Everyone susceptible: ``shape`` is n_users, or (runs, n_users)."""
         return cls(
-            status=np.zeros(n_users, dtype=np.int8),
-            day_infected=np.full(n_users, -1, dtype=np.int64),
-            tau=np.zeros(n_users, dtype=np.int64),
+            status=np.zeros(shape, dtype=np.int8),
+            day_infected=np.full(shape, -1, dtype=np.int64),
+            tau=np.zeros(shape, dtype=np.int64),
         )
 
 
-def _generator(key: tuple[int, int, int, int]) -> np.random.Generator:
-    # what np.random.default_rng does with a SeedSequence, without its checks
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+def _stream_seeds(rng_seed: int, runs, days) -> np.ndarray:
+    """_rng.mix of every (rng_seed, run, stream, day) key, of shape
+    (runs, days, 3, 4), the stream axis in _DAY_STREAMS order."""
+    # _rng loads numpy.random, which only a simulation needs
+    from ._rng import mix
+    return mix(rng_seed, np.asarray(runs)[:, None, None],
+               np.asarray(_DAY_STREAMS), np.asarray(days)[:, None])
 
 
 def removal_rate_from_time(b: float) -> float:
@@ -147,15 +158,15 @@ def removal_rate_from_time(b: float) -> float:
     return 1.0 / b
 
 
-def _sample_removal_times(
-    r_t: float, b_range: tuple[float, float], rng: np.random.Generator, n: int
+def _removal_times(
+    r_t: float, b_range: tuple[float, float], draws: np.ndarray
 ) -> np.ndarray:
-    """Draw removal times with median r_t: a fair coin picks the half-range,
-    then a uniform draw within it."""
+    """Removal times with median r_t from draws of shape (2, n): a fair coin
+    (row 0 below 0.5) picks the half-range, the uniform in row 1 a point
+    within it."""
     lo, hi = b_range
-    side = rng.random(n) < 0.5
-    u = rng.random(n)
-    return np.where(side, lo + u * (r_t - lo), r_t + u * (hi - r_t))
+    coin, u = draws
+    return np.where(coin < 0.5, lo + u * (r_t - lo), r_t + u * (hi - r_t))
 
 
 def sample_removal_rate(
@@ -165,7 +176,8 @@ def sample_removal_rate(
     lo, hi = b_range
     if not lo <= r_t <= hi:
         raise ValueError(f"median removal time {r_t} outside bounds {b_range}")
-    return removal_rate_from_time(float(_sample_removal_times(r_t, b_range, rng, 1)[0]))
+    return removal_rate_from_time(
+        float(_removal_times(r_t, b_range, rng.random((2, 1)))[0]))
 
 
 # Upper bound on the (run, link) pairs of one lockstep day: a block holds as
@@ -174,6 +186,9 @@ def sample_removal_rate(
 # whose pair arrays stay a few MB; a small network steps hundreds of runs
 # together.
 _BLOCK_PAIRS = 1 << 20
+# Upper bound on the (run, day, stream) keys a block mixes ahead: 8 MB of
+# seed words, which binds only on networks with few links a day.
+_BLOCK_KEYS = 1 << 18
 
 
 def _block_runs(net: DynamicContactNetwork) -> int:
@@ -197,23 +212,26 @@ def _step_block(
     state: PopulationState,
     day: int,
     cfg: SimulationConfig,
-    runs: range,
+    seeds: np.ndarray,
     row: np.ndarray,
 ) -> None:
-    """Advance the block of runs ``runs`` by one day in place.
+    """Advance a block of runs by one day in place.
 
     ``state`` holds one row per run and ``offsets`` is _host_offsets(net);
-    the day's counts are written into ``row``, of shape (runs, 3). Each
-    (run, stream, day) substream is derived at most once, when drawn from.
+    ``seeds``, of shape (runs, 3, 4), holds the day's _stream_seeds of each
+    run, and the day's counts are written into ``row``, of shape (runs, 3).
+    A run's generator for a stream is built at most once, when drawn from.
     """
+    from ._rng import generator
     status, day_infected, tau = state.status, state.day_infected, state.tau
     n_runs, n_users = status.shape
 
     def per_run_draws(counts: np.ndarray, stream: int, draw) -> np.ndarray:
-        # draw(rng, k) concatenated over the runs with k > 0 draws, in run
-        # order, rng being the run's (rng_seed, run, stream, day) substream
-        return np.concatenate([draw(_generator((cfg.rng_seed, run, stream, day)), k)
-                               for run, k in zip(runs, counts.tolist()) if k])
+        # draw(rng, k) concatenated along its last axis over the runs with
+        # k > 0 draws, in run order, rng being the run's substream
+        words = seeds[:, _DAY_STREAMS.index(stream)]
+        return np.concatenate([draw(generator(words[i]), k)
+                               for i, k in enumerate(counts.tolist()) if k], axis=-1)
 
     # recoveries first: an individual whose period elapsed today no longer
     # transmits today
@@ -234,8 +252,8 @@ def _step_block(
         link, key = link[susceptible], key[susceptible]
         if link.size:
             per_run = np.bincount(key // n_users, minlength=n_runs)
-            b = per_run_draws(per_run, _STREAM_REMOVAL, lambda rng, k:
-                              _sample_removal_times(cfg.r_t, cfg.b_range, rng, k))
+            b = _removal_times(cfg.r_t, cfg.b_range, per_run_draws(
+                per_run, _STREAM_REMOVAL, lambda rng, k: rng.random((2, k))))
             # the kernel converts the gathered int64 minutes, exact in
             # float64, block by block: no float copy of a column is made
             doses = batch_link_exposure(
@@ -278,7 +296,8 @@ def step_day(
     block = PopulationState(states.status[None].copy(),
                             states.day_infected[None].copy(), states.tau[None].copy())
     row = np.empty((1, 3), dtype=np.int64)
-    _step_block(net, _host_offsets(net), block, day, cfg, range(run, run + 1), row)
+    _step_block(net, _host_offsets(net), block, day, cfg,
+                _stream_seeds(cfg.rng_seed, [run], [day])[:, 0], row)
     return PopulationState(block.status[0], block.day_infected[0], block.tau[0]), row[0]
 
 
@@ -286,17 +305,24 @@ def seeded_state(
     n_users: int, cfg: SimulationConfig, run: int
 ) -> PopulationState:
     """Initial state with seed users infectious from day 0."""
+    block = _seeded_block(n_users, cfg, range(run, run + 1))
+    return PopulationState(block.status[0], block.day_infected[0], block.tau[0])
+
+
+def _seeded_block(n_users: int, cfg: SimulationConfig, runs: range) -> PopulationState:
+    """Initial state of the runs ``runs``, one row each; a run that has seed
+    users draws them from its (rng_seed, run, _STREAM_INIT) substream."""
     if cfg.seeds > n_users:
         raise ValueError(f"seeds={cfg.seeds} exceeds population {n_users}")
-    state = PopulationState.initial(n_users)
+    state = PopulationState.initial((len(runs), n_users))
     if cfg.seeds:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.rng_seed, run, _STREAM_INIT))
-        )
-        chosen = rng.choice(n_users, size=cfg.seeds, replace=False)
-        state.status[chosen] = INFECTED
-        state.day_infected[chosen] = 0
-        state.tau[chosen] = _draw_tau(rng, cfg.seeds, cfg)
+        from ._rng import generator, mix
+        for i, words in enumerate(mix(cfg.rng_seed, np.asarray(runs), _STREAM_INIT)):
+            rng = generator(words)
+            chosen = rng.choice(n_users, size=cfg.seeds, replace=False)
+            state.status[i, chosen] = INFECTED
+            state.day_infected[i, chosen] = 0
+            state.tau[i, chosen] = _draw_tau(rng, cfg.seeds, cfg)
     return state
 
 
@@ -305,12 +331,11 @@ def _simulate_block(
     cfg: SimulationConfig, block: range
 ) -> np.ndarray:
     """Counts of the runs ``block``, stepped in lockstep."""
-    seeded = [seeded_state(net.n_users, cfg, run) for run in block]
-    state = PopulationState(*(np.stack([getattr(s, field) for s in seeded])
-                              for field in ("status", "day_infected", "tau")))
+    state = _seeded_block(net.n_users, cfg, block)
+    seeds = _stream_seeds(cfg.rng_seed, block, range(cfg.horizon_days))
     counts = np.empty((len(block), cfg.horizon_days, 3), dtype=np.int64)
     for day in range(cfg.horizon_days):
-        _step_block(net, offsets, state, day, cfg, block, counts[:, day])
+        _step_block(net, offsets, state, day, cfg, seeds[:, day], counts[:, day])
     return counts
 
 
@@ -355,7 +380,7 @@ def run_simulation(
         raise ValueError(f"seeds={cfg.seeds} exceeds population {net.n_users}")
     workers = resolve_workers(workers)
     offsets = _host_offsets(net)
-    size = _block_runs(net)
+    size = min(_block_runs(net), max(1, _BLOCK_KEYS // (3 * cfg.horizon_days)))
     blocks = [range(start, min(start + size, cfg.runs))
               for start in range(0, cfg.runs, size)]
     if workers == 1 or len(blocks) == 1:

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spdt.epidemic as epi
+from spdt import _rng
 from spdt.epidemic import (
     INFECTED,
     RECOVERED,
@@ -49,6 +50,14 @@ def _eager_streams(rng_seed, run, day):
             gen(epi._STREAM_INFECTION))
 
 
+def _reference_removal_times(cfg, rng, n):
+    # a fair coin picks the half-range, then a uniform draw within it
+    lo, hi = cfg.b_range
+    side = rng.random(n) < 0.5
+    u = rng.random(n)
+    return np.where(side, lo + u * (cfg.r_t - lo), cfg.r_t + u * (hi - cfg.r_t))
+
+
 def _reference_step(net, state, day, cfg, tau_rng, removal_rng, infection_rng):
     status, day_infected, tau = state.status, state.day_infected, state.tau
     infected = status == INFECTED
@@ -69,8 +78,7 @@ def _reference_step(net, state, day, cfg, tau_rng, removal_rng, infection_rng):
             sel = transmitting[host] & (status[nbr] == SUSCEPTIBLE)
             idx = np.flatnonzero(sel)
             if idx.size:
-                b = epi._sample_removal_times(cfg.r_t, cfg.b_range, removal_rng,
-                                              idx.size)
+                b = _reference_removal_times(cfg, removal_rng, idx.size)
                 doses = epi.batch_link_exposure(
                     t_s[idx], t_l[idx], t_s_n[idx], t_l_n[idx],
                     1.0 / b, DEFAULT_GENERATION_RATE, DEFAULT_PROXIMITY_VOLUME,
@@ -92,8 +100,20 @@ def _reference_step(net, state, day, cfg, tau_rng, removal_rng, infection_rng):
     return n_new, n_recovered, prevalence
 
 
+def _reference_seeded_state(n_users, cfg, run):
+    state = PopulationState.initial(n_users)
+    if cfg.seeds:
+        rng = np.random.default_rng(
+            np.random.SeedSequence((cfg.rng_seed, run, epi._STREAM_INIT)))
+        chosen = rng.choice(n_users, size=cfg.seeds, replace=False)
+        state.status[chosen] = INFECTED
+        state.day_infected[chosen] = 0
+        state.tau[chosen] = epi._draw_tau(rng, cfg.seeds, cfg)
+    return state
+
+
 def _reference_run(net, cfg, run):
-    state = seeded_state(net.n_users, cfg, run)
+    state = _reference_seeded_state(net.n_users, cfg, run)
     return [_reference_step(net, state, day, cfg,
                             *_eager_streams(cfg.rng_seed, run, day))
             for day in range(cfg.horizon_days)]
@@ -148,7 +168,7 @@ def configs(n_users, horizon):
         sigma=st.sampled_from([0.33, 5.0, 50.0]),
         tau_range=st.sampled_from([(1, 1), (1, 3), (3, 5)]),
         tau_mode=st.sampled_from(["uniform", "mean3"]),
-        rng_seed=st.integers(0, 2**32),
+        rng_seed=st.integers(0, 2**64 - 1),
         runs=st.integers(1, 7),
     )
 
@@ -196,8 +216,9 @@ def test_step_day_matches_reference_step(data):
     cfg = data.draw(configs(net.n_users, net.horizon))
     run = data.draw(st.integers(0, 3))
     state = seeded_state(net.n_users, cfg, run)
-    ref = PopulationState(state.status.copy(), state.day_infected.copy(),
-                          state.tau.copy())
+    ref = _reference_seeded_state(net.n_users, cfg, run)
+    for field in ("status", "day_infected", "tau"):
+        assert np.array_equal(getattr(state, field), getattr(ref, field))
     for day in range(cfg.horizon_days):
         state, row = step_day(net, state, day, cfg, run)
         assert row.tolist() == list(_reference_step(
@@ -249,35 +270,63 @@ def test_default_block_holds_several_runs(synth_net):
                           _reference_simulation(synth_net, cfg))
 
 
+def test_key_budget_caps_block_runs(synth_net, monkeypatch):
+    # a block mixes 3 keys per (run, day) ahead; the budget bounds its runs
+    cfg = SimulationConfig(seeds=6, horizon_days=7, r_t=60.0, sigma=0.5,
+                           rng_seed=11, runs=7)
+    assert epi._block_runs(synth_net) >= cfg.runs
+    monkeypatch.setattr(epi, "_BLOCK_KEYS", 2 * 3 * cfg.horizon_days)
+    blocks = []
+    real = epi._simulate_block
+    monkeypatch.setattr(epi, "_simulate_block", lambda net, offsets, cfg, block:
+                        blocks.append(block) or real(net, offsets, cfg, block))
+    assert np.array_equal(run_simulation(synth_net, cfg),
+                          _reference_simulation(synth_net, cfg))
+    assert blocks == [range(0, 2), range(2, 4), range(4, 6), range(6, 7)]
+
+
+def _spy_streams(monkeypatch, cfg):
+    """Record the key of every generator the simulator builds, found by its
+    seed words among all (seed, run, stream, day) and (seed, run, init) keys
+    that SeedSequence itself hashes."""
+    keys = [(cfg.rng_seed, run, epi._STREAM_INIT) for run in range(cfg.runs)]
+    keys += [(cfg.rng_seed, run, stream, day) for run in range(cfg.runs)
+             for stream in epi._DAY_STREAMS for day in range(cfg.horizon_days)]
+    by_words = {tuple(np.random.SeedSequence(key).generate_state(4, np.uint64)
+                      .tolist()): key for key in keys}
+    built = []
+    real = _rng.generator
+    monkeypatch.setattr(_rng, "generator", lambda words: built.append(
+        by_words[tuple(words.tolist())]) or real(words))
+    return built
+
+
 def test_runs_without_draws_derive_no_streams(synth_net, monkeypatch):
-    derived = []
-    real = epi._generator
-    monkeypatch.setattr(epi, "_generator",
-                        lambda key: derived.append(key) or real(key))
     cfg = SimulationConfig(seeds=0, horizon_days=5, r_t=60.0, rng_seed=1, runs=4)
+    built = _spy_streams(monkeypatch, cfg)
     run_simulation(synth_net, cfg)
-    assert derived == []  # no infectious host, nothing drawn
+    assert built == []  # no infectious host, nothing drawn
 
     cfg = replace(cfg, seeds=3, tau_mode="mean3")
     assert np.array_equal(run_simulation(synth_net, cfg),
                           _reference_simulation(synth_net, cfg))
-    assert derived and all(key[2] != epi._STREAM_TAU for key in derived)
+    day_keys = [key for key in built if len(key) == 4]
+    assert day_keys and all(key[2] != epi._STREAM_TAU for key in day_keys)
 
 
 def test_no_stream_derived_twice(synth_net, small_blocks, monkeypatch):
     # a repeated (seed, run, stream, day) key would replay the same numbers
     small_blocks(2, synth_net)
-    derived = []
-    real = epi._generator
-    monkeypatch.setattr(epi, "_generator",
-                        lambda key: derived.append(key) or real(key))
     cfg = SimulationConfig(seeds=6, horizon_days=7, r_t=60.0, sigma=0.5,
                            rng_seed=11, runs=7)
+    built = _spy_streams(monkeypatch, cfg)
     assert np.array_equal(run_simulation(synth_net, cfg),
                           _reference_simulation(synth_net, cfg))
-    assert {key[2] for key in derived} == {
+    assert {key[2] for key in built if len(key) == 4} == {
         epi._STREAM_TAU, epi._STREAM_REMOVAL, epi._STREAM_INFECTION}
-    assert len(set(derived)) == len(derived)
+    assert {key for key in built if len(key) == 3} == {
+        (cfg.rng_seed, run, epi._STREAM_INIT) for run in range(cfg.runs)}
+    assert len(set(built)) == len(built)
 
 
 def test_simulate_keeps_no_copy_of_the_columns():
