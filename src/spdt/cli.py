@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .epidemic import TAU_MODES, SimulationConfig, run_simulation, write_daily_csv
+from .exposure import check_positive
 from .metrics import (
     DEFAULT_EDGE_THRESHOLD,
     clustering_distribution,
@@ -168,8 +169,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_metrics(args) -> int:
     try:  # bad values fail before the load
         r_t_values = [float(v) for v in args.r_t.split(",")]
+        for r_t in r_t_values:
+            check_positive("r_t", r_t)
     except ValueError as exc:
         raise ValueError(f"--r-t: {exc}") from None
+    check_positive("--threshold", args.threshold)
     net = load_network(args.net)
     universe = None
     if args.universe_net:

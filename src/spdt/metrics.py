@@ -10,7 +10,7 @@ computed on unweighted graphs thresholded on per-link inhaled dose.
 Graphs are integer arrays over the sorted node universe: each network user
 is mapped to its node position once, the strong links are taken straight
 from the dose array, and undirected edges are deduplicated as sorted codes
-``lo * n + hi``, from which the CSR adjacency and degrees follow. Triangles
+``lo * n + hi``, from which the sorted arcs and degrees follow. Triangles
 are counted on a bitset adjacency of ``n * ceil(n / 8)`` bytes (about
 0.5 MB for 2,000 users): per edge, the popcount of the AND of its two ends'
 rows is its number of common neighbours. Coefficients divide integer counts
@@ -78,46 +78,22 @@ _DOSE_CHUNK = 1 << 14
 class StaticGraph:
     """Unweighted undirected graph over a fixed node universe.
 
-    Nodes are kept sorted and addressed by position. Each edge is stored
-    once as the code ``lo * n + hi`` (``lo < hi``) in a sorted array; the
-    adjacency is CSR: the neighbours of node ``i`` are
-    ``_indices[_indptr[i]:_indptr[i + 1]]``, ascending.
+    ``nodes`` are sorted unique ids, addressed by position; there is an edge
+    between positions ``u[k]`` and ``v[k]`` (``u != v``) for every k. Each
+    edge is stored once as the code ``lo * n + hi`` (``lo < hi``) in a sorted
+    array; ``_indices`` holds the targets of both directions of every edge,
+    sorted by (source, target), and ``_degree`` each node's degree.
     """
 
-    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]]):
-        self.nodes: tuple[str, ...] = tuple(sorted(set(nodes)))
-        self._index = {u: i for i, u in enumerate(self.nodes)}
-        ends = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at {u!r}")
-            if u not in self._index or v not in self._index:
-                raise ValueError(f"edge ({u!r}, {v!r}) leaves the node universe")
-            ends.append((self._index[u], self._index[v]))
-        ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
-        self._set_edges(ends[:, 0], ends[:, 1])
-
-    @classmethod
-    def _from_indices(cls, nodes: tuple[str, ...], index: dict[str, int],
-                      u: np.ndarray, v: np.ndarray) -> "StaticGraph":
-        """Graph over sorted unique ``nodes`` (``index`` maps id to position)
-        with an edge between positions ``u[k]`` and ``v[k]``, ``u != v``."""
-        graph = cls.__new__(cls)
-        graph.nodes = nodes
-        graph._index = index
-        graph._set_edges(u, v)
-        return graph
-
-    def _set_edges(self, u: np.ndarray, v: np.ndarray) -> None:
-        n = len(self.nodes)
+    def __init__(self, nodes: tuple[str, ...], u: np.ndarray, v: np.ndarray):
+        self.nodes = nodes
+        n = len(nodes)
         codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
         self._codes = codes[np.flatnonzero(np.diff(codes, prepend=-1))]
         lo, hi = np.divmod(self._codes, n)
-        # both directions of every edge, sorted by (source, target)
         arcs = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
         src, self._indices = np.divmod(arcs, n)
         self._degree = np.bincount(src, minlength=n)
-        self._indptr = np.concatenate(([0], np.cumsum(self._degree)))
 
     @property
     def n_nodes(self) -> int:
@@ -126,27 +102,6 @@ class StaticGraph:
     @property
     def n_edges(self) -> int:
         return int(self._codes.size)
-
-    def degree(self, node: str) -> int:
-        return int(self._degree[self._index[node]])
-
-    def neighbours(self, node: str) -> frozenset[str]:
-        i = self._index[node]
-        nbrs = self._indices[self._indptr[i]:self._indptr[i + 1]]
-        return frozenset(self.nodes[j] for j in nbrs.tolist())
-
-    def edges(self) -> set[tuple[str, str]]:
-        lo, hi = np.divmod(self._codes, len(self.nodes))
-        return {(self.nodes[a], self.nodes[b])
-                for a, b in zip(lo.tolist(), hi.tolist())}
-
-    def has_edge(self, u: str, v: str) -> bool:
-        i, j = self._index.get(u), self._index.get(v)
-        if i is None or j is None or i == j:
-            return False
-        code = min(i, j) * len(self.nodes) + max(i, j)
-        k = int(np.searchsorted(self._codes, code))
-        return k < self._codes.size and int(self._codes[k]) == code
 
     def _closed_pairs(self) -> np.ndarray:
         """2 T(v) per node: ordered pairs of adjacent neighbours of v.
@@ -187,14 +142,14 @@ class StaticGraph:
 
 
 def _graph_nodes(net: DynamicContactNetwork, universe
-                 ) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
-    """Sorted node ids, their positions, and the position of each network user."""
+                 ) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted node ids, and the node position of each network user."""
     nodes = tuple(sorted(set(net.users if universe is None else universe)))
     index = {u: i for i, u in enumerate(nodes)}
     missing = [u for u in net.users if u not in index]
     if missing:
         raise ValueError(f"universe misses {len(missing)} users present in the network")
-    return nodes, index, np.array([index[u] for u in net.users], dtype=np.int64)
+    return nodes, np.array([index[u] for u in net.users], dtype=np.int64)
 
 
 def _strong_links(net: DynamicContactNetwork, r_t: float, threshold: float
@@ -233,10 +188,9 @@ def static_graph(
     """
     check_positive("r_t", r_t)
     check_positive("threshold", threshold)
-    nodes, index, node_of = _graph_nodes(net, universe)
+    nodes, node_of = _graph_nodes(net, universe)
     strong = _strong_links(net, r_t, threshold)
-    return StaticGraph._from_indices(nodes, index, node_of[net.host[strong]],
-                                     node_of[net.nbr[strong]])
+    return StaticGraph(nodes, node_of[net.host[strong]], node_of[net.nbr[strong]])
 
 
 def degree_distribution(graph: StaticGraph) -> dict[int, int]:
@@ -275,7 +229,7 @@ def daily_network_metrics(
     for r_t in r_t_values:
         check_positive("r_t", r_t)
     check_positive("threshold", threshold)
-    nodes, index, node_of = _graph_nodes(net, universe)
+    nodes, node_of = _graph_nodes(net, universe)
     host, nbr = node_of[net.host], node_of[net.nbr]
     # links are sorted by day: cut each r_t's strong links at the day bounds
     strong_by_r_t = []
@@ -286,7 +240,7 @@ def daily_network_metrics(
     for day in range(net.horizon):
         for r_t, (strong, cuts) in zip(r_t_values, strong_by_r_t):
             idx = strong[cuts[day]:cuts[day + 1]]
-            graph = StaticGraph._from_indices(nodes, index, host[idx], nbr[idx])
+            graph = StaticGraph(nodes, host[idx], nbr[idx])
             _, mean_clust = clustering_distribution(graph)
             mean_deg = 2.0 * graph.n_edges / graph.n_nodes if graph.n_nodes else 0.0
             rows.append(DailyMetricsRow(day, r_t, mean_deg, mean_clust))

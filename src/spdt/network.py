@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from itertools import islice, product, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -54,36 +54,23 @@ class BuilderConfig:
             raise ValueError("horizon_days must be at least 1")
 
 
-class SPDTLink(NamedTuple):
-    """Directed host-to-neighbour transmission opportunity (integer minutes)."""
-
-    host_id: str
-    neighbour_id: str
-    t_s: int
-    t_l: int
-    t_s_n: int
-    t_l_n: int
-    day: int
-
-
 class DynamicContactNetwork:
     """Immutable day-indexed collection of directed links plus the user universe.
 
     Links are stored as parallel arrays in canonical order (day, host, t_s,
     neighbour, t_s_n, t_l_n). Users are exactly those appearing in at least
-    one link; isolated users are never carried.
+    one link; isolated users are never carried. Build one with
+    ``_from_arrays``, which validates and sorts.
     """
 
     __slots__ = ("users", "horizon", "day", "host", "nbr",
-                 "t_s", "t_l", "t_s_n", "t_l_n", "_day_bounds", "_index")
+                 "t_s", "t_l", "t_s_n", "t_l_n", "_day_bounds")
 
     def __reduce__(self):
-        return (
-            DynamicContactNetwork,
-            (self.users, self.horizon, self.day.copy(), self.host.copy(),
-             self.nbr.copy(), self.t_s.copy(), self.t_l.copy(),
-             self.t_s_n.copy(), self.t_l_n.copy()),
-        )
+        # the columns are read-only, so they are pickled as they are
+        return DynamicContactNetwork, (
+            self.users, self.horizon, self.day, self.host, self.nbr,
+            self.t_s, self.t_l, self.t_s_n, self.t_l_n)
 
     def __init__(self, users, horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n):
         self.users: tuple[str, ...] = tuple(users)
@@ -98,32 +85,6 @@ class DynamicContactNetwork:
         for arr in (day, host, nbr, t_s, t_l, t_s_n, t_l_n):
             arr.setflags(write=False)
         self._day_bounds = np.searchsorted(day, np.arange(self.horizon + 1))
-        self._index = {u: i for i, u in enumerate(self.users)}
-
-    @classmethod
-    def from_links(cls, links: Iterable[SPDTLink], horizon: int) -> "DynamicContactNetwork":
-        links = list(links)
-        if horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        users = sorted({l.host_id for l in links} | {l.neighbour_id for l in links})
-        index = {u: i for i, u in enumerate(users)}
-        n = len(links)
-        day = np.empty(n, dtype=np.int64)
-        host = np.empty(n, dtype=np.int64)
-        nbr = np.empty(n, dtype=np.int64)
-        t_s = np.empty(n, dtype=np.int64)
-        t_l = np.empty(n, dtype=np.int64)
-        t_s_n = np.empty(n, dtype=np.int64)
-        t_l_n = np.empty(n, dtype=np.int64)
-        for i, l in enumerate(links):
-            day[i] = l.day
-            host[i] = index[l.host_id]
-            nbr[i] = index[l.neighbour_id]
-            t_s[i] = l.t_s
-            t_l[i] = l.t_l
-            t_s_n[i] = l.t_s_n
-            t_l_n[i] = l.t_l_n
-        return cls._from_arrays(users, horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n)
 
     @classmethod
     def _from_arrays(cls, users, horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n):
@@ -161,25 +122,8 @@ class DynamicContactNetwork:
     def n_users(self) -> int:
         return len(self.users)
 
-    def user_index(self, user_id: str) -> int:
-        return self._index[user_id]
-
-    def day_slice(self, day: int) -> slice:
-        """Index range of the links whose host visit starts on `day`."""
-        if not 0 <= day < self.horizon:
-            raise ValueError(f"day {day} outside [0, {self.horizon})")
-        return slice(int(self._day_bounds[day]), int(self._day_bounds[day + 1]))
-
     def day_link_counts(self) -> np.ndarray:
         return np.diff(self._day_bounds)
-
-    def iter_links(self) -> Iterator[SPDTLink]:
-        for i in range(self.n_links):
-            yield SPDTLink(
-                self.users[self.host[i]], self.users[self.nbr[i]],
-                int(self.t_s[i]), int(self.t_l[i]),
-                int(self.t_s_n[i]), int(self.t_l_n[i]), int(self.day[i]),
-            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DynamicContactNetwork):
@@ -572,22 +516,19 @@ def load_network(path: str | Path) -> DynamicContactNetwork:
         header = fh.readline().rstrip("\n")
         m = _HEADER_RE.match(header)
         if m is None:
-            raise ValueError(f"not a network file: bad header {header!r}")
-        version = int(m.group(1))
+            raise ValueError(f"{path}:1: not a network file: bad header {header!r}")
+        version, horizon = int(m.group(1)), int(m.group(2))
         if version != NETWORK_FORMAT_VERSION:
-            raise ValueError(
-                f"network format version {version} unsupported "
-                f"(expected {NETWORK_FORMAT_VERSION})"
-            )
-        horizon = int(m.group(2))
+            raise ValueError(f"{path}:1: network format version {version} "
+                             f"unsupported (expected {NETWORK_FORMAT_VERSION})")
+        if horizon < 1:
+            raise ValueError(f"{path}:1: horizon must be at least 1")
         index: dict[str, int] = {}
         blocks = []
         lineno = 2
         while lines := list(map(str.rstrip, islice(fh, _ROW_BLOCK), repeat("\n"))):
             blocks.append(_parse_rows(path, lines, lineno, index))
             lineno += len(lines)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
 
     empty = np.empty(0, dtype=np.int64)
     columns = [np.concatenate(col) for col in zip(*blocks)] or [empty] * 7

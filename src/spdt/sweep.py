@@ -240,10 +240,8 @@ def simulate_cell(
     r_t: float,
     sigma: float,
     tau_spec: str,
-    workers: int | None = None,
 ) -> np.ndarray:
-    return run_simulation(net, cell_config(plan, variant, r_t, sigma, tau_spec),
-                          workers=workers)
+    return run_simulation(net, cell_config(plan, variant, r_t, sigma, tau_spec))
 
 
 def _cell_name(variant: str, r_t: float, sigma: float, tau_spec: str) -> str:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from linkrows import edge_set, to_tuples
 from spdt.epidemic import (
     INFECTED,
     NEW_INFECTIONS,
@@ -38,7 +39,6 @@ from spdt.metrics import (
 )
 from spdt.network import (
     BuilderConfig,
-    SPDTLink,
     densify,
     extract_spdt_links,
     make_ldt_lst,
@@ -156,15 +156,15 @@ def test_criterion_3_construction_rules():
     host = Visit("h", 0.0, 0.0, 0.0, 30.0)
 
     def links_for(updates):
-        return list(extract_spdt_links([host], updates, cfg).iter_links())
+        return to_tuples(extract_spdt_links([host], updates, cfg))
 
     direct = links_for([LocationUpdate("v", 10.0, 5.0, 0.0),
                         LocationUpdate("v", 20.0, 5.0, 0.0)])
-    assert direct == [SPDTLink("h", "v", 0, 30, 10, 20, 0)]
+    assert direct == [("h", "v", 0, 30, 10, 20, 0)]
 
     indirect = links_for([LocationUpdate("v", 100.0, 3.0, 4.0),
                           LocationUpdate("v", 150.0, 3.0, 4.0)])
-    assert indirect == [SPDTLink("h", "v", 0, 30, 100, 150, 0)]
+    assert indirect == [("h", "v", 0, 30, 100, 150, 0)]
 
     assert links_for([LocationUpdate("v", 10.0, 25.0, 0.0)]) == []
 
@@ -206,7 +206,7 @@ def test_criterion_4_dominance_suite():
         for r_t in (10.0, 35.0, 60.0):
             g_sdt = static_graph(sdt, r_t=r_t, universe=universe)
             g_sst = static_graph(sst, r_t=r_t, universe=universe)
-            if not g_sst.edges() <= g_sdt.edges():
+            if not edge_set(g_sst) <= edge_set(g_sdt):
                 failures.append((seed, r_t, "edges"))
             rows_sdt = daily_network_metrics(sdt, [r_t], universe=universe)
             rows_sst = daily_network_metrics(sst, [r_t], universe=universe)
@@ -352,17 +352,25 @@ def test_criterion_8_clustering_oracle():
         density = rng.uniform(0.05, 0.4)
         edges = [(a, b) for a, b in combinations(nodes, 2)
                  if rng.random() < density]
-        graph = StaticGraph(nodes, edges)
+        position = {v: i for i, v in enumerate(sorted(nodes))}
+        ends = np.array([(position[a], position[b]) for a, b in edges],
+                        dtype=np.int64).reshape(-1, 2)
+        graph = StaticGraph(tuple(sorted(nodes)), ends[:, 0], ends[:, 1])
 
+        # the brute force reads its own edge list, not the graph under test
+        adjacent = set(edges) | {(b, a) for a, b in edges}
         triangles = {v: 0 for v in nodes}
         for a, b, c in combinations(nodes, 3):
-            if (graph.has_edge(a, b) and graph.has_edge(b, c)
-                    and graph.has_edge(a, c)):
+            if (a, b) in adjacent and (b, c) in adjacent and (a, c) in adjacent:
                 for v in (a, b, c):
                     triangles[v] += 1
+        degree = {v: 0 for v in nodes}
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
         coeffs, _ = clustering_distribution(graph)
         for v in nodes:
-            d = graph.degree(v)
+            d = degree[v]
             expect = 2.0 * triangles[v] / (d * (d - 1)) if d >= 2 else 0.0
             assert coeffs[v] == expect, f"node {v}: {coeffs[v]} != {expect}"
     _report(8, "clustering oracle on 100 random graphs")

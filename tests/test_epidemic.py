@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from linkrows import from_tuples
 from spdt.epidemic import (
     INFECTED,
     NEW_INFECTIONS,
@@ -22,7 +23,6 @@ from spdt.epidemic import (
     step_day,
     write_daily_csv,
 )
-from spdt.network import DynamicContactNetwork, SPDTLink
 from spdt.synth import SynthConfig, generate_trace
 from spdt.trace import ParsedTrace, segment_all
 from spdt.network import BuilderConfig, extract_spdt_links
@@ -33,9 +33,9 @@ def chain_net(horizon=6):
     links = []
     for day, (h, v) in enumerate((("a", "b"), ("b", "c"))):
         t0 = day * 1440
-        links.append(SPDTLink(h, v, t0, t0 + 400, t0 + 1, t0 + 400, day))
-        links.append(SPDTLink(v, h, t0, t0 + 400, t0 + 1, t0 + 400, day))
-    return DynamicContactNetwork.from_links(links, horizon)
+        links.append((h, v, t0, t0 + 400, t0 + 1, t0 + 400, day))
+        links.append((v, h, t0, t0 + 400, t0 + 1, t0 + 400, day))
+    return from_tuples(links, horizon)
 
 
 def synth_net(users=250, days=6, seed=2):
@@ -126,11 +126,10 @@ class TestStepDay:
     def test_enormous_exposure_infects_almost_always(self):
         # one infectious host, one susceptible, one whole-day overlap link:
         # the dose drives the infection probability above 0.999
-        links = [SPDTLink("h", "v", 0, 1400, 1, 1400, 0)]
-        net = DynamicContactNetwork.from_links(links, 1)
+        net = from_tuples([("h", "v", 0, 1400, 1, 1400, 0)], 1)
         cfg = SimulationConfig(seeds=0, horizon_days=1, r_t=300.0, sigma=5.0,
                                runs=1)
-        h = net.user_index("h")
+        h = net.users.index("h")
         hits = 0
         for trial in range(1000):
             state = PopulationState.initial(2)
@@ -146,7 +145,7 @@ class TestStepDay:
         net = chain_net()
         cfg = SimulationConfig(seeds=0, horizon_days=6, r_t=300.0, sigma=50.0,
                                runs=1, tau_range=(3, 3), rng_seed=1)
-        a, b, c = (net.user_index(u) for u in "abc")
+        a, b, c = (net.users.index(u) for u in "abc")
         state = PopulationState.initial(3)
         state.status[a] = INFECTED
         state.day_infected[a] = 0
@@ -165,7 +164,7 @@ class TestStepDay:
         net = chain_net()
         cfg = SimulationConfig(seeds=0, horizon_days=6, r_t=60.0, sigma=1e-9,
                                runs=1, tau_range=(3, 3), rng_seed=2)
-        a = net.user_index("a")
+        a = net.users.index("a")
         state = PopulationState.initial(3)
         state.status[a] = INFECTED
         state.day_infected[a] = 0
@@ -277,9 +276,8 @@ def test_direct_only_network_is_its_own_projection():
     # the simulation outcomes coincide exactly
     from spdt.network import project_spst
 
-    links = [SPDTLink("a", "b", 0, 200, 10, 150, 0),
-             SPDTLink("b", "c", 1440, 1500, 1450, 1490, 1)]
-    net = DynamicContactNetwork.from_links(links, 3)
+    net = from_tuples([("a", "b", 0, 200, 10, 150, 0),
+                       ("b", "c", 1440, 1500, 1450, 1490, 1)], 3)
     proj = project_spst(net)
     assert proj == net
     cfg = SimulationConfig(seeds=2, horizon_days=3, r_t=35.0, rng_seed=4,

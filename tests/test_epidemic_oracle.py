@@ -68,7 +68,7 @@ def _reference_step(net, state, day, cfg, tau_rng, removal_rng, infection_rng):
 
     n_new = 0
     if day < net.horizon:
-        sl = net.day_slice(day)
+        sl = net.day == day
         host, nbr = net.host[sl], net.nbr[sl]
         t_s, t_l = net.t_s[sl].astype(np.float64), net.t_l[sl].astype(np.float64)
         t_s_n = net.t_s_n[sl].astype(np.float64)
@@ -152,11 +152,8 @@ def networks(draw):
         for col, value in zip(cols, (day, host, (host + shift) % n_users, t_s,
                                      t_s + stay, t_s_n, t_l_n)):
             col.append(value)
-    arrays = [np.array(col, dtype=np.int64) for col in cols]
-    if not arrays[0].size:
-        return DynamicContactNetwork(users[:0], horizon,
-                                     *(np.empty(0, np.int64) for _ in range(7)))
-    return DynamicContactNetwork._from_arrays(users, horizon, *arrays)
+    return DynamicContactNetwork._from_arrays(
+        users, horizon, *(np.array(col, dtype=np.int64) for col in cols))
 
 
 def configs(n_users, horizon):

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from linkrows import edge_set, from_tuples
 from spdt.metrics import (
     StaticGraph,
     clustering_distribution,
@@ -18,8 +19,7 @@ from spdt.metrics import (
     write_histogram_csv,
     write_summary_csv,
 )
-from spdt.network import BuilderConfig, DynamicContactNetwork, SPDTLink, \
-    extract_spdt_links, project_spst
+from spdt.network import BuilderConfig, extract_spdt_links, project_spst
 from spdt.synth import SynthConfig, generate_trace
 from spdt.trace import ParsedTrace, segment_all
 
@@ -59,20 +59,29 @@ class TestReproductionSeries:
         assert outbreak_size(counts_of([(3, 0), (7, 2)])).tolist() == [10]
 
 
+def graph_of(nodes, edges):
+    """The graph of node-id edges over the sorted node set."""
+    nodes = tuple(sorted(set(nodes)))
+    position = {node: i for i, node in enumerate(nodes)}
+    ends = np.array([(position[a], position[b]) for a, b in edges],
+                    dtype=np.int64).reshape(-1, 2)
+    return StaticGraph(nodes, ends[:, 0], ends[:, 1])
+
+
 class TestStaticGraphBasics:
     def test_triangle_degrees(self):
-        g = StaticGraph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+        g = graph_of("abc", [("a", "b"), ("b", "c"), ("a", "c")])
         assert degree_distribution(g) == {2: 3}
 
     def test_empty_graph(self):
-        g = StaticGraph([], [])
+        g = graph_of([], [])
         assert degree_distribution(g) == {}
         coeffs, mean = clustering_distribution(g)
         assert coeffs == {} and mean == 0.0
 
     def test_star_graph(self):
         nodes = ["c"] + [f"n{i}" for i in range(5)]
-        g = StaticGraph(nodes, [("c", f"n{i}") for i in range(5)])
+        g = graph_of(nodes, [("c", f"n{i}") for i in range(5)])
         dist = degree_distribution(g)
         assert dist == {5: 1, 1: 5}
         coeffs, mean = clustering_distribution(g)
@@ -80,15 +89,15 @@ class TestStaticGraphBasics:
 
     def test_complete_graph_clustering(self):
         nodes = "abcd"
-        g = StaticGraph(nodes, list(combinations(nodes, 2)))
+        g = graph_of(nodes, list(combinations(nodes, 2)))
         coeffs, mean = clustering_distribution(g)
         assert all(c == pytest.approx(1.0) for c in coeffs.values())
         assert mean == pytest.approx(1.0)
 
     def test_four_cycle_with_chord(self):
         # square a-b-c-d with chord a-c: hand-computed coefficients
-        g = StaticGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"),
-                                 ("d", "a"), ("a", "c")])
+        g = graph_of("abcd", [("a", "b"), ("b", "c"), ("c", "d"),
+                              ("d", "a"), ("a", "c")])
         coeffs, mean = clustering_distribution(g)
         # b and d close their single neighbour pair; a and c each carry two
         # triangles over three neighbour pairs
@@ -99,16 +108,17 @@ class TestStaticGraphBasics:
         assert mean == pytest.approx((1 + 1 + 2 / 3 + 2 / 3) / 4)
 
 
-def brute_force_clustering(g: StaticGraph) -> dict[str, float]:
+def brute_force_clustering(nodes, edges) -> dict[str, float]:
     """Triangle enumeration over all node triples (independent oracle)."""
-    triangles = {v: 0 for v in g.nodes}
-    for a, b, c in combinations(g.nodes, 3):
-        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
+    adjacent = set(edges) | {(b, a) for a, b in edges}
+    triangles = {v: 0 for v in nodes}
+    for a, b, c in combinations(nodes, 3):
+        if (a, b) in adjacent and (b, c) in adjacent and (a, c) in adjacent:
             for v in (a, b, c):
                 triangles[v] += 1
     out = {}
-    for v in g.nodes:
-        d = g.degree(v)
+    for v in nodes:
+        d = sum((v, u) in adjacent for u in nodes)
         out[v] = 2.0 * triangles[v] / (d * (d - 1)) if d >= 2 else 0.0
     return out
 
@@ -120,28 +130,25 @@ def test_clustering_matches_triangle_enumeration():
         nodes = [f"n{i}" for i in range(n)]
         edges = [(a, b) for a, b in combinations(nodes, 2)
                  if rng.random() < 0.2]
-        g = StaticGraph(nodes, edges)
-        got, _ = clustering_distribution(g)
-        expect = brute_force_clustering(g)
+        got, _ = clustering_distribution(graph_of(nodes, edges))
+        expect = brute_force_clustering(nodes, edges)
         for v in nodes:
             assert got[v] == pytest.approx(expect[v], abs=1e-12)
 
 
 class TestExposureThresholdGraph:
     def _net(self):
-        return DynamicContactNetwork.from_links([
-            SPDTLink("a", "b", 0, 120, 10, 110, 0),   # strong direct link
-            SPDTLink("c", "d", 0, 1, 1440, 1441, 0),  # negligible dose
+        return from_tuples([
+            ("a", "b", 0, 120, 10, 110, 0),   # strong direct link
+            ("c", "d", 0, 1, 1440, 1441, 0),  # negligible dose
         ], horizon=1)
 
     def test_edges_require_threshold_dose(self):
-        g = static_graph(self._net(), r_t=60.0)
-        assert g.has_edge("a", "b")
-        assert not g.has_edge("c", "d")
+        assert edge_set(static_graph(self._net(), r_t=60.0)) == {("a", "b")}
 
     def test_zero_dose_never_an_edge(self):
-        net = DynamicContactNetwork.from_links(
-            [SPDTLink("a", "b", 0, 0, 50, 50, 0)], horizon=1)  # both degenerate
+        # both segments degenerate
+        net = from_tuples([("a", "b", 0, 0, 50, 50, 0)], horizon=1)
         g = static_graph(net, r_t=60.0)
         assert g.n_edges == 0
 
@@ -149,7 +156,7 @@ class TestExposureThresholdGraph:
         net = self._net()
         lo = static_graph(net, r_t=60.0, threshold=0.001)
         hi = static_graph(net, r_t=60.0, threshold=0.05)
-        assert hi.edges() <= lo.edges()
+        assert edge_set(hi) <= edge_set(lo)
 
     def test_universe_must_cover_network_users(self):
         with pytest.raises(ValueError):
@@ -190,11 +197,11 @@ class TestVariantDominance:
         universe = sdt.users
         g_sdt = static_graph(sdt, r_t=60.0, universe=universe)
         g_sst = static_graph(sst, r_t=60.0, universe=universe)
-        assert g_sst.edges() <= g_sdt.edges()
+        assert edge_set(g_sst) <= edge_set(g_sdt)
         assert set(sst.users) <= set(sdt.users)
         # stochastic dominance of the degree distribution
-        deg_sdt = sorted(g_sdt.degree(v) for v in universe)
-        deg_sst = sorted(g_sst.degree(v) for v in universe)
+        deg_sdt = sorted(g_sdt._degree.tolist())
+        deg_sst = sorted(g_sst._degree.tolist())
         assert all(a >= b for a, b in zip(deg_sdt, deg_sst))
 
     def test_daily_means_dominated(self):
@@ -217,8 +224,7 @@ class TestVariantDominance:
             assert values == sorted(values)
 
     def test_single_day_network_equals_static(self):
-        links = [SPDTLink("a", "b", 0, 120, 10, 110, 0)]
-        net = DynamicContactNetwork.from_links(links, horizon=1)
+        net = from_tuples([("a", "b", 0, 120, 10, 110, 0)], horizon=1)
         rows = daily_network_metrics(net, [60.0])
         g = static_graph(net, r_t=60.0)
         assert len(rows) == 1

@@ -8,12 +8,11 @@ edge sets, degree histograms, per-node coefficients and every daily row
 compared with ``==``, not approximately.
 """
 
-from itertools import combinations
-
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from linkrows import edge_set, from_tuples
 from spdt._kernel import batch_link_exposure
 from spdt.exposure import (
     DEFAULT_GENERATION_RATE,
@@ -29,7 +28,6 @@ from spdt.metrics import (
     degree_distribution,
     static_graph,
 )
-from spdt.network import DynamicContactNetwork, SPDTLink
 
 G, V, P = DEFAULT_GENERATION_RATE, DEFAULT_PROXIMITY_VOLUME, DEFAULT_PULMONARY_RATE
 
@@ -103,8 +101,7 @@ def ref_degree_distribution(graph):
 def ref_daily(net, r_t_values, threshold, nodes):
     rows = []
     for day in range(net.horizon):
-        mask = np.zeros(net.n_links, dtype=bool)
-        mask[net.day_slice(day)] = True
+        mask = net.day == day
         for r_t in r_t_values:
             graph = SetGraph(nodes, ref_edge_set(net, mask, r_t, threshold))
             _, mean_clust = ref_clustering(graph)
@@ -129,8 +126,7 @@ def link(draw, horizon):
     t_l = t_s + draw(st.integers(0, 240))
     t_s_n = draw(st.integers(max(0, t_s - 60), t_l + 200))
     t_l_n = max(t_s_n, t_s + 1) + draw(st.integers(0, 240))
-    return SPDTLink(host, nbr, t_s, t_l, t_s_n, t_l_n,
-                    draw(st.integers(0, horizon - 1)))
+    return host, nbr, t_s, t_l, t_s_n, t_l_n, draw(st.integers(0, horizon - 1))
 
 
 @st.composite
@@ -139,12 +135,12 @@ def network_case(draw):
     links = draw(st.lists(link(horizon), min_size=8, max_size=80))
     # repeat some pairs, in both directions, on other days
     repeats = draw(st.lists(st.sampled_from(links), max_size=15)) if links else []
-    for l in repeats:
+    for host, nbr, *times, _ in repeats:
         day = draw(st.integers(0, horizon - 1))
         if draw(st.booleans()):
-            l = l._replace(host_id=l.neighbour_id, neighbour_id=l.host_id)
-        links.append(l._replace(day=day))
-    net = DynamicContactNetwork.from_links(links, horizon=horizon)
+            host, nbr = nbr, host
+        links.append((host, nbr, *times, day))
+    net = from_tuples(links, horizon=horizon)
     extra = draw(st.lists(st.sampled_from([f"x{i}" for i in range(5)] + USERS),
                           max_size=6))
     universe = tuple(net.users) + tuple(extra) if draw(st.booleans()) else None
@@ -165,10 +161,10 @@ def dense_network(rng):
     t_s_n = t_s + rng.integers(-60, 240, n).clip(-t_s)
     t_l_n = np.maximum(t_s_n, t_s + 1) + rng.integers(0, 240, n)
     days = rng.integers(0, horizon, n)
-    links = [SPDTLink(DENSE_USERS[a], DENSE_USERS[b], *map(int, row))
+    links = [(DENSE_USERS[a], DENSE_USERS[b], *row)
              for (a, b), row in zip(ends.tolist(),
                                     zip(t_s, t_l, t_s_n, t_l_n, days))]
-    return DynamicContactNetwork.from_links(links, horizon=horizon)
+    return from_tuples(links, horizon=horizon)
 
 
 @st.composite
@@ -183,11 +179,9 @@ def assert_graphs_equal(graph, ref):
     assert graph.nodes == ref.nodes
     assert graph.n_nodes == len(ref.nodes)
     assert graph.n_edges == ref.n_edges
-    assert graph.edges() == ref.edges()
+    assert edge_set(graph) == ref.edges()
     assert degree_distribution(graph) == ref_degree_distribution(ref)
-    for node in ref.nodes:
-        assert graph.degree(node) == ref.degree(node)
-        assert graph.neighbours(node) == ref.neighbours(node)
+    assert graph._degree.tolist() == [ref.degree(node) for node in ref.nodes]
     coeffs, mean = clustering_distribution(graph)
     ref_coeffs, ref_mean = ref_clustering(ref)
     assert list(coeffs.items()) == list(ref_coeffs.items())
@@ -214,16 +208,16 @@ def test_daily_metrics_match_set_reference(case):
     assert got == ref_daily(net, r_t_values, threshold, nodes)
 
 
-@given(st.lists(st.tuples(st.sampled_from(DENSE_USERS), st.sampled_from(DENSE_USERS))
-                .filter(lambda e: e[0] != e[1]), max_size=120),
-       st.lists(st.sampled_from(DENSE_USERS), max_size=4))
-def test_string_constructor_matches_set_reference(edges, extra):
-    nodes = sorted({u for e in edges for u in e}) + extra
-    graph = StaticGraph(nodes, edges)
-    ref = SetGraph(nodes, edges)
+@given(st.lists(st.tuples(st.integers(0, len(DENSE_USERS) - 1),
+                          st.integers(0, len(DENSE_USERS) - 1))
+                .filter(lambda e: e[0] != e[1]), max_size=120))
+def test_constructor_matches_set_reference(edges):
+    # repeated and reversed position pairs are one edge
+    nodes = tuple(sorted(DENSE_USERS))
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    graph = StaticGraph(nodes, ends[:, 0], ends[:, 1])
+    ref = SetGraph(nodes, [(nodes[a], nodes[b]) for a, b in edges])
     assert_graphs_equal(graph, ref)
-    for u, v in combinations(ref.nodes, 2):
-        assert graph.has_edge(u, v) == graph.has_edge(v, u) == ((u, v) in ref.edges())
 
 
 def test_block_edges_do_not_change_results(monkeypatch):

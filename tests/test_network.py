@@ -1,12 +1,13 @@
 """Construction rules for links and the derived network variants."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from linkrows import from_tuples, to_tuples
 from spdt.network import (
     BuilderConfig,
-    DynamicContactNetwork,
-    SPDTLink,
     densify,
     extract_spdt_links,
     load_network,
@@ -25,9 +26,8 @@ def extract(visits, updates, cfg=CFG):
 
 
 def the_link(net):
-    links = list(net.iter_links())
-    assert len(links) == 1
-    return links[0]
+    (link,) = to_tuples(net)
+    return link
 
 
 class TestExtractRules:
@@ -35,13 +35,13 @@ class TestExtractRules:
         host_visit = Visit("h", 0.0, 0.0, 0.0, 30.0)
         ups = [LocationUpdate("v", 10.0, 5.0, 0.0), LocationUpdate("v", 20.0, 5.0, 0.0)]
         link = the_link(extract([host_visit], ups))
-        assert link == SPDTLink("h", "v", 0, 30, 10, 20, 0)
+        assert link == ("h", "v", 0, 30, 10, 20, 0)
 
     def test_indirect_only_hand_trace(self):
         host_visit = Visit("h", 0.0, 0.0, 0.0, 30.0)
         ups = [LocationUpdate("v", 100.0, 3.0, 4.0), LocationUpdate("v", 150.0, 3.0, 4.0)]
         link = the_link(extract([host_visit], ups))
-        assert link == SPDTLink("h", "v", 0, 30, 100, 150, 0)
+        assert link == ("h", "v", 0, 30, 100, 150, 0)
 
     def test_25m_excluded(self):
         host_visit = Visit("h", 0.0, 0.0, 0.0, 30.0)
@@ -64,8 +64,7 @@ class TestExtractRules:
     def test_departure_truncated_at_window_end(self):
         host_visit = Visit("h", 0.0, 0.0, 0.0, 30.0)
         ups = [LocationUpdate("v", 100.0, 0.0, 0.0), LocationUpdate("v", 230.0, 0.0, 0.0)]
-        link = the_link(extract([host_visit], ups))
-        assert (link.t_s_n, link.t_l_n) == (100, 230)
+        assert the_link(extract([host_visit], ups))[4:6] == (100, 230)
 
     def test_co_presence_yields_two_directed_links(self):
         visits = [Visit("a", 0.0, 0.0, 0.0, 30.0), Visit("b", 1.0, 0.0, 5.0, 25.0)]
@@ -74,7 +73,7 @@ class TestExtractRules:
             LocationUpdate("b", 5.0, 1.0, 0.0), LocationUpdate("b", 25.0, 1.0, 0.0),
         ]
         net = extract(visits, ups)
-        pairs = {(l.host_id, l.neighbour_id) for l in net.iter_links()}
+        pairs = {link[:2] for link in to_tuples(net)}
         assert pairs == {("a", "b"), ("b", "a")}
 
     def test_one_link_per_host_visit(self):
@@ -97,7 +96,7 @@ class TestExtractRules:
     def test_day_index_from_host_start(self):
         host_visit = Visit("h", 0.0, 0.0, 1500.0, 1530.0)
         ups = [LocationUpdate("v", 1510.0, 1.0, 0.0)]
-        assert the_link(extract([host_visit], ups)).day == 1
+        assert the_link(extract([host_visit], ups))[6] == 1
 
 
 class TestBuilderConfig:
@@ -112,41 +111,34 @@ class TestBuilderConfig:
 
 class TestNetworkContainer:
     def test_isolated_users_not_carried(self):
-        net = DynamicContactNetwork.from_links(
-            [SPDTLink("a", "b", 0, 10, 5, 8, 0)], horizon=2)
+        net = from_tuples([("a", "b", 0, 10, 5, 8, 0)], horizon=2)
         assert net.users == ("a", "b")
 
     def test_self_link_rejected(self):
         with pytest.raises(ValueError):
-            DynamicContactNetwork.from_links(
-                [SPDTLink("a", "a", 0, 10, 5, 8, 0)], horizon=1)
+            from_tuples([("a", "a", 0, 10, 5, 8, 0)], horizon=1)
 
     def test_day_slices_cover_links(self):
-        links = [SPDTLink("a", "b", 0, 10, 5, 8, 0),
-                 SPDTLink("a", "b", 1500, 1510, 1505, 1508, 1),
-                 SPDTLink("b", "a", 1500, 1510, 1505, 1508, 1)]
-        net = DynamicContactNetwork.from_links(links, horizon=3)
+        links = [("a", "b", 0, 10, 5, 8, 0),
+                 ("a", "b", 1500, 1510, 1505, 1508, 1),
+                 ("b", "a", 1500, 1510, 1505, 1508, 1)]
+        net = from_tuples(links, horizon=3)
         assert list(net.day_link_counts()) == [1, 2, 0]
-        sl = net.day_slice(1)
-        assert sl.stop - sl.start == 2
 
 
 class TestProjectSPST:
     def test_mixed_link_truncated(self):
-        net = DynamicContactNetwork.from_links(
-            [SPDTLink("a", "b", 0, 30, 10, 100, 0)], horizon=1)
-        link = the_link(project_spst(net))
-        assert (link.t_s_n, link.t_l_n) == (10, 30)
+        net = from_tuples([("a", "b", 0, 30, 10, 100, 0)], horizon=1)
+        assert the_link(project_spst(net))[4:6] == (10, 30)
 
     def test_indirect_only_removed(self):
-        net = DynamicContactNetwork.from_links(
-            [SPDTLink("a", "b", 0, 30, 100, 150, 0)], horizon=1)
+        net = from_tuples([("a", "b", 0, 30, 100, 150, 0)], horizon=1)
         assert project_spst(net).n_links == 0
 
     def test_user_connected_only_indirectly_dropped(self):
-        net = DynamicContactNetwork.from_links([
-            SPDTLink("a", "b", 0, 30, 10, 20, 0),
-            SPDTLink("a", "c", 0, 30, 100, 150, 0),
+        net = from_tuples([
+            ("a", "b", 0, 30, 10, 20, 0),
+            ("a", "c", 0, 30, 100, 150, 0),
         ], horizon=1)
         proj = project_spst(net)
         assert proj.users == ("a", "b")
@@ -163,37 +155,35 @@ class TestProjectSPST:
 
 class TestDensify:
     def test_single_active_day_fills_horizon(self):
-        links = [SPDTLink("h", "v", 3 * 1440, 3 * 1440 + 30, 3 * 1440 + 10,
-                          3 * 1440 + 20, 3)]
-        net = DynamicContactNetwork.from_links(links, horizon=32)
+        links = [("h", "v", 3 * 1440, 3 * 1440 + 30, 3 * 1440 + 10, 3 * 1440 + 20, 3)]
+        net = from_tuples(links, horizon=32)
         dense = densify(net, rng_seed=0)
         assert list(dense.day_link_counts()) == [1] * 32
         # time-shifted copies keep the within-day offsets
-        for link in dense.iter_links():
-            assert link.t_s == link.day * 1440
-            assert (link.t_l - link.t_s, link.t_s_n - link.t_s,
-                    link.t_l_n - link.t_s) == (30, 10, 20)
+        for _, _, t_s, t_l, t_s_n, t_l_n, day in to_tuples(dense):
+            assert t_s == day * 1440
+            assert (t_l - t_s, t_s_n - t_s, t_l_n - t_s) == (30, 10, 20)
 
     def test_host_active_every_day_unchanged(self):
-        links = [SPDTLink("h", "v", d * 1440, d * 1440 + 10, d * 1440 + 2,
-                          d * 1440 + 8, d) for d in range(4)]
-        net = DynamicContactNetwork.from_links(links, horizon=4)
+        links = [("h", "v", d * 1440, d * 1440 + 10, d * 1440 + 2, d * 1440 + 8, d)
+                 for d in range(4)]
+        net = from_tuples(links, horizon=4)
         assert densify(net, rng_seed=1) == net
 
     def test_original_days_bit_identical(self):
-        links = [SPDTLink("h", "v", 1440, 1460, 1445, 1455, 1),
-                 SPDTLink("x", "y", 0, 60, 10, 50, 0)]
-        net = DynamicContactNetwork.from_links(links, horizon=5)
+        links = [("h", "v", 1440, 1460, 1445, 1455, 1),
+                 ("x", "y", 0, 60, 10, 50, 0)]
+        net = from_tuples(links, horizon=5)
         dense = densify(net, rng_seed=9)
-        originals = {(l.host_id, l.day): l for l in net.iter_links()}
-        for link in dense.iter_links():
-            if (link.host_id, link.day) in originals:
-                assert link == originals[(link.host_id, link.day)]
+        originals = {(link[0], link[6]): link for link in to_tuples(net)}
+        for link in to_tuples(dense):
+            if (link[0], link[6]) in originals:
+                assert link == originals[(link[0], link[6])]
 
     def test_seed_changes_source_days_not_structure(self):
-        links = [SPDTLink("h", "v", 0, 30, 10, 20, 0),
-                 SPDTLink("h", "w", 1440, 1470, 1450, 1460, 1)]
-        net = DynamicContactNetwork.from_links(links, horizon=20)
+        links = [("h", "v", 0, 30, 10, 20, 0),
+                 ("h", "w", 1440, 1470, 1450, 1460, 1)]
+        net = from_tuples(links, horizon=20)
         d0, d1 = densify(net, rng_seed=0), densify(net, rng_seed=1)
         assert list(d0.day_link_counts()) == [1] * 20
         assert list(d1.day_link_counts()) == [1] * 20
@@ -202,25 +192,20 @@ class TestDensify:
 
 class TestMakeLdtLst:
     def test_indirect_link_rewritten_with_duration_preserved(self):
-        net = DynamicContactNetwork.from_links(
-            [SPDTLink("a", "b", 0, 30, 100, 150, 0)], horizon=1)
+        net = from_tuples([("a", "b", 0, 30, 100, 150, 0)], horizon=1)
         ldt, lst = make_ldt_lst(net)
-        link = the_link(ldt)
-        assert (link.t_s, link.t_l, link.t_s_n, link.t_l_n) == (0, 30, 0, 50)
-        assert the_link(lst).t_l_n == 30
+        assert the_link(ldt)[2:6] == (0, 30, 0, 50)
+        assert the_link(lst)[5] == 30
 
     def test_keep_departure_mode(self):
-        net = DynamicContactNetwork.from_links(
-            [SPDTLink("a", "b", 0, 30, 100, 150, 0)], horizon=1)
+        net = from_tuples([("a", "b", 0, 30, 100, 150, 0)], horizon=1)
         ldt, _ = make_ldt_lst(net, keep_departure=True)
-        link = the_link(ldt)
-        assert (link.t_s_n, link.t_l_n) == (0, 150)
+        assert the_link(ldt)[4:6] == (0, 150)
 
     def test_mixed_link_unchanged(self):
-        net = DynamicContactNetwork.from_links(
-            [SPDTLink("a", "b", 0, 30, 10, 100, 0)], horizon=1)
+        net = from_tuples([("a", "b", 0, 30, 10, 100, 0)], horizon=1)
         ldt, _ = make_ldt_lst(net)
-        assert the_link(ldt) == SPDTLink("a", "b", 0, 30, 10, 100, 0)
+        assert the_link(ldt) == ("a", "b", 0, 30, 10, 100, 0)
 
     def test_user_sets_and_daily_counts_equal(self):
         cfg = SynthConfig(n_users=200, days=6, rng_seed=5, n_locations=15,
@@ -252,9 +237,9 @@ def _variants(parsed, horizon):
 
 class TestPersistence:
     def _sample_net(self):
-        return DynamicContactNetwork.from_links([
-            SPDTLink("a", "b", 0, 30, 10, 100, 0),
-            SPDTLink("b", "a", 1500, 1540, 1500, 1520, 1),
+        return from_tuples([
+            ("a", "b", 0, 30, 10, 100, 0),
+            ("b", "a", 1500, 1540, 1500, 1520, 1),
         ], horizon=3)
 
     def test_round_trip(self, tmp_path):
@@ -263,6 +248,14 @@ class TestPersistence:
         save_network(net, path)
         assert load_network(path) == net
 
+    @pytest.mark.parametrize("protocol", [2, 4, 5])
+    def test_pickle_round_trip(self, protocol):
+        net = self._sample_net()
+        loaded = pickle.loads(pickle.dumps(net, protocol=protocol))
+        assert loaded == net
+        assert not any(getattr(loaded, f).flags.writeable for f in
+                       ("day", "host", "nbr", "t_s", "t_l", "t_s_n", "t_l_n"))
+
     def test_header_format(self, tmp_path):
         path = tmp_path / "net.spdt"
         save_network(self._sample_net(), path)
@@ -270,7 +263,7 @@ class TestPersistence:
         assert first == "spdt-net v1 horizon=3"
 
     def test_empty_network(self, tmp_path):
-        net = DynamicContactNetwork.from_links([], horizon=4)
+        net = from_tuples([], horizon=4)
         path = tmp_path / "empty.spdt"
         save_network(net, path)
         loaded = load_network(path)
@@ -284,17 +277,25 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_network(path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    def header_fault(self, tmp_path, header):
+        # the malformed body line would name line 2 if it were parsed
         path = tmp_path / "net.spdt"
-        path.write_text("spdt-net v2 horizon=3\n")
-        with pytest.raises(ValueError, match="version"):
+        path.write_text(f"{header}\n0 a b\n")
+        with pytest.raises(ValueError) as info:
             load_network(path)
+        return str(info.value).replace(f"{path}:", "path:", 1)
+
+    def test_version_mismatch_rejected(self, tmp_path):
+        assert self.header_fault(tmp_path, "spdt-net v2 horizon=3") == (
+            "path:1: network format version 2 unsupported (expected 1)")
 
     def test_garbage_header_rejected(self, tmp_path):
-        path = tmp_path / "net.spdt"
-        path.write_text("something else\n")
-        with pytest.raises(ValueError, match="header"):
-            load_network(path)
+        assert self.header_fault(tmp_path, "something else") == (
+            "path:1: not a network file: bad header 'something else'")
+
+    def test_zero_horizon_rejected_at_header(self, tmp_path):
+        assert self.header_fault(tmp_path, "spdt-net v1 horizon=0") == (
+            "path:1: horizon must be at least 1")
 
     @pytest.mark.parametrize("row, message", [
         ("0 a a 0 10 5 8", "link connects a user to itself"),
@@ -313,7 +314,6 @@ class TestPersistence:
         assert str(info.value) == f"{path}:3: {message}"
 
     def test_whitespace_user_id_rejected_on_save(self, tmp_path):
-        net = DynamicContactNetwork.from_links(
-            [SPDTLink("a b", "c", 0, 10, 5, 8, 0)], horizon=1)
+        net = from_tuples([("a b", "c", 0, 10, 5, 8, 0)], horizon=1)
         with pytest.raises(ValueError):
             save_network(net, tmp_path / "net.spdt")

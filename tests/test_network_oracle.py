@@ -4,7 +4,7 @@ and network I/O.
 The references below are the earlier implementations: extraction as one
 Python iteration per visit over every update in the 3x3 grid cells,
 densification as one Python iteration per host and missing day followed by
-a full canonical sort, saving one formatted line per `SPDTLink`, and
+a full canonical sort, saving one formatted line per link, and
 loading one parsed line at a time. The package's array passes must agree
 with them exactly: networks compared with ``==`` (users, horizon and every
 array in canonical order), files compared byte for byte, and load errors
@@ -20,12 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkrows import from_tuples, to_tuples
 from spdt import network
 from spdt.network import (
     NETWORK_FORMAT_VERSION,
     BuilderConfig,
     DynamicContactNetwork,
-    SPDTLink,
     densify,
     extract_spdt_links,
     load_network,
@@ -44,7 +44,7 @@ def ref_extract(visits, updates, cfg):
     radius2 = cfg.radius_m * cfg.radius_m
 
     if not updates or not visits:
-        return DynamicContactNetwork.from_links([], cfg.horizon_days)
+        return from_tuples([], cfg.horizon_days)
 
     user_ids = sorted({u.user_id for u in updates})
     code_of = {u: i for i, u in enumerate(user_ids)}
@@ -107,11 +107,10 @@ def ref_extract(visits, updates, cfg):
             t_l_n = min(int(round(last)), window_end)
             if t_s_n >= window_end or t_l_n <= t_s:
                 continue
-            links.append(SPDTLink(
-                visit.user_id, user_ids[nbr_code], t_s, t_l, t_s_n, t_l_n, day,
-            ))
+            links.append((visit.user_id, user_ids[nbr_code], t_s, t_l, t_s_n,
+                          t_l_n, day))
 
-    return DynamicContactNetwork.from_links(links, cfg.horizon_days)
+    return from_tuples(links, cfg.horizon_days)
 
 
 def ref_save(net, path):
@@ -120,9 +119,8 @@ def ref_save(net, path):
             raise ValueError(f"user id {user!r} not representable in network format")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"spdt-net v{NETWORK_FORMAT_VERSION} horizon={net.horizon}\n")
-        for link in net.iter_links():
-            fh.write(f"{link.day} {link.host_id} {link.neighbour_id} "
-                     f"{link.t_s} {link.t_l} {link.t_s_n} {link.t_l_n}\n")
+        for host, nbr, t_s, t_l, t_s_n, t_l_n, day in to_tuples(net):
+            fh.write(f"{day} {host} {nbr} {t_s} {t_l} {t_s_n} {t_l_n}\n")
 
 
 def ref_load(path):
@@ -130,14 +128,13 @@ def ref_load(path):
         header = fh.readline().rstrip("\n")
         m = re.match(r"^spdt-net v(\d+) horizon=(\d+)$", header)
         if m is None:
-            raise ValueError(f"not a network file: bad header {header!r}")
-        version = int(m.group(1))
+            raise ValueError(f"{path}:1: not a network file: bad header {header!r}")
+        version, horizon = int(m.group(1)), int(m.group(2))
         if version != NETWORK_FORMAT_VERSION:
-            raise ValueError(
-                f"network format version {version} unsupported "
-                f"(expected {NETWORK_FORMAT_VERSION})"
-            )
-        horizon = int(m.group(2))
+            raise ValueError(f"{path}:1: network format version {version} "
+                             f"unsupported (expected {NETWORK_FORMAT_VERSION})")
+        if horizon < 1:
+            raise ValueError(f"{path}:1: horizon must be at least 1")
         links = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -153,8 +150,8 @@ def ref_load(path):
                 t_s, t_l, t_s_n, t_l_n = map(int, parts[3:7])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer field") from exc
-            links.append(SPDTLink(parts[1], parts[2], t_s, t_l, t_s_n, t_l_n, day))
-    return DynamicContactNetwork.from_links(links, horizon)
+            links.append((parts[1], parts[2], t_s, t_l, t_s_n, t_l_n, day))
+    return from_tuples(links, horizon)
 
 
 def ref_densify(net, rng_seed):
@@ -186,7 +183,7 @@ def ref_densify(net, rng_seed):
     cat = {f: np.concatenate([getattr(net, f)] + extra[f]) for f in extra}
     order = np.lexsort((cat["t_l_n"], cat["t_s_n"], cat["nbr"], cat["t_s"],
                         cat["host"], cat["day"]))
-    return DynamicContactNetwork(
+    return DynamicContactNetwork._from_arrays(
         net.users, net.horizon, *(cat[f][order] for f in extra))
 
 
@@ -309,14 +306,13 @@ def link(draw, horizon):
     t_l = t_s + draw(st.integers(0, 240))
     t_s_n = draw(st.integers(t_s - 60, t_l + 200))
     t_l_n = max(t_s_n, t_s + 1) + draw(st.integers(0, 240))
-    return SPDTLink(host, nbr, t_s, t_l, t_s_n, t_l_n, draw(st.integers(0, horizon - 1)))
+    return host, nbr, t_s, t_l, t_s_n, t_l_n, draw(st.integers(0, horizon - 1))
 
 
 @st.composite
 def saved_network(draw):
     horizon = draw(st.integers(1, 3))
-    links = draw(st.lists(link(horizon), max_size=30))
-    return DynamicContactNetwork.from_links(links, horizon)
+    return from_tuples(draw(st.lists(link(horizon), max_size=30)), horizon)
 
 
 @given(saved_network(), st.sampled_from([1, 4, 1 << 13]))
@@ -409,7 +405,7 @@ def dense_link(draw, host, day):
     t_l = t_s + draw(st.integers(0, 2))
     t_s_n = t_s + draw(st.integers(-1, 3))
     t_l_n = max(t_s_n, t_s + 1) + draw(st.integers(0, 2))
-    return SPDTLink(host, nbr, t_s, t_l, t_s_n, t_l_n, day)
+    return host, nbr, t_s, t_l, t_s_n, t_l_n, day
 
 
 @st.composite
@@ -426,7 +422,7 @@ def densify_case(draw):
         ))
         for day in days:
             links += draw(st.lists(dense_link(host, day), min_size=1, max_size=3))
-    net = DynamicContactNetwork.from_links(draw(st.permutations(links)), horizon)
+    net = from_tuples(draw(st.permutations(links)), horizon)
     return net, draw(st.sampled_from([0, 1, 5, 2**40 + 3]))
 
 
@@ -448,11 +444,11 @@ def test_densify_matches_reference_on_synthetic_network():
 
 
 def test_densify_calls_no_sort():
-    net = DynamicContactNetwork.from_links([
-        SPDTLink("h", "v", 2 * MINUTES_PER_DAY, 2 * MINUTES_PER_DAY + 30,
-                 2 * MINUTES_PER_DAY + 5, 2 * MINUTES_PER_DAY + 40, 2),
-        SPDTLink("v", "h", 10, 20, 15, 25, 0),
-        SPDTLink("v", "w", 5, 20, 15, 25, 0),
+    net = from_tuples([
+        ("h", "v", 2 * MINUTES_PER_DAY, 2 * MINUTES_PER_DAY + 30,
+         2 * MINUTES_PER_DAY + 5, 2 * MINUTES_PER_DAY + 40, 2),
+        ("v", "h", 10, 20, 15, 25, 0),
+        ("v", "w", 5, 20, 15, 25, 0),
     ], horizon=4)
     fail = mock.Mock(side_effect=AssertionError("densify sorted"))
     with mock.patch.multiple(np, lexsort=fail, argsort=fail, sort=fail):

@@ -433,6 +433,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--r-t" in err and "missing.spdt" not in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--r-t", "10,0", "--daily"], "--r-t"),
+        (["--r-t", "nan"], "--r-t"),
+        (["--threshold", "-1"], "--threshold"),
+        (["--threshold", "inf", "--daily"], "--threshold"),
+    ])
+    def test_metrics_out_of_range_named_before_any_output(self, tmp_path, capsys,
+                                                          flags, named):
+        net = tmp_path / "ok.spdt"
+        net.write_text("spdt-net v1 horizon=1\n0 a b 0 30 10 20\n")
+        assert main(["metrics", "--net", str(net), "--out-prefix",
+                     str(tmp_path / "x_"), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert named in err and out == ""
+        assert not list(tmp_path.glob("x_*"))
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("r_t = 35\nsgima = 0.4\n")  # typo must not pass silently
