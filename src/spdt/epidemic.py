@@ -23,10 +23,10 @@ run-major, ascending-link order, so every run sees its links, draws and
 dose sums in the order a run stepped alone would.
 
 The stepper reads the network's own columns. Host link ranges come from the
-network module's (day, host) offsets tables, made once per
-``run_simulation`` call, and each block-day gathers its links' int64
-times, which the kernel converts to float64 exactly, one kernel block at a
-time; no per-network copy of the columns is kept.
+network's (day, host) link index, built once with the network, and each
+block-day gathers its links' int64 times, which the kernel converts to
+float64 exactly, one kernel block at a time; no per-network copy of the
+columns is kept.
 
 Randomness is organised as named substreams keyed by
 (rng_seed, run, stream, day), so results are reproducible for any worker
@@ -54,7 +54,7 @@ from .exposure import (
     DEFAULT_SIGMA,
     check_positive,
 )
-from .network import _ROW_BLOCK, DynamicContactNetwork, _host_offsets, _ranges
+from .network import _ROW_BLOCK, DynamicContactNetwork, _ranges
 
 SUSCEPTIBLE = 0
 INFECTED = 1
@@ -208,7 +208,6 @@ def _draw_tau(rng: np.random.Generator | None, n: int,
 
 def _step_block(
     net: DynamicContactNetwork,
-    offsets: tuple[np.ndarray, np.ndarray],
     state: PopulationState,
     day: int,
     cfg: SimulationConfig,
@@ -217,9 +216,9 @@ def _step_block(
 ) -> None:
     """Advance a block of runs by one day in place.
 
-    ``state`` holds one row per run and ``offsets`` is _host_offsets(net);
-    ``seeds``, of shape (runs, 3, 4), holds the day's _stream_seeds of each
-    run, and the day's counts are written into ``row``, of shape (runs, 3).
+    ``state`` holds one row per run; ``seeds``, of shape (runs, 3, 4), holds
+    the day's _stream_seeds of each run, and the day's counts are written
+    into ``row``, of shape (runs, 3).
     A run's generator for a stream is built at most once, when drawn from.
     """
     from ._rng import generator
@@ -245,7 +244,9 @@ def _step_block(
         # to the host's link range: (run, link) pairs in ascending link order
         # within each run, the order a per-run step would visit them in
         run, host = np.nonzero((status == INFECTED) & (day_infected <= day))
-        first, count = (table[day, host] for table in offsets)
+        cells = net._cells[day]
+        first = cells[host]
+        count = cells[host + 1] - first
         link = _ranges(first, count)
         key = np.repeat(run * n_users, count) + net.nbr[link]
         susceptible = status.ravel()[key] == SUSCEPTIBLE
@@ -296,7 +297,7 @@ def step_day(
     block = PopulationState(states.status[None].copy(),
                             states.day_infected[None].copy(), states.tau[None].copy())
     row = np.empty((1, 3), dtype=np.int64)
-    _step_block(net, _host_offsets(net), block, day, cfg,
+    _step_block(net, block, day, cfg,
                 _stream_seeds(cfg.rng_seed, [run], [day])[:, 0], row)
     return PopulationState(block.status[0], block.day_infected[0], block.tau[0]), row[0]
 
@@ -327,23 +328,22 @@ def _seeded_block(n_users: int, cfg: SimulationConfig, runs: range) -> Populatio
 
 
 def _simulate_block(
-    net: DynamicContactNetwork, offsets: tuple[np.ndarray, np.ndarray],
-    cfg: SimulationConfig, block: range
+    net: DynamicContactNetwork, cfg: SimulationConfig, block: range
 ) -> np.ndarray:
     """Counts of the runs ``block``, stepped in lockstep."""
     state = _seeded_block(net.n_users, cfg, block)
     seeds = _stream_seeds(cfg.rng_seed, block, range(cfg.horizon_days))
     counts = np.empty((len(block), cfg.horizon_days, 3), dtype=np.int64)
     for day in range(cfg.horizon_days):
-        _step_block(net, offsets, state, day, cfg, seeds[:, day], counts[:, day])
+        _step_block(net, state, day, cfg, seeds[:, day], counts[:, day])
     return counts
 
 
 _POOL_STATE: dict = {}
 
 
-def _pool_init(net, offsets, cfg):
-    _POOL_STATE["args"] = (net, offsets, cfg)
+def _pool_init(net, cfg):
+    _POOL_STATE["args"] = (net, cfg)
 
 
 def _pool_block(block: range) -> np.ndarray:
@@ -379,17 +379,16 @@ def run_simulation(
     if cfg.seeds > net.n_users:
         raise ValueError(f"seeds={cfg.seeds} exceeds population {net.n_users}")
     workers = resolve_workers(workers)
-    offsets = _host_offsets(net)
     size = min(_block_runs(net), max(1, _BLOCK_KEYS // (3 * cfg.horizon_days)))
     blocks = [range(start, min(start + size, cfg.runs))
               for start in range(0, cfg.runs, size)]
     if workers == 1 or len(blocks) == 1:
-        parts = [_simulate_block(net, offsets, cfg, block) for block in blocks]
+        parts = [_simulate_block(net, cfg, block) for block in blocks]
     else:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(blocks)),
             initializer=_pool_init,
-            initargs=(net, offsets, cfg),
+            initargs=(net, cfg),
         ) as pool:
             parts = list(pool.map(_pool_block, blocks))
     return np.concatenate(parts)

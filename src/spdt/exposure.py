@@ -1,4 +1,4 @@
-"""Airborne exposure model: particle concentration, inhaled dose, infection risk.
+"""Airborne exposure model: per-link inhaled dose and infection risk.
 
 An infected host deposits infectious particles at a constant rate while
 present at a location. The ambient concentration rises toward the steady
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,11 +53,6 @@ class EnvironmentParams:
     def __post_init__(self):
         for name in ("g", "V", "p", "r"):
             check_positive(name, getattr(self, name))
-
-    @property
-    def steady_state(self) -> float:
-        """Saturation concentration g/(rV), PFU per cubic metre."""
-        return self.g / (self.r * self.V)
 
 
 def default_env(r: float) -> EnvironmentParams:
@@ -109,34 +103,6 @@ class LinkInterval:
         return "mixed"
 
 
-def concentration_during_presence(env: EnvironmentParams, t_s: float, t: float) -> float:
-    """Concentration at time t while the host, arrived at t_s, is present.
-
-    Rises from zero at arrival toward the steady state g/(rV).
-    """
-    if t < t_s:
-        raise ValueError(f"t={t} precedes host arrival t_s={t_s}")
-    return env.steady_state * -math.expm1(-env.r * (t - t_s))
-
-
-def concentration_after_departure(
-    env: EnvironmentParams, t_s: float, t_l: float, t: float
-) -> float:
-    """Concentration at time t >= t_l after the host left at t_l.
-
-    Continuous with the presence curve at t = t_l, then decays as e^{-r(t-t_l)}.
-    """
-    if t_l < t_s:
-        raise ValueError(f"departure t_l={t_l} precedes arrival t_s={t_s}")
-    if t < t_l:
-        raise ValueError(f"t={t} precedes host departure t_l={t_l}")
-    return (
-        env.steady_state
-        * -math.expm1(-env.r * (t_l - t_s))
-        * math.exp(-env.r * (t - t_l))
-    )
-
-
 def link_exposure(env: EnvironmentParams, link: LinkInterval) -> float:
     """Particles inhaled by the neighbour over one link (PFU).
 
@@ -158,61 +124,9 @@ def link_exposure(env: EnvironmentParams, link: LinkInterval) -> float:
     return float(out[0])
 
 
-def total_exposure(exposures: Iterable[float]) -> float:
-    """Total dose received over an observation window (sum of link doses)."""
-    values = list(exposures)
-    for value in values:
-        if value < 0.0:
-            raise ValueError(f"negative link exposure {value!r}")
-    return math.fsum(values)
-
-
 def infection_probability(exposure: float, sigma: float) -> float:
     """Dose-response conversion: P = 1 - e^{-sigma * exposure}, in [0, 1)."""
     if exposure < 0.0:
         raise ValueError(f"exposure must be non-negative, got {exposure!r}")
     check_positive("sigma", sigma)
     return -math.expm1(-sigma * exposure)
-
-
-def emit_concentration_curve(
-    env: EnvironmentParams,
-    t_s: float,
-    t_l: float,
-    horizon: float,
-    step: float,
-) -> list[tuple[float, float]]:
-    """Sample the rise-and-decay concentration curve on [t_s, horizon].
-
-    Samples the presence curve every `step` minutes on [t_s, t_l] and the
-    post-departure decay on (t_l, horizon]; the junction at t_l appears
-    exactly once. All values lie in [0, g/(rV)].
-    """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
-    if t_l < t_s:
-        raise ValueError(f"departure t_l={t_l} precedes arrival t_s={t_s}")
-    if horizon < t_l:
-        raise ValueError(f"horizon {horizon} precedes departure t_l={t_l}")
-
-    points: list[tuple[float, float]] = []
-    t = t_s
-    while t < t_l:
-        points.append((t, concentration_during_presence(env, t_s, t)))
-        t += step
-    points.append((t_l, concentration_during_presence(env, t_s, t_l)))
-    t = t_l + step
-    while t < horizon:
-        points.append((t, concentration_after_departure(env, t_s, t_l, t)))
-        t += step
-    if horizon > t_l:
-        points.append((horizon, concentration_after_departure(env, t_s, t_l, horizon)))
-    return points
-
-
-def write_concentration_csv(points: Sequence[tuple[float, float]], path) -> None:
-    """Write curve samples as `time_min,concentration_pfu_m3` rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("time_min,concentration_pfu_m3\n")
-        for t, c in points:
-            fh.write(f"{t!r},{c!r}\n")

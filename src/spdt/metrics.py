@@ -231,15 +231,17 @@ def daily_network_metrics(
     check_positive("threshold", threshold)
     nodes, node_of = _graph_nodes(net, universe)
     host, nbr = node_of[net.host], node_of[net.nbr]
-    # links are sorted by day: cut each r_t's strong links at the day bounds
+    # links are sorted by day: cut each r_t's strong links at the day bounds,
+    # the first and last columns of the (day, host) index
+    bounds = net._cells[:, [0, -1]]
     strong_by_r_t = []
     for r_t in r_t_values:
         strong = _strong_links(net, r_t, threshold)
-        strong_by_r_t.append((strong, np.searchsorted(strong, net._day_bounds)))
+        strong_by_r_t.append((strong, np.searchsorted(strong, bounds)))
     rows = []
     for day in range(net.horizon):
         for r_t, (strong, cuts) in zip(r_t_values, strong_by_r_t):
-            idx = strong[cuts[day]:cuts[day + 1]]
+            idx = strong[cuts[day, 0]:cuts[day, 1]]
             graph = StaticGraph(nodes, host[idx], nbr[idx])
             _, mean_clust = clustering_distribution(graph)
             mean_deg = 2.0 * graph.n_edges / graph.n_nodes if graph.n_nodes else 0.0

@@ -61,10 +61,15 @@ class DynamicContactNetwork:
     neighbour, t_s_n, t_l_n). Users are exactly those appearing in at least
     one link; isolated users are never carried. Build one with
     ``_from_arrays``, which validates and sorts.
+
+    ``_cells`` is the (day, host) link index, a (horizon, n_users + 1) int64
+    table built once here: host h's links on day d are rows
+    [_cells[d, h], _cells[d, h + 1]), and the last column, a host without
+    links, ends the day. It costs horizon * (n_users + 1) * 8 bytes.
     """
 
     __slots__ = ("users", "horizon", "day", "host", "nbr",
-                 "t_s", "t_l", "t_s_n", "t_l_n", "_day_bounds")
+                 "t_s", "t_l", "t_s_n", "t_l_n", "_cells")
 
     def __reduce__(self):
         # the columns are read-only, so they are pickled as they are
@@ -84,7 +89,14 @@ class DynamicContactNetwork:
         self.t_l_n = t_l_n
         for arr in (day, host, nbr, t_s, t_l, t_s_n, t_l_n):
             arr.setflags(write=False)
-        self._day_bounds = np.searchsorted(day, np.arange(self.horizon + 1))
+        # one search per day over a view of that day's hosts: no per-link
+        # temporary is made
+        bounds = np.searchsorted(day, np.arange(self.horizon + 1)).tolist()
+        users = np.arange(self.n_users + 1)
+        self._cells = np.empty((self.horizon, users.size), dtype=np.int64)
+        for d, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            self._cells[d] = np.searchsorted(host[lo:hi], users)
+            self._cells[d] += lo
 
     @classmethod
     def _from_arrays(cls, users, horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n):
@@ -123,7 +135,7 @@ class DynamicContactNetwork:
         return len(self.users)
 
     def day_link_counts(self) -> np.ndarray:
-        return np.diff(self._day_bounds)
+        return self._cells[:, -1] - self._cells[:, 0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DynamicContactNetwork):
@@ -198,17 +210,6 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     ends = np.cumsum(count)
     total = int(ends[-1]) if ends.size else 0
     return np.arange(total) + np.repeat(first - (ends - count), count)
-
-
-def _host_offsets(net: DynamicContactNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Link ranges by (day, host), two (horizon, n_users) tables: host h's
-    links on day d are rows [first[d, h], first[d, h] + count[d, h]), as
-    links are in canonical (day, host, ...) order."""
-    key = net.day * net.n_users
-    key += net.host
-    offsets = np.searchsorted(key, np.arange(net.horizon * net.n_users + 1))
-    shape = (net.horizon, net.n_users)
-    return offsets[:-1].reshape(shape), np.diff(offsets).reshape(shape)
 
 
 def _find(distinct: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -342,11 +343,13 @@ def extract_spdt_links(
 def project_spst(net: DynamicContactNetwork) -> DynamicContactNetwork:
     """Same-time projection: truncate links at host departure, drop indirect-only.
 
-    Links whose neighbour arrives at or after the host leaves are removed;
+    Links whose neighbour arrives at or after the host leaves are removed, as
+    are links of a zero-minute host visit, which have no same-time window;
     the rest are capped at the host departure time. Users left without links
     disappear from the user set.
     """
     keep = net.t_s_n < net.t_l
+    keep &= net.t_s < net.t_l
     return DynamicContactNetwork._from_arrays(
         net.users, net.horizon,
         net.day[keep], net.host[keep], net.nbr[keep],
@@ -373,7 +376,10 @@ def densify(net: DynamicContactNetwork,
     source cell, and every time is shifted by the whole days between them.
     A constant shift keeps a cell's canonical order, so nothing is sorted.
     """
-    first, count = _host_offsets(net)
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {rng_seed!r}")
+    first = net._cells[:, :-1]
+    count = np.diff(net._cells)
     horizon, n_users = count.shape
     active = count > 0
     n_active = np.count_nonzero(active, axis=0)

@@ -84,18 +84,30 @@ class ExperimentPlan:
         for name in ("variants", "r_t_values", "sigma_values", "tau_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
+        for name in ("rng_seed", "densify_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be non-negative, got {getattr(self, name)!r}")
         for r_t, sigma, tau_spec in product(self.r_t_values, self.sigma_values,
                                             self.tau_values):
             cell_config(self, self.variants[0], r_t, sigma, tau_spec)
-        for name, values, scale in (("r_t", self.r_t_values, _R_T_SEED_SCALE),
-                                    ("sigma", self.sigma_values, _SIGMA_SEED_SCALE)):
-            seen: dict[int, float] = {}
+        # two values that cell_seed cannot tell apart would repeat a cell
+        rounded = "share a cell seed: they round to the same multiple of 1/"
+        for name, values, seed_key, reason in (
+            ("variants", self.variants, str, "repeat a variant"),
+            ("tau values", self.tau_values, parse_tau_spec,
+             "share a cell seed: they parse to the same range"),
+            ("r_t values", self.r_t_values, lambda v: int(round(v * _R_T_SEED_SCALE)),
+             f"{rounded}{_R_T_SEED_SCALE}"),
+            ("sigma values", self.sigma_values,
+             lambda v: int(round(v * _SIGMA_SEED_SCALE)),
+             f"{rounded}{_SIGMA_SEED_SCALE}"),
+        ):
+            seen: dict = {}
             for value in values:
-                key = int(round(value * scale))
+                key = seed_key(value)
                 if key in seen:
-                    raise ValueError(
-                        f"{name} values {seen[key]!r} and {value!r} share a cell "
-                        f"seed: they round to the same multiple of 1/{scale}")
+                    raise ValueError(f"{name} {seen[key]!r} and {value!r} {reason}")
                 seen[key] = value
 
     @classmethod

@@ -275,8 +275,8 @@ def test_key_budget_caps_block_runs(synth_net, monkeypatch):
     monkeypatch.setattr(epi, "_BLOCK_KEYS", 2 * 3 * cfg.horizon_days)
     blocks = []
     real = epi._simulate_block
-    monkeypatch.setattr(epi, "_simulate_block", lambda net, offsets, cfg, block:
-                        blocks.append(block) or real(net, offsets, cfg, block))
+    monkeypatch.setattr(epi, "_simulate_block", lambda net, cfg, block:
+                        blocks.append(block) or real(net, cfg, block))
     assert np.array_equal(run_simulation(synth_net, cfg),
                           _reference_simulation(synth_net, cfg))
     assert blocks == [range(0, 2), range(2, 4), range(4, 6), range(6, 7)]
@@ -328,7 +328,7 @@ def test_no_stream_derived_twice(synth_net, small_blocks, monkeypatch):
 
 def test_simulate_keeps_no_copy_of_the_columns():
     # the network's seven int64 columns take 56 B per link; the stepper may
-    # add offsets and per-block-day gathers, but no per-link copy
+    # add per-block-day gathers, but no per-link copy
     parsed = ParsedTrace(updates=generate_trace(replace(desk_profile(0),
                                                         n_users=300)))
     net = extract_spdt_links(segment_all(parsed), parsed,

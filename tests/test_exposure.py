@@ -12,14 +12,9 @@ from spdt.epidemic import SimulationConfig
 from spdt.exposure import (
     EnvironmentParams,
     LinkInterval,
-    concentration_after_departure,
-    concentration_during_presence,
     default_env,
-    emit_concentration_curve,
     infection_probability,
     link_exposure,
-    total_exposure,
-    write_concentration_csv,
 )
 
 ENV = default_env(r=1.0 / 60.0)
@@ -57,10 +52,6 @@ class TestEnvironmentParams:
         with pytest.raises(ValueError):
             EnvironmentParams(g=1.0, V=1.0, p=1.0, r=-2.0)
 
-    def test_steady_state_value(self):
-        # canonical parameters saturate just below 0.436 PFU/m^3
-        assert ENV.steady_state == pytest.approx(0.4357, abs=5e-5)
-
 
 class TestLinkInterval:
     def test_case_classification_is_total(self):
@@ -75,49 +66,6 @@ class TestLinkInterval:
             LinkInterval(0, 5, 20, 10)
         with pytest.raises(ValueError):
             LinkInterval(50, 60, 10, 40)  # neighbour gone before host arrives
-
-
-class TestConcentration:
-    def test_zero_at_arrival(self):
-        assert concentration_during_presence(ENV, 5.0, 5.0) == 0.0
-
-    def test_saturates_to_steady_state(self):
-        c = concentration_during_presence(ENV, 0.0, 1e6)
-        assert c == pytest.approx(ENV.steady_state, rel=1e-12)
-
-    def test_strictly_increasing_and_bounded(self):
-        values = [concentration_during_presence(ENV, 0.0, t) for t in (1, 10, 100, 500)]
-        assert all(a < b for a, b in zip(values, values[1:]))
-        assert all(0.0 <= v < ENV.steady_state for v in values)
-
-    def test_rejects_time_before_arrival(self):
-        with pytest.raises(ValueError):
-            concentration_during_presence(ENV, 10.0, 9.0)
-
-    def test_smaller_removal_rate_higher_curve(self):
-        # slower removal accumulates more particles at any fixed time
-        slow, fast = default_env(r=1.0 / 60.0), default_env(r=1.0 / 10.0)
-        for t in (5.0, 30.0, 200.0):
-            assert concentration_during_presence(slow, 0.0, t) > \
-                concentration_during_presence(fast, 0.0, t)
-
-    def test_decay_continuous_at_departure(self):
-        c_end = concentration_during_presence(ENV, 0.0, 200.0)
-        c_start = concentration_after_departure(ENV, 0.0, 200.0, 200.0)
-        assert c_start == pytest.approx(c_end, rel=1e-12)
-
-    def test_decay_to_zero(self):
-        assert concentration_after_departure(ENV, 0.0, 200.0, 1e7) == \
-            pytest.approx(0.0, abs=1e-12)
-
-    def test_decay_golden_value(self):
-        # frozen closed-form evaluation, cross-checked by the dose oracle
-        c = concentration_after_departure(ENV, 0.0, 200.0, 260.0)
-        assert c == pytest.approx(0.15455599191413943, rel=1e-12)
-
-    def test_decay_rejects_time_before_departure(self):
-        with pytest.raises(ValueError):
-            concentration_after_departure(ENV, 0.0, 100.0, 99.0)
 
 
 class TestLinkExposure:
@@ -245,7 +193,7 @@ def test_exposure_monotone_in_generation_and_breathing(v, factor):
 def test_exposure_bounded_by_steady_state_inhalation(v):
     env, link = _mk(v)
     window = link.t_l_n - max(link.t_s, link.t_s_n)
-    bound = env.p * max(window, 0.0) * env.steady_state
+    bound = env.p * max(window, 0.0) * env.g / (env.r * env.V)
     assert link_exposure(env, link) <= bound * (1 + 1e-12)
 
 
@@ -261,25 +209,9 @@ def test_exposure_additive_over_presence_split(v, frac):
     whole = link_exposure(env, link)
     assert merged == pytest.approx(whole, rel=1e-9, abs=1e-12)
     # the dose-response of the total is therefore split-invariant too
-    assert infection_probability(total_exposure([merged]), 0.33) == pytest.approx(
+    assert infection_probability(merged, 0.33) == pytest.approx(
         infection_probability(whole, 0.33), rel=1e-9, abs=1e-12
     )
-
-
-class TestTotalExposure:
-    def test_empty(self):
-        assert total_exposure([]) == 0.0
-
-    def test_arithmetic(self):
-        assert total_exposure([1.0, 2.0, 0.5]) == 3.5
-
-    def test_linearity_for_identical_links(self):
-        single = link_exposure(ENV, LinkInterval(0, 60, 10, 40))
-        assert total_exposure([single] * 7) == pytest.approx(7 * single, rel=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            total_exposure([1.0, -0.5])
 
 
 class TestInfectionProbability:
@@ -316,42 +248,3 @@ class TestDiseaseParams:
             SimulationConfig(tau_range=(0, 5))
         with pytest.raises(ValueError):
             SimulationConfig(sigma=-1.0)
-
-
-class TestConcentrationCurve:
-    def test_junction_sampled_once(self):
-        pts = emit_concentration_curve(ENV, 0.0, 100.0, 100.0, 10.0)
-        times = [t for t, _ in pts]
-        assert times.count(100.0) == 1
-        assert times[-1] == 100.0
-
-    def test_decay_ordering_across_removal_times(self):
-        # slower removal: higher plateau and slower post-departure decay
-        curves = {
-            r_t: emit_concentration_curve(default_env(r=1.0 / r_t), 0, 200, 400, 5.0)
-            for r_t in (10.0, 30.0, 60.0)
-        }
-        peak = {r_t: max(c for _, c in pts) for r_t, pts in curves.items()}
-        assert peak[10.0] < peak[30.0] < peak[60.0]
-        tail = {r_t: dict(pts)[300.0] for r_t, pts in curves.items()}
-        assert tail[10.0] < tail[30.0] < tail[60.0]
-
-    def test_values_bounded(self):
-        pts = emit_concentration_curve(ENV, 0.0, 200.0, 500.0, 7.0)
-        assert all(0.0 <= c <= ENV.steady_state for _, c in pts)
-
-    def test_rejects_bad_step_and_horizon(self):
-        with pytest.raises(ValueError):
-            emit_concentration_curve(ENV, 0.0, 10.0, 20.0, 0.0)
-        with pytest.raises(ValueError):
-            emit_concentration_curve(ENV, 0.0, 10.0, 5.0, 1.0)
-
-    def test_csv_round_trip(self, tmp_path):
-        pts = emit_concentration_curve(ENV, 0.0, 60.0, 120.0, 15.0)
-        path = tmp_path / "curve.csv"
-        write_concentration_csv(pts, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time_min,concentration_pfu_m3"
-        assert len(lines) == len(pts) + 1
-        t, c = lines[1].split(",")
-        assert float(t) == pts[0][0] and float(c) == pts[0][1]

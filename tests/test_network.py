@@ -135,6 +135,13 @@ class TestProjectSPST:
         net = from_tuples([("a", "b", 0, 30, 100, 150, 0)], horizon=1)
         assert project_spst(net).n_links == 0
 
+    def test_zero_stay_link_removed(self):
+        # truncated at a zero-minute host visit, the neighbour's window would
+        # end where the host arrives: the link carries no same-time exposure
+        net = from_tuples([("a", "b", 100, 100, 90, 120, 0),
+                           ("a", "c", 0, 30, 10, 20, 0)], horizon=1)
+        assert to_tuples(project_spst(net)) == [("a", "c", 0, 30, 10, 20, 0)]
+
     def test_user_connected_only_indirectly_dropped(self):
         net = from_tuples([
             ("a", "b", 0, 30, 10, 20, 0),
@@ -188,6 +195,12 @@ class TestDensify:
         assert list(d0.day_link_counts()) == [1] * 20
         assert list(d1.day_link_counts()) == [1] * 20
         assert densify(net, rng_seed=0) == d0  # deterministic under seed
+
+    @pytest.mark.parametrize("horizon", [1, 3])  # no host to fill, one host
+    def test_negative_seed_named(self, horizon):
+        net = from_tuples([("h", "v", 0, 30, 10, 20, 0)], horizon=horizon)
+        with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
+            densify(net, rng_seed=-1)
 
 
 class TestMakeLdtLst:

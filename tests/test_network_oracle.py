@@ -1,5 +1,5 @@
-"""Differential oracle for the array-based link extraction, densification
-and network I/O.
+"""Differential oracle for the array-based link extraction, densification,
+network I/O and the (day, host) link index.
 
 The references below are the earlier implementations: extraction as one
 Python iteration per visit over every update in the 3x3 grid cells,
@@ -12,12 +12,13 @@ compared by message.
 """
 
 import math
+import pickle
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkrows import from_tuples, to_tuples
@@ -29,6 +30,7 @@ from spdt.network import (
     densify,
     extract_spdt_links,
     load_network,
+    project_spst,
     save_network,
 )
 from spdt.synth import SynthConfig, generate_trace
@@ -455,3 +457,39 @@ def test_densify_calls_no_sort():
         dense = densify(net)
     assert dense == ref_densify(net, network.DEFAULT_DENSIFY_SEED)
     assert list(dense.day_link_counts()) == [3, 3, 3, 3]
+
+
+# --- (day, host) link index ------------------------------------------------
+
+def assert_index_matches_columns(net):
+    """The index against a scan of the columns: every (day, host) cell, the
+    day bounds in the last column, and the per-day link counts."""
+    cells = net._cells
+    assert cells.shape == (net.horizon, net.n_users + 1)
+    for d in range(net.horizon):
+        for h in range(net.n_users):
+            assert np.array_equal(np.arange(cells[d, h], cells[d, h + 1]),
+                                  np.flatnonzero((net.day == d) & (net.host == h)))
+        assert cells[d, net.n_users] == np.count_nonzero(net.day <= d)
+    assert np.array_equal(net.day_link_counts(),
+                          np.bincount(net.day, minlength=net.horizon))
+
+
+@st.composite
+def indexed_network(draw):
+    """A network whose horizon may run past its last link day."""
+    days = draw(st.integers(1, 4))
+    links = draw(st.lists(link(days), max_size=25))
+    return from_tuples(links, days + draw(st.integers(0, 3)))
+
+
+@given(indexed_network(), st.sampled_from([0, 3]))
+@example(from_tuples([], 3), 0)  # no users, no links
+@example(from_tuples([("a", "b", 0, 30, 10, 20, 0)], 4), 0)  # past the last day
+@example(from_tuples([("a", "z", 0, 30, 10, 20, 1), ("b", "z", 1440, 1500, 1450,
+                                                      1460, 1)], 2), 0)  # z: no host
+def test_index_matches_column_scan(net, seed):
+    assert_index_matches_columns(net)
+    assert_index_matches_columns(pickle.loads(pickle.dumps(net)))
+    assert_index_matches_columns(project_spst(net))
+    assert_index_matches_columns(densify(net, rng_seed=seed))

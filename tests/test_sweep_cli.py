@@ -98,6 +98,29 @@ class TestPlan:
         with pytest.raises(ValueError, match=r"0\.33.*0\.3300001"):
             ExperimentPlan(sigma_values=(0.33, 0.3300001))
 
+    def test_rejects_repeated_variant(self):
+        with pytest.raises(ValueError, match=r"variants 'SDT' and 'SDT'"):
+            ExperimentPlan(variants=("SDT", "SST", "SDT"))
+        with pytest.raises(ValueError, match=r"variants 'SST' and 'SST'"):
+            ExperimentPlan.from_mapping({"variants": "sst,SDT,SST"})
+
+    @pytest.mark.parametrize("specs, named", [
+        (("4", "4-4"), r"'4' and '4-4'"),
+        (("3-5", "4", "3-5"), r"'3-5' and '3-5'"),
+        (("03-5", "3-05"), r"'03-5' and '3-05'"),
+    ])
+    def test_rejects_tau_specs_of_one_range(self, specs, named):
+        # one range is one cell seed: the two cells would be the same samples
+        with pytest.raises(ValueError, match=f"tau values {named}"):
+            ExperimentPlan(tau_values=specs)
+
+    @pytest.mark.parametrize("key", ["rng_seed", "densify_seed"])
+    def test_rejects_negative_seed_by_name(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be non-negative, got -1"):
+            ExperimentPlan(**{key: -1})
+        with pytest.raises(ValueError, match=f"{key} must be non-negative, got -1"):
+            ExperimentPlan.from_mapping({key: "-1"})
+
     @pytest.mark.parametrize("key, value", [
         ("b_range", "7.5, inf"), ("sigma", "0.33, inf"), ("sigma", "nan"),
         ("runs", "0"), ("seeds", "-1"), ("tau_mode", "weird"), ("tau", "3-5, 0"),
@@ -390,6 +413,40 @@ class TestCli:
                      "--config", str(plan_file)]) == 2
         assert "b_range" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("entry, named", [
+        (("densify_seed", "-1"), "densify_seed must be non-negative"),
+        (("rng_seed", "-1"), "rng_seed must be non-negative"),
+        (("variants", "SDT,DDT,SDT"), "variants 'SDT' and 'SDT'"),
+        (("tau", "4,4-4"), "tau values '4' and '4-4'"),
+    ])
+    def test_sweep_rejects_bad_plan_before_any_output(self, tmp_path, capsys,
+                                                      entry, named):
+        # an earlier run's outputs stay as they are: nothing is deleted or made
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}\n")
+        plan = {"variants": "SDT,DDT", "r_t": "10", "runs": "2", "seeds": "5",
+                "horizon_days": "4"}
+        plan.update([entry])
+        plan_file = tmp_path / "plan.cfg"
+        plan_file.write_text("".join(f"{k} = {v}\n" for k, v in plan.items()))
+        assert main(["sweep", "--trace", str(tmp_path / "missing.csv"),
+                     "--out-dir", str(out), "--config", str(plan_file)]) == 2
+        assert named in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").read_text() == "{}\n"
+
+    def test_densify_rejects_negative_seed(self, tmp_path, capsys):
+        net = tmp_path / "ok.spdt"
+        net.write_text("spdt-net v1 horizon=3\n0 a b 0 30 10 20\n")
+        out = tmp_path / "out" / "ddt.spdt"
+        out.parent.mkdir()
+        assert main(["densify", "--net", str(net), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "rng_seed must be non-negative, got -1" in captured.err
+        assert captured.out == "" and not list(out.parent.iterdir())
 
     @pytest.mark.parametrize("flags, field", [
         (["--zipf", "nan"], "zipf_exponent"),
