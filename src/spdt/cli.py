@@ -142,6 +142,7 @@ def _cmd_densify(args) -> int:
 
 
 def _cmd_make_ldt_lst(args) -> int:
+    check_positive("--delta", args.delta)  # before the load
     ldt, lst = make_ldt_lst(
         load_network(args.net),
         indirect_window_min=args.delta,
@@ -178,8 +179,8 @@ def _cmd_metrics(args) -> int:
     universe = None
     if args.universe_net:
         universe = load_network(args.universe_net).users
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    prefix = args.out_prefix  # a string: "m/" names files in m/
+    Path(f"{prefix}degree_hist.csv").parent.mkdir(parents=True, exist_ok=True)
 
     graph = static_graph(net, r_t=r_t_values[0], threshold=args.threshold,
                          universe=universe)

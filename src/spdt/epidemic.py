@@ -22,11 +22,11 @@ doses are summed per (run, neighbour) with one bincount. The pairs are in
 run-major, ascending-link order, so every run sees its links, draws and
 dose sums in the order a run stepped alone would.
 
-The stepper reads the network's own columns. Host link ranges come from the
-network's (day, host) link index, built once with the network, and each
-block-day gathers its links' int64 times, which the kernel converts to
-float64 exactly, one kernel block at a time; no per-network copy of the
-columns is kept.
+The stepper reads the network's base columns through ``host_links``. Each
+block-day gathers its links' int64 times, unshifted since doses depend only
+on differences of whole minutes, which the kernel converts to float64
+exactly, one kernel block at a time; no per-network copy of the columns, or
+of a densified network's repeats, is kept.
 
 Randomness is organised as named substreams keyed by
 (rng_seed, run, stream, day), so results are reproducible for any worker
@@ -241,14 +241,13 @@ def _step_block(
 
     if day < net.horizon:
         # (run, host) pairs of transmitting hosts, run-major, each expanded
-        # to the host's link range: (run, link) pairs in ascending link order
+        # to the host's base rows: (run, link) pairs in (host, in-cell) order
         # within each run, the order a per-run step would visit them in
         run, host = np.nonzero((status == INFECTED) & (day_infected <= day))
-        cells = net._cells[day]
-        first = cells[host]
-        count = cells[host + 1] - first
+        first, count = (col[host] for col in net.host_links(day))
         link = _ranges(first, count)
-        key = np.repeat(run * n_users, count) + net.nbr[link]
+        _, _, nbr, *times = net._base
+        key = np.repeat(run * n_users, count) + nbr[link]
         susceptible = status.ravel()[key] == SUSCEPTIBLE
         link, key = link[susceptible], key[susceptible]
         if link.size:
@@ -258,7 +257,7 @@ def _step_block(
             # the kernel converts the gathered int64 minutes, exact in
             # float64, block by block: no float copy of a column is made
             doses = batch_link_exposure(
-                net.t_s[link], net.t_l[link], net.t_s_n[link], net.t_l_n[link],
+                *(t[link] for t in times),
                 1.0 / b, DEFAULT_GENERATION_RATE, DEFAULT_PROXIMITY_VOLUME,
                 DEFAULT_PULMONARY_RATE,
             )

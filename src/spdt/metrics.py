@@ -15,8 +15,8 @@ are counted on a bitset adjacency of ``n * ceil(n / 8)`` bytes (about
 0.5 MB for 2,000 users): per edge, the popcount of the AND of its two ends'
 rows is its number of common neighbours. Coefficients divide integer counts
 in float64, so they equal the exact ratios, and means are summed in node
-order. Daily metrics evaluate the doses once per r_t over all links and cut
-the strong links at the day bounds.
+order. Doses are evaluated once per r_t over a network's base links; a daily
+graph takes the strong base links of the day's (day, host) cells.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .exposure import (
     DEFAULT_PULMONARY_RATE,
     check_positive,
 )
-from .network import DynamicContactNetwork
+from .network import DynamicContactNetwork, _ranges
 
 DEFAULT_EDGE_THRESHOLD = 0.01  # PFU
 
@@ -70,9 +70,6 @@ _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 # bytes of bitset rows gathered at once when counting common neighbours
 _CHUNK_BYTES = 1 << 18
-
-# links per dose-kernel call
-_DOSE_CHUNK = 1 << 14
 
 
 class StaticGraph:
@@ -154,24 +151,13 @@ def _graph_nodes(net: DynamicContactNetwork, universe
 
 def _strong_links(net: DynamicContactNetwork, r_t: float, threshold: float
                   ) -> np.ndarray:
-    """Ascending indices of the links whose dose at ``r_t`` reaches the threshold.
-
-    Doses are evaluated in blocks of ``_DOSE_CHUNK`` links, so that the
-    kernel's temporaries stay in cache; the kernel is elementwise, so the
-    doses do not depend on the block size.
-    """
-    n = net.n_links
-    r = np.full(min(n, _DOSE_CHUNK), 1.0 / r_t)
-    strong = np.empty(n, dtype=bool)
-    for a in range(0, n, _DOSE_CHUNK):
-        b = min(a + _DOSE_CHUNK, n)
-        doses = batch_link_exposure(net.t_s[a:b], net.t_l[a:b], net.t_s_n[a:b],
-                                    net.t_l_n[a:b], r[:b - a],
-                                    DEFAULT_GENERATION_RATE,
-                                    DEFAULT_PROXIMITY_VOLUME,
-                                    DEFAULT_PULMONARY_RATE)
-        strong[a:b] = doses >= threshold
-    return np.flatnonzero(strong)
+    """Mask of the base links whose dose at ``r_t`` reaches the threshold; a
+    base link's repeats join the same users with the same dose, since doses
+    depend only on differences of whole minutes."""
+    times = net._base[3:]
+    return batch_link_exposure(*times, np.broadcast_to(1.0 / r_t, times[0].shape),
+                               DEFAULT_GENERATION_RATE, DEFAULT_PROXIMITY_VOLUME,
+                               DEFAULT_PULMONARY_RATE) >= threshold
 
 
 def static_graph(
@@ -190,7 +176,8 @@ def static_graph(
     check_positive("threshold", threshold)
     nodes, node_of = _graph_nodes(net, universe)
     strong = _strong_links(net, r_t, threshold)
-    return StaticGraph(nodes, node_of[net.host[strong]], node_of[net.nbr[strong]])
+    host, nbr = (node_of[col[strong]] for col in net._base[1:3])
+    return StaticGraph(nodes, host, nbr)
 
 
 def degree_distribution(graph: StaticGraph) -> dict[int, int]:
@@ -230,18 +217,13 @@ def daily_network_metrics(
         check_positive("r_t", r_t)
     check_positive("threshold", threshold)
     nodes, node_of = _graph_nodes(net, universe)
-    host, nbr = node_of[net.host], node_of[net.nbr]
-    # links are sorted by day: cut each r_t's strong links at the day bounds,
-    # the first and last columns of the (day, host) index
-    bounds = net._cells[:, [0, -1]]
-    strong_by_r_t = []
-    for r_t in r_t_values:
-        strong = _strong_links(net, r_t, threshold)
-        strong_by_r_t.append((strong, np.searchsorted(strong, bounds)))
+    host, nbr = (node_of[col] for col in net._base[1:3])
+    strong_by_r_t = [_strong_links(net, r_t, threshold) for r_t in r_t_values]
     rows = []
     for day in range(net.horizon):
-        for r_t, (strong, cuts) in zip(r_t_values, strong_by_r_t):
-            idx = strong[cuts[day, 0]:cuts[day, 1]]
+        links = _ranges(*net.host_links(day))
+        for r_t, strong in zip(r_t_values, strong_by_r_t):
+            idx = links[strong[links]]
             graph = StaticGraph(nodes, host[idx], nbr[idx])
             _, mean_clust = clustering_distribution(graph)
             mean_deg = 2.0 * graph.n_edges / graph.n_nodes if graph.n_nodes else 0.0

@@ -57,38 +57,34 @@ class BuilderConfig:
 class DynamicContactNetwork:
     """Immutable day-indexed collection of directed links plus the user universe.
 
-    Links are stored as parallel arrays in canonical order (day, host, t_s,
-    neighbour, t_s_n, t_l_n). Users are exactly those appearing in at least
-    one link; isolated users are never carried. Build one with
-    ``_from_arrays``, which validates and sorts.
+    ``_base`` holds the base links, the seven _COLUMNS in canonical order
+    (day, host, t_s, neighbour, t_s_n, t_l_n). ``_source`` is a (horizon,
+    n_users) day table, None for the identity: host h's links on day d are
+    its base links of day ``_source[d, h]``, shifted by whole days, and every
+    non-empty base cell is its own source. Users are exactly those appearing
+    in at least one link. Build one with ``_from_arrays``, which validates
+    and sorts.
 
-    ``_cells`` is the (day, host) link index, a (horizon, n_users + 1) int64
-    table built once here: host h's links on day d are rows
-    [_cells[d, h], _cells[d, h + 1]), and the last column, a host without
-    links, ends the day. It costs horizon * (n_users + 1) * 8 bytes.
+    ``_cells`` indexes the base links, a (horizon, n_users + 1) int64 table
+    built once here: host h's base links of day d are rows
+    [_cells[d, h], _cells[d, h + 1]), and the last column ends the day.
+    The public columns are the links in canonical order, gathered anew on
+    each read of a scheduled network.
     """
 
-    __slots__ = ("users", "horizon", "day", "host", "nbr",
-                 "t_s", "t_l", "t_s_n", "t_l_n", "_cells")
+    __slots__ = ("users", "horizon", "_base", "_source", "_cells")
 
     def __reduce__(self):
-        # the columns are read-only, so they are pickled as they are
-        return DynamicContactNetwork, (
-            self.users, self.horizon, self.day, self.host, self.nbr,
-            self.t_s, self.t_l, self.t_s_n, self.t_l_n)
+        # the base columns and the table are read-only: pickled as they are
+        return DynamicContactNetwork, (self.users, self.horizon, self._base, self._source)
 
-    def __init__(self, users, horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n):
+    def __init__(self, users, horizon, base, source=None):
         self.users: tuple[str, ...] = tuple(users)
         self.horizon: int = int(horizon)
-        self.day = day
-        self.host = host
-        self.nbr = nbr
-        self.t_s = t_s
-        self.t_l = t_l
-        self.t_s_n = t_s_n
-        self.t_l_n = t_l_n
-        for arr in (day, host, nbr, t_s, t_l, t_s_n, t_l_n):
+        self._base, self._source = tuple(base), source
+        for arr in self._base + ((source,) if source is not None else ()):
             arr.setflags(write=False)
+        day, host = self._base[:2]
         # one search per day over a view of that day's hosts: no per-link
         # temporary is made
         bounds = np.searchsorted(day, np.arange(self.horizon + 1)).tolist()
@@ -99,8 +95,9 @@ class DynamicContactNetwork:
             self._cells[d] += lo
 
     @classmethod
-    def _from_arrays(cls, users, horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n):
-        """Build from raw arrays: re-derive the user set, validate, sort canonically."""
+    def _from_arrays(cls, users, horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n,
+                     source=None):
+        """Build from base arrays and a schedule: re-derive the users, validate, sort."""
         users = list(users)
         present = np.zeros(len(users), dtype=bool)
         present[host] = True
@@ -112,30 +109,57 @@ class DynamicContactNetwork:
             host = remap[host]
             nbr = remap[nbr]
             users = [users[i] for i in used]
+            if source is not None:
+                source = source[:, used]
 
+        columns = (day, host, nbr, t_s, t_l, t_s_n, t_l_n)
         if host.size:
-            fault = _first_fault(horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n)
+            fault = _first_fault(horizon, *columns)
             if fault is not None:
                 raise ValueError(fault[1])
             # saved files and filtered networks are mostly in order already
             if not _in_order(day, host, t_s, nbr, t_s_n, t_l_n):
                 order = np.lexsort((t_l_n, t_s_n, nbr, t_s, host, day))
-                day, host, nbr = day[order], host[order], nbr[order]
-                t_s, t_l = t_s[order], t_l[order]
-                t_s_n, t_l_n = t_s_n[order], t_l_n[order]
-        return cls(users, horizon, *(col.astype(np.int64, copy=False) for col in
-                                     (day, host, nbr, t_s, t_l, t_s_n, t_l_n)))
+                columns = [col[order] for col in columns]
+        return cls(users, horizon, [col.astype(np.int64, copy=False) for col in columns],
+                   source)
+
+    def host_links(self, days) -> tuple[np.ndarray, np.ndarray]:
+        """First base row and link count of each host's links on ``days``,
+        of shape (n_users,) for one day and (len(days), n_users) for an array."""
+        src = np.asarray(days)[..., None] if self._source is None else self._source[days]
+        hosts = np.arange(self.n_users)
+        first = self._cells[src, hosts]
+        return first, self._cells[src, hosts + 1] - first
+
+    def _column(self, k: int, days=None) -> np.ndarray:
+        """Column k of _COLUMNS over the links of ``days``, by default all."""
+        if days is None:
+            if self._source is None:
+                return self._base[k]
+            days = np.arange(self.horizon)
+        first, count = self.host_links(days)
+        rows = _ranges(first.ravel(), count.ravel())
+        # each link moves by the whole days between its day and its base link's
+        col = np.repeat(days, count.sum(axis=1)) - self._base[0][rows]
+        col *= _PER_DAY[k]
+        col += self._base[k][rows]
+        col.setflags(write=False)
+        return col
+
+    day, host, nbr, t_s, t_l, t_s_n, t_l_n = (
+        property(lambda self, k=k: self._column(k)) for k in range(7))
 
     @property
     def n_links(self) -> int:
-        return int(self.day.shape[0])
+        return int(self.day_link_counts().sum())
 
     @property
     def n_users(self) -> int:
         return len(self.users)
 
     def day_link_counts(self) -> np.ndarray:
-        return self._cells[:, -1] - self._cells[:, 0]
+        return self.host_links(np.arange(self.horizon))[1].sum(axis=1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DynamicContactNetwork):
@@ -143,15 +167,18 @@ class DynamicContactNetwork:
         return (
             self.users == other.users
             and self.horizon == other.horizon
-            and all(
-                np.array_equal(getattr(self, f), getattr(other, f))
-                for f in ("day", "host", "nbr", "t_s", "t_l", "t_s_n", "t_l_n")
-            )
+            and all(np.array_equal(getattr(self, f), getattr(other, f))
+                    for f in _COLUMNS)
         )
 
     def __repr__(self) -> str:
         return (f"DynamicContactNetwork(users={self.n_users}, links={self.n_links}, "
                 f"horizon={self.horizon})")
+
+
+_COLUMNS = ("day", "host", "nbr", "t_s", "t_l", "t_s_n", "t_l_n")
+# each column's change when a link moves by one day
+_PER_DAY = (1, 0, 0) + (MINUTES_PER_DAY,) * 4
 
 
 def _in_order(*keys: np.ndarray) -> bool:
@@ -348,13 +375,13 @@ def project_spst(net: DynamicContactNetwork) -> DynamicContactNetwork:
     the rest are capped at the host departure time. Users left without links
     disappear from the user set.
     """
-    keep = net.t_s_n < net.t_l
-    keep &= net.t_s < net.t_l
+    day, host, nbr, t_s, t_l, t_s_n, t_l_n = net._base
+    keep = t_s_n < t_l
+    keep &= t_s < t_l
     return DynamicContactNetwork._from_arrays(
-        net.users, net.horizon,
-        net.day[keep], net.host[keep], net.nbr[keep],
-        net.t_s[keep], net.t_l[keep],
-        net.t_s_n[keep], np.minimum(net.t_l_n[keep], net.t_l[keep]),
+        net.users, net.horizon, day[keep], host[keep], nbr[keep],
+        t_s[keep], t_l[keep], t_s_n[keep], np.minimum(t_l_n[keep], t_l[keep]),
+        net._source,
     )
 
 
@@ -364,22 +391,20 @@ def _user_hash(user_id: str) -> int:
 
 def densify(net: DynamicContactNetwork,
             rng_seed: int = DEFAULT_DENSIFY_SEED) -> DynamicContactNetwork:
-    """Copy each host's links onto their missing days (uniform source day, seeded).
+    """Repeat each host's links onto their missing days (uniform source day, seeded).
 
     For every host, each day without links receives a time-shifted copy of
     that host's links from one of their active days, drawn uniformly from a
     per-host stream so the result is independent of iteration order. Links on
     originally active days are untouched.
 
-    The result is one gather: a (day, host) table of source days, the
-    identity where the host has links, picks each cell's rows from its
-    source cell, and every time is shifted by the whole days between them.
-    A constant shift keeps a cell's canonical order, so nothing is sorted.
+    Nothing is copied: the result is the network's own base links with a
+    (day, host) table of source days, the identity where the host has links.
+    On a scheduled network the drawn table is composed with its own.
     """
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be non-negative, got {rng_seed!r}")
-    first = net._cells[:, :-1]
-    count = np.diff(net._cells)
+    count = net.host_links(np.arange(net.horizon))[1]
     horizon, n_users = count.shape
     active = count > 0
     n_active = np.count_nonzero(active, axis=0)
@@ -390,22 +415,13 @@ def densify(net: DynamicContactNetwork,
     for h in partial.tolist():
         days = np.flatnonzero(active[:, h])
         missing = np.flatnonzero(~active[:, h])
-        rng = np.random.default_rng(
-            np.random.SeedSequence((rng_seed, _user_hash(net.users[h])))
-        )
+        rng = np.random.default_rng(np.random.SeedSequence(
+            (rng_seed, _user_hash(net.users[h]))))
         # one source day per missing day, drawn in day order
         source[missing, h] = days[rng.integers(days.size, size=missing.size)]
-
-    hosts = np.arange(n_users)
-    size = count[source, hosts].ravel()
-    rows = _ranges(first[source, hosts].ravel(), size)
-    shift = np.repeat((np.arange(horizon)[:, None] - source).ravel(), size)
-    day = net.day[rows] + shift
-    shift *= MINUTES_PER_DAY
-    return DynamicContactNetwork._from_arrays(
-        net.users, net.horizon, day, net.host[rows], net.nbr[rows],
-        *(col[rows] + shift for col in (net.t_s, net.t_l, net.t_s_n, net.t_l_n)),
-    )
+    if net._source is not None:
+        source = np.take_along_axis(net._source, source, axis=0)
+    return DynamicContactNetwork(net.users, net.horizon, net._base, source)
 
 
 def make_ldt_lst(
@@ -426,9 +442,10 @@ def make_ldt_lst(
     host visits, and zero-duration indirect presences in the default mode)
     carry no exposure and are dropped from both outputs.
     """
+    check_positive("indirect_window_min", indirect_window_min)
     delta = int(round(indirect_window_min))
-    keep = net.t_l > net.t_s
-    t_s, t_l, t_s_n, t_l_n = net.t_s, net.t_l, net.t_s_n, net.t_l_n
+    day, host, nbr, t_s, t_l, t_s_n, t_l_n = net._base
+    keep = t_l > t_s
 
     indirect = keep & (t_s_n >= t_l)
     if keep_departure:
@@ -440,9 +457,8 @@ def make_ldt_lst(
         t_s_n = np.where(indirect, t_s, t_s_n)
 
     ldt = DynamicContactNetwork._from_arrays(
-        net.users, net.horizon,
-        net.day[keep], net.host[keep], net.nbr[keep],
-        t_s[keep], t_l[keep], t_s_n[keep], t_l_n[keep],
+        net.users, net.horizon, day[keep], host[keep], nbr[keep],
+        t_s[keep], t_l[keep], t_s_n[keep], t_l_n[keep], net._source,
     )
     return ldt, project_spst(ldt)
 
@@ -458,13 +474,15 @@ def save_network(net: DynamicContactNetwork, path: str | Path) -> None:
     users = net.users
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"spdt-net v{NETWORK_FORMAT_VERSION} horizon={net.horizon}\n")
-        for i in range(0, net.n_links, _ROW_BLOCK):
-            rows = zip(*(getattr(net, f)[i:i + _ROW_BLOCK].tolist() for f in (
-                "day", "host", "nbr", "t_s", "t_l", "t_s_n", "t_l_n")))
-            fh.write("".join([
-                f"{day} {users[h]} {users[n]} {t_s} {t_l} {t_s_n} {t_l_n}\n"
-                for day, h, n, t_s, t_l, t_s_n, t_l_n in rows
-            ]))
+        # a day at a time: a scheduled network's repeats are never all made at once
+        for d in range(net.horizon):
+            columns = [net._column(k, [d]) for k in range(len(_COLUMNS))]
+            for i in range(0, columns[0].size, _ROW_BLOCK):
+                rows = zip(*(col[i:i + _ROW_BLOCK].tolist() for col in columns))
+                fh.write("".join([
+                    f"{day} {users[h]} {users[n]} {t_s} {t_l} {t_s_n} {t_l_n}\n"
+                    for day, h, n, t_s, t_l, t_s_n, t_l_n in rows
+                ]))
 
 
 def _check_line(path, lineno: int, line: str) -> None:

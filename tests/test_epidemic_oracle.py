@@ -32,7 +32,12 @@ from spdt.exposure import (
     DEFAULT_PROXIMITY_VOLUME,
     DEFAULT_PULMONARY_RATE,
 )
-from spdt.network import BuilderConfig, DynamicContactNetwork, extract_spdt_links
+from spdt.network import (
+    BuilderConfig,
+    DynamicContactNetwork,
+    densify,
+    extract_spdt_links,
+)
 from spdt.synth import SynthConfig, desk_profile, generate_trace
 from spdt.trace import ParsedTrace, segment_all
 
@@ -326,19 +331,37 @@ def test_no_stream_derived_twice(synth_net, small_blocks, monkeypatch):
     assert len(set(built)) == len(built)
 
 
-def test_simulate_keeps_no_copy_of_the_columns():
-    # the network's seven int64 columns take 56 B per link; the stepper may
-    # add per-block-day gathers, but no per-link copy
+@pytest.fixture(scope="module")
+def desk_net_300():
     parsed = ParsedTrace(updates=generate_trace(replace(desk_profile(0),
                                                         n_users=300)))
-    net = extract_spdt_links(segment_all(parsed), parsed,
-                             BuilderConfig(horizon_days=14))
-    cfg = SimulationConfig(seeds=30, horizon_days=14, rng_seed=3, runs=1)
+    return extract_spdt_links(segment_all(parsed), parsed,
+                              BuilderConfig(horizon_days=14))
+
+
+def _traced_peak(fn):
     tracemalloc.start()
     try:
-        counts = run_simulation(net, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_simulate_keeps_no_copy_of_the_columns(desk_net_300):
+    # the network's seven int64 columns take 56 B per link; the stepper may
+    # add per-block-day gathers, but no per-link copy
+    net = desk_net_300
+    cfg = SimulationConfig(seeds=30, horizon_days=14, rng_seed=3, runs=1)
+    counts, peak = _traced_peak(lambda: run_simulation(net, cfg))
     assert counts[:, :, epi.NEW_INFECTIONS].any()
     assert peak < 32 * net.n_links
+
+
+def test_densify_keeps_no_copy_of_the_columns(desk_net_300):
+    # the densified network shares the base columns and adds (day, host)
+    # tables of a few bytes per link at most
+    net = desk_net_300
+    dense, peak = _traced_peak(lambda: densify(net, rng_seed=0))
+    assert dense.n_links > 2 * net.n_links
+    assert peak < 8 * net.n_links

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spdt._kernel import (
     KERNEL_BACKEND,
@@ -69,6 +71,33 @@ def test_blocks_do_not_change_doses(monkeypatch):
         whole[1000:1007].view(np.int64),
         batch_link_exposure(*(a[1000:1007] for a in args[:5]),
                             *args[5:]).view(np.int64))
+
+
+@st.composite
+def minute_links(draw):
+    """Valid links in whole minutes up to a 32-day horizon, a removal rate,
+    and a whole-day shift per link."""
+    n = draw(st.integers(1, 40))
+    ints = st.lists(st.integers(0, 46_080), min_size=n, max_size=n)
+    t_s = np.array(draw(ints))
+    t_l = t_s + np.array(draw(ints)) % 600
+    t_s_n = t_s + np.array(draw(ints)) % 700 - 100
+    t_l_n = np.maximum(t_s_n, t_s + 1) + np.array(draw(ints)) % 400
+    r = 1.0 / np.array(draw(st.lists(st.floats(7.5, 300.0), min_size=n, max_size=n)))
+    days = np.array(draw(st.lists(st.integers(-32, 32), min_size=n, max_size=n)))
+    return (t_s, t_l, t_s_n, t_l_n), r, days * 1440
+
+
+@given(minute_links())
+def test_doses_do_not_change_under_whole_day_shifts(case):
+    # a densified network's copies are their base links shifted by whole
+    # days; every quantity in the kernel is a difference of whole minutes,
+    # exact in float64, so their doses are bit-identical
+    times, r, shift = case
+    args = (r, 18.24, 2512.0, 0.0075)
+    base = batch_link_exposure(*times, *args)
+    moved = batch_link_exposure(*(t + shift for t in times), *args)
+    assert np.array_equal(base.view(np.int64), moved.view(np.int64))
 
 
 def test_batch_matches_scalar_link_exposure():

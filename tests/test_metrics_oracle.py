@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from linkrows import edge_set, from_tuples
-from spdt._kernel import batch_link_exposure
+from spdt._kernel import _exposure_np, batch_link_exposure
 from spdt.exposure import (
     DEFAULT_GENERATION_RATE,
     DEFAULT_PROXIMITY_VOLUME,
@@ -221,9 +221,9 @@ def test_constructor_matches_set_reference(edges):
 
 
 def test_block_edges_do_not_change_results(monkeypatch):
-    # blocks far smaller than the inputs: dose blocks of 7 links, and bitset
+    # blocks far smaller than the inputs: kernel blocks of 7 links, and bitset
     # rows (3 bytes for 21 users) gathered 5 edges at a time
-    monkeypatch.setattr(metrics, "_DOSE_CHUNK", 7)
+    monkeypatch.setattr(_exposure_np, "_BLOCK", 7)
     monkeypatch.setattr(metrics, "_CHUNK_BYTES", 16)
     net = dense_network(np.random.default_rng(5))
     assert net.n_links > 100

@@ -230,6 +230,13 @@ class TestMakeLdtLst:
         assert np.array_equal(ldt.day_link_counts(), lst.day_link_counts())
 
 
+    @pytest.mark.parametrize("delta", [float("inf"), float("nan"), -5.0, 0.0])
+    def test_window_must_be_positive(self, delta):
+        net = from_tuples([("a", "b", 0, 30, 100, 150, 0)], horizon=1)
+        with pytest.raises(ValueError, match="indirect_window_min must be positive"):
+            make_ldt_lst(net, indirect_window_min=delta)
+
+
 class TestDeltaBound:
     def test_no_link_outside_indirect_window(self):
         cfg = SynthConfig(n_users=150, days=4, rng_seed=11, n_locations=10,

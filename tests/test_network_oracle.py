@@ -8,7 +8,10 @@ a full canonical sort, saving one formatted line per link, and
 loading one parsed line at a time. The package's array passes must agree
 with them exactly: networks compared with ``==`` (users, horizon and every
 array in canonical order), files compared byte for byte, and load errors
-compared by message.
+compared by message. A densified network, a day schedule over its base
+links, must also agree with the plain network of its public columns in
+every consumer: saved bytes, graphs, daily metrics, simulation counts and
+the variant builders.
 """
 
 import math
@@ -21,8 +24,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linkrows import from_tuples, to_tuples
+import spdt.epidemic as epi
+from linkrows import edge_set, from_tuples, to_tuples
 from spdt import network
+from spdt.epidemic import SimulationConfig, run_simulation
+from spdt.metrics import DEFAULT_EDGE_THRESHOLD, daily_network_metrics, static_graph
 from spdt.network import (
     NETWORK_FORMAT_VERSION,
     BuilderConfig,
@@ -30,6 +36,7 @@ from spdt.network import (
     densify,
     extract_spdt_links,
     load_network,
+    make_ldt_lst,
     project_spst,
     save_network,
 )
@@ -462,17 +469,30 @@ def test_densify_calls_no_sort():
 # --- (day, host) link index ------------------------------------------------
 
 def assert_index_matches_columns(net):
-    """The index against a scan of the columns: every (day, host) cell, the
-    day bounds in the last column, and the per-day link counts."""
-    cells = net._cells
-    assert cells.shape == (net.horizon, net.n_users + 1)
+    """``host_links`` against a scan of the public columns: every (day, host)
+    cell is its source cell's base rows, shifted to the day, and the per-day
+    link counts are those of the columns."""
+    base_day, base_host, *base_rest = net._base
+    day, host = net.day, net.host
+    rest = [getattr(net, f) for f in ("nbr", "t_s", "t_l", "t_s_n", "t_l_n")]
     for d in range(net.horizon):
+        first, count = net.host_links(d)
+        assert first.shape == count.shape == (net.n_users,)
         for h in range(net.n_users):
-            assert np.array_equal(np.arange(cells[d, h], cells[d, h + 1]),
-                                  np.flatnonzero((net.day == d) & (net.host == h)))
-        assert cells[d, net.n_users] == np.count_nonzero(net.day <= d)
+            rows = np.arange(first[h], first[h] + count[h])
+            want = np.flatnonzero((day == d) & (host == h))
+            source = d if net._source is None else net._source[d, h]
+            assert rows.size == want.size
+            assert np.all(base_day[rows] == source) and np.all(base_host[rows] == h)
+            assert np.array_equal(base_rest[0][rows], rest[0][want])
+            shift = (d - source) * MINUTES_PER_DAY
+            for base, col in zip(base_rest[1:], rest[1:]):
+                assert np.array_equal(base[rows] + shift, col[want])
+            if net._source is None:
+                assert np.array_equal(rows, want)
     assert np.array_equal(net.day_link_counts(),
-                          np.bincount(net.day, minlength=net.horizon))
+                          np.bincount(day, minlength=net.horizon))
+    assert net.n_links == day.size
 
 
 @st.composite
@@ -492,4 +512,58 @@ def test_index_matches_column_scan(net, seed):
     assert_index_matches_columns(net)
     assert_index_matches_columns(pickle.loads(pickle.dumps(net)))
     assert_index_matches_columns(project_spst(net))
-    assert_index_matches_columns(densify(net, rng_seed=seed))
+    dense = densify(net, rng_seed=seed)
+    assert_index_matches_columns(dense)
+    assert_index_matches_columns(pickle.loads(pickle.dumps(dense)))
+    assert_index_matches_columns(project_spst(dense))
+    assert_index_matches_columns(densify(project_spst(dense), rng_seed=seed + 1))
+
+
+# --- scheduled against materialised networks -------------------------------
+
+def materialised(net):
+    """The plain network of a network's public columns."""
+    return DynamicContactNetwork._from_arrays(
+        net.users, net.horizon, *(getattr(net, f) for f in network._COLUMNS))
+
+
+@settings(max_examples=40)
+@given(st.one_of(indexed_network(), densify_case().map(lambda case: case[0])),
+       st.sampled_from([0, 3]))
+def test_scheduled_network_matches_materialised(tmp_path_factory, net, seed):
+    dense = densify(net, rng_seed=seed)
+    flat = materialised(dense)
+    # the public columns against the per-host reference, which copies rows
+    assert flat._source is None and flat == dense == ref_densify(net, seed)
+    assert flat.n_links == dense.n_links
+    assert np.array_equal(flat.day_link_counts(), dense.day_link_counts())
+
+    d = tmp_path_factory.mktemp("sched")
+    save_network(dense, d / "dense.spdt")
+    save_network(flat, d / "flat.spdt")
+    assert (d / "dense.spdt").read_bytes() == (d / "flat.spdt").read_bytes()
+
+    for threshold in (1e-6, DEFAULT_EDGE_THRESHOLD):
+        for r_t in (10.0, 60.0):
+            assert edge_set(static_graph(dense, r_t, threshold)) == edge_set(
+                static_graph(flat, r_t, threshold))
+        assert daily_network_metrics(dense, [10.0, 35.0, 60.0], threshold) == (
+            daily_network_metrics(flat, [10.0, 35.0, 60.0], threshold))
+
+    if dense.n_users:
+        cfg = SimulationConfig(seeds=min(2, dense.n_users), horizon_days=dense.horizon,
+                               r_t=35.0, sigma=500.0, rng_seed=seed, runs=3)
+        want = run_simulation(flat, cfg)
+        assert np.array_equal(run_simulation(dense, cfg, workers=1), want)
+        # one run per block, so two workers each get a pickled copy
+        with mock.patch.object(epi, "_BLOCK_PAIRS", 1):
+            assert np.array_equal(run_simulation(dense, cfg, workers=2), want)
+        assert np.array_equal(
+            run_simulation(pickle.loads(pickle.dumps(dense)), cfg), want)
+
+    for a, b in ((dense, flat), (project_spst(dense), project_spst(flat))):
+        assert project_spst(a) == project_spst(b)
+        assert make_ldt_lst(a) == make_ldt_lst(b)
+        assert make_ldt_lst(a, 30.0, keep_departure=True) == make_ldt_lst(
+            b, 30.0, keep_departure=True)
+        assert densify(a, rng_seed=seed + 1) == densify(b, rng_seed=seed + 1)

@@ -506,6 +506,32 @@ class TestCli:
         assert named in err and out == ""
         assert not list(tmp_path.glob("x_*"))
 
+    def test_metrics_prefix_ending_in_a_separator_writes_into_that_directory(
+            self, tmp_path, monkeypatch):
+        # "m/" names files in m/, not m-prefixed files next to it
+        (tmp_path / "ok.spdt").write_text(
+            "spdt-net v1 horizon=2\n0 a b 0 30 10 20\n1 b a 1440 1500 1450 1460\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["metrics", "--net", "ok.spdt", "--out-prefix", "m/",
+                     "--daily"]) == 0
+        assert sorted(p.name for p in (tmp_path / "m").iterdir()) == [
+            "clustering_hist.csv", "daily_metrics.csv", "degree_hist.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m", "ok.spdt"]
+
+    @pytest.mark.parametrize("delta", ["inf", "nan", "-5", "0"])
+    def test_make_ldt_lst_bad_delta_named_before_any_output(self, tmp_path, capsys,
+                                                            delta):
+        net = tmp_path / "ok.spdt"
+        net.write_text("spdt-net v1 horizon=1\n0 a b 0 30 100 150\n")
+        for source in (tmp_path / "missing.spdt", net):  # checked before the load
+            assert main(["make-ldt-lst", "--net", str(source),
+                         "--out-ldt", str(tmp_path / "ldt.spdt"),
+                         "--out-lst", str(tmp_path / "lst.spdt"),
+                         "--delta", delta]) == 2
+            out, err = capsys.readouterr()
+            assert "--delta must be positive and finite" in err and out == ""
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.spdt"]
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("r_t = 35\nsgima = 0.4\n")  # typo must not pass silently
