@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .epidemic import TAU_MODES, SimulationConfig, run_simulation, write_daily_csv
+from .epidemic import SimulationConfig, run_simulation, write_daily_csv
 from .exposure import check_positive
 from .metrics import (
     DEFAULT_EDGE_THRESHOLD,
@@ -41,6 +41,7 @@ from .network import (
 )
 from .sweep import (
     ExperimentPlan,
+    parse_keys,
     parse_tau_spec,
     read_config_file,
     reconstruct_compare,
@@ -50,25 +51,32 @@ from .synth import SynthConfig, generate_trace
 from .trace import parse_trace, segment_all, write_trace_csv
 
 
-# config key -> (dataclass field, flag dest, parser)
+# config key -> (dataclass field, flag name, parser); flag values are parsed
+# by the same parser as config-file values
 _SYNTH_OPTIONS = {
     "n_users": ("n_users", "users", int),
     "n_locations": ("n_locations", "locations", int),
     "days": ("days", "days", int),
-    "active_day_probability": ("active_day_probability", "active_day_prob", float),
+    "active_day_probability": ("active_day_probability", "active-day-prob", float),
     "zipf_exponent": ("zipf_exponent", "zipf", float),
     "rng_seed": ("rng_seed", "seed", int),
 }
 _SIM_OPTIONS = {
-    "r_t": ("r_t", "r_t", float),
+    "r_t": ("r_t", "r-t", float),
     "sigma": ("sigma", "sigma", float),
     "runs": ("runs", "runs", int),
     "seeds": ("seeds", "seeds", int),
     "rng_seed": ("rng_seed", "seed", int),
     "tau": ("tau_range", "tau", parse_tau_spec),
-    "tau_mode": ("tau_mode", "tau_mode", str),
     "horizon_days": ("horizon_days", "horizon", int),
 }
+
+
+def _add_options(parser, options) -> None:
+    """--config and one flag per table row, stored under its config key."""
+    parser.add_argument("--config")
+    for key, (_, flag, _) in options.items():
+        parser.add_argument(f"--{flag}", dest=key)
 
 
 def _config_kwargs(args, options) -> dict:
@@ -77,21 +85,9 @@ def _config_kwargs(args, options) -> dict:
     Fields that neither sets keep the dataclass default.
     """
     given = read_config_file(args.config) if args.config else {}
-    unknown = set(given) - set(options)
-    if unknown:
-        raise ValueError(f"unknown config keys {sorted(unknown)}; "
-                         f"valid: {sorted(options)}")
-    for key, (_, dest, _) in options.items():
-        if (flag := getattr(args, dest)) is not None:
-            given[key] = flag
-    kwargs = {}
-    for key, value in given.items():
-        field, _, parse = options[key]
-        try:
-            kwargs[field] = parse(value)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-    return kwargs
+    given.update((key, flag) for key in options
+                 if (flag := getattr(args, key)) is not None)
+    return parse_keys(given, options)
 
 
 def _cmd_synth(args) -> int:
@@ -158,7 +154,7 @@ def _cmd_simulate(args) -> int:
     given = _config_kwargs(args, _SIM_OPTIONS)  # bad values fail before the load
     net = load_network(args.net)
     cfg = SimulationConfig(**{"horizon_days": net.horizon, **given})
-    counts = run_simulation(net, cfg, workers=args.workers)
+    counts = run_simulation(net, cfg)
     write_daily_csv(counts, args.out_daily)
     write_summary_csv(counts, args.out_summary)
     total = int(outbreak_size(counts).sum())
@@ -233,14 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic trace CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--users", type=int)
-    p.add_argument("--locations", type=int)
-    p.add_argument("--days", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--active-day-prob", type=float, dest="active_day_prob")
-    p.add_argument("--zipf", type=float)
+    _add_options(p, _SYNTH_OPTIONS)
     p.add_argument("--area", help="width,height in metres")
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("build", help="extract the sparse network from a trace")
@@ -274,20 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep the neighbour departure instead of the duration")
     p.set_defaults(func=_cmd_make_ldt_lst)
 
-    p = sub.add_parser("simulate", help="run the stochastic SIR process")
+    p = sub.add_parser("simulate", help="run the stochastic SIR process",
+                       description="--tau is the infectious period in days: "
+                                   "'3-5' draws it uniformly, '4' pins it.")
     p.add_argument("--net", required=True)
     p.add_argument("--out-daily", required=True)
     p.add_argument("--out-summary", required=True)
-    p.add_argument("--r-t", type=float, dest="r_t")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tau", help="infectious period: '3-5' or '4' days")
-    p.add_argument("--tau-mode", choices=TAU_MODES, dest="tau_mode")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--config")
+    _add_options(p, _SIM_OPTIONS)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("metrics", help="network structure metrics and histograms")
@@ -325,8 +308,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"spdt: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"spdt: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -72,8 +72,6 @@ _STREAM_INFECTION = 3
 # the per-day streams, in the order of a block's stream axis
 _DAY_STREAMS = (_STREAM_TAU, _STREAM_REMOVAL, _STREAM_INFECTION)
 
-TAU_MODES = ("uniform", "mean3")
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -81,9 +79,9 @@ class SimulationConfig:
 
     ``r_t`` is the median particle removal time in minutes; per evaluated
     link the removal time is drawn from ``b_range`` with that median and the
-    removal rate is its reciprocal. ``tau_mode`` selects how the infectious
-    period is drawn from ``tau_range``: 'uniform' over the integer range, or
-    'mean3' pinning it to the lower bound.
+    removal rate is its reciprocal. The infectious period in days is drawn
+    uniformly over the integer range ``tau_range``; a one-value range such as
+    (3, 3) pins it, and then nothing is drawn.
     """
 
     seeds: int = 500
@@ -92,11 +90,12 @@ class SimulationConfig:
     b_range: tuple[float, float] = (7.5, 300.0)
     sigma: float = DEFAULT_SIGMA
     tau_range: tuple[int, int] = (3, 5)
-    tau_mode: str = "uniform"
     rng_seed: int = 0
     runs: int = 1
 
     def __post_init__(self):
+        if len(self.b_range) != 2:
+            raise ValueError(f"invalid removal-time bounds b_range={self.b_range!r}")
         lo, hi = self.b_range
         check_positive("b_range", lo)
         check_positive("b_range", hi)
@@ -115,8 +114,6 @@ class SimulationConfig:
         tlo, thi = self.tau_range
         if tlo < 1 or thi < tlo:
             raise ValueError(f"invalid infectious-period range {self.tau_range!r}")
-        if self.tau_mode not in TAU_MODES:
-            raise ValueError(f"tau_mode must be one of {TAU_MODES}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 
@@ -197,15 +194,6 @@ def _block_runs(net: DynamicContactNetwork) -> int:
     return max(1, _BLOCK_PAIRS // max(busiest, 1))
 
 
-def _draw_tau(rng: np.random.Generator | None, n: int,
-              cfg: SimulationConfig) -> np.ndarray:
-    # 'mean3' pins the period and draws nothing from rng
-    lo, hi = cfg.tau_range
-    if cfg.tau_mode == "uniform":
-        return rng.integers(lo, hi + 1, size=n, dtype=np.int64)
-    return np.full(n, lo, dtype=np.int64)
-
-
 def _step_block(
     net: DynamicContactNetwork,
     state: PopulationState,
@@ -273,11 +261,11 @@ def _step_block(
                     row[:, NEW_INFECTIONS] = n_new
                     np.put(status, newly, INFECTED)
                     np.put(day_infected, newly, day + 1)  # latent until tomorrow
-                    if cfg.tau_mode == "uniform":
-                        np.put(tau, newly, per_run_draws(
-                            n_new, _STREAM_TAU, lambda rng, k: _draw_tau(rng, k, cfg)))
-                    else:
-                        np.put(tau, newly, _draw_tau(None, newly.size, cfg))
+                    # a pinned period builds no tau generator
+                    lo, hi = cfg.tau_range
+                    np.put(tau, newly, lo if lo == hi else per_run_draws(
+                        n_new, _STREAM_TAU,
+                        lambda rng, k: rng.integers(lo, hi + 1, size=k, dtype=np.int64)))
 
     row[:, PREVALENCE] = np.count_nonzero(status == INFECTED, axis=1)
 
@@ -317,12 +305,14 @@ def _seeded_block(n_users: int, cfg: SimulationConfig, runs: range) -> Populatio
     state = PopulationState.initial((len(runs), n_users))
     if cfg.seeds:
         from ._rng import generator, mix
+        lo, hi = cfg.tau_range
         for i, words in enumerate(mix(cfg.rng_seed, np.asarray(runs), _STREAM_INIT)):
             rng = generator(words)
             chosen = rng.choice(n_users, size=cfg.seeds, replace=False)
             state.status[i, chosen] = INFECTED
             state.day_infected[i, chosen] = 0
-            state.tau[i, chosen] = _draw_tau(rng, cfg.seeds, cfg)
+            state.tau[i, chosen] = lo if lo == hi else rng.integers(
+                lo, hi + 1, size=cfg.seeds, dtype=np.int64)
     return state
 
 

@@ -74,7 +74,6 @@ class ExperimentPlan:
     horizon_days: int = 14
     rng_seed: int = 0
     densify_seed: int = DEFAULT_DENSIFY_SEED
-    tau_mode: str = SimulationConfig.tau_mode
     b_range: tuple[float, float] = SimulationConfig.b_range
 
     def __post_init__(self):
@@ -133,29 +132,44 @@ class ExperimentPlan:
                      base: "ExperimentPlan | None" = None) -> "ExperimentPlan":
         """Apply key=value overrides (config-file entries) onto a base plan."""
         plan = base if base is not None else cls.desk()
-        kwargs: dict = {}
-        for key, raw in mapping.items():
-            try:
-                if key == "variants":
-                    kwargs[key] = tuple(v.strip().upper() for v in raw.split(","))
-                elif key == "r_t":
-                    kwargs["r_t_values"] = tuple(float(v) for v in raw.split(","))
-                elif key == "sigma":
-                    kwargs["sigma_values"] = tuple(float(v) for v in raw.split(","))
-                elif key == "tau":
-                    kwargs["tau_values"] = tuple(v.strip() for v in raw.split(","))
-                elif key in ("runs", "seeds", "horizon_days", "rng_seed", "densify_seed"):
-                    kwargs[key] = int(raw)
-                elif key == "tau_mode":
-                    kwargs[key] = raw.strip()
-                elif key == "b_range":
-                    lo, hi = (float(v) for v in raw.split(","))
-                    kwargs["b_range"] = (lo, hi)
-                else:
-                    raise ValueError("unknown plan key")
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
-        return replace(plan, **kwargs)
+        return replace(plan, **parse_keys(mapping, _PLAN_OPTIONS))
+
+
+def _listed(parse):
+    """Parser of a comma-separated list of ``parse``'s values."""
+    return lambda raw: tuple(parse(v.strip()) for v in raw.split(","))
+
+
+# plan key -> (ExperimentPlan field, parser)
+_PLAN_OPTIONS = {
+    "variants": ("variants", _listed(str.upper)),
+    "r_t": ("r_t_values", _listed(float)),
+    "sigma": ("sigma_values", _listed(float)),
+    "tau": ("tau_values", _listed(str)),
+    "runs": ("runs", int),
+    "seeds": ("seeds", int),
+    "horizon_days": ("horizon_days", int),
+    "rng_seed": ("rng_seed", int),
+    "densify_seed": ("densify_seed", int),
+    "b_range": ("b_range", _listed(float)),
+}
+
+
+def parse_keys(entries: dict[str, str], options: dict) -> dict:
+    """Dataclass fields from raw ``key: value`` entries, each parsed by its
+    ``options`` row (field first, parser last) and named by its key when it
+    fails; an unknown key fails with the list of valid ones."""
+    unknown = set(entries) - set(options)
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}; valid: {sorted(options)}")
+    fields = {}
+    for key, raw in entries.items():
+        field, *_, parse = options[key]
+        try:
+            fields[field] = parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return fields
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -237,7 +251,6 @@ def cell_config(plan: ExperimentPlan, variant: str, r_t: float, sigma: float,
         b_range=plan.b_range,
         sigma=sigma,
         tau_range=parse_tau_spec(tau_spec),
-        tau_mode=plan.tau_mode,
         runs=plan.runs,
     )
     # the seed is derived only from values SimulationConfig has accepted
@@ -421,8 +434,14 @@ def reconstruct_compare(dir_a, dir_b, out_path=None) -> list[dict]:
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     manifests = []
     for d in (dir_a, dir_b):
-        with open(d / "manifest.json", "r", encoding="utf-8") as fh:
-            manifests.append(json.load(fh))
+        path = d / "manifest.json"
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        found = manifest.get("format") if isinstance(manifest, dict) else None
+        if found != MANIFEST_FORMAT:
+            raise ValueError(f"{path}: not a {MANIFEST_FORMAT!r} manifest "
+                             f"(format {found!r})")
+        manifests.append(manifest)
     if manifests[0]["trace"]["sha256"] != manifests[1]["trace"]["sha256"]:
         raise ValueError("mismatched trace digests: runs are not comparable")
     for d, manifest in zip((dir_a, dir_b), manifests):

@@ -84,8 +84,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(tau_range=(0, 3))
         with pytest.raises(ValueError):
-            SimulationConfig(tau_mode="weird")
-        with pytest.raises(ValueError):
             SimulationConfig(runs=0)
         with pytest.raises(ValueError):
             SimulationConfig(sigma=-1.0)
@@ -247,8 +245,8 @@ class TestRunSimulation:
     def test_tau_modes(self):
         net = synth_net()
         base = dict(seeds=40, horizon_days=2, r_t=60.0, rng_seed=1, runs=1)
-        uniform_cfg = SimulationConfig(tau_mode="uniform", **base)
-        pinned_cfg = SimulationConfig(tau_mode="mean3", **base)
+        uniform_cfg = SimulationConfig(tau_range=(3, 5), **base)
+        pinned_cfg = SimulationConfig(tau_range=(3, 3), **base)
         state_u = seeded_state(net.n_users, uniform_cfg, run=0)
         state_p = seeded_state(net.n_users, pinned_cfg, run=0)
         taus_u = state_u.tau[state_u.status == INFECTED]

@@ -3,8 +3,10 @@
 The reference below is the per-run simulator: one run at a time, one day at
 a time, every day gathering over all of that day's links, with all three
 random substreams derived eagerly. The lockstep path must give an equal
-counts array for any network, seed count, tau mode, run count and worker
-count, and `step_day` must match the reference step.
+counts array for any network, seed count, infectious-period range, run
+count and worker count, and `step_day` must match the reference step.
+The reference draws every infectious period, also a pinned one, so it checks
+that the simulator's not drawing a pinned period changes no output.
 """
 
 import tracemalloc
@@ -55,6 +57,11 @@ def _eager_streams(rng_seed, run, day):
             gen(epi._STREAM_INFECTION))
 
 
+def _reference_tau(cfg, rng, n):
+    lo, hi = cfg.tau_range
+    return rng.integers(lo, hi + 1, size=n, dtype=np.int64)
+
+
 def _reference_removal_times(cfg, rng, n):
     # a fair coin picks the half-range, then a uniform draw within it
     lo, hi = cfg.b_range
@@ -98,7 +105,7 @@ def _reference_step(net, state, day, cfg, tau_rng, removal_rng, infection_rng):
                     if newly.size:
                         status[newly] = INFECTED
                         day_infected[newly] = day + 1
-                        tau[newly] = epi._draw_tau(tau_rng, newly.size, cfg)
+                        tau[newly] = _reference_tau(cfg, tau_rng, newly.size)
                         n_new = int(newly.size)
 
     prevalence = int(np.count_nonzero(status == INFECTED))
@@ -113,7 +120,7 @@ def _reference_seeded_state(n_users, cfg, run):
         chosen = rng.choice(n_users, size=cfg.seeds, replace=False)
         state.status[chosen] = INFECTED
         state.day_infected[chosen] = 0
-        state.tau[chosen] = epi._draw_tau(rng, cfg.seeds, cfg)
+        state.tau[chosen] = _reference_tau(cfg, rng, cfg.seeds)
     return state
 
 
@@ -169,7 +176,6 @@ def configs(n_users, horizon):
         r_t=st.sampled_from([7.5, 35.0, 300.0]),
         sigma=st.sampled_from([0.33, 5.0, 50.0]),
         tau_range=st.sampled_from([(1, 1), (1, 3), (3, 5)]),
-        tau_mode=st.sampled_from(["uniform", "mean3"]),
         rng_seed=st.integers(0, 2**64 - 1),
         runs=st.integers(1, 7),
     )
@@ -243,15 +249,17 @@ def synth_net():
     return _synth_net()
 
 
-@pytest.mark.parametrize("tau_mode", ["uniform", "mean3"])
+# the ids are the names of the former tau modes: "mean3" pinned the period
+# to the range's lower bound, which a one-value range does now
+@pytest.mark.parametrize("tau_range", [(3, 5), (3, 3)], ids=["uniform", "mean3"])
 @pytest.mark.parametrize("runs_per_block, runs", [
     (4, 1), (4, 3), (4, 4), (4, 5), (4, 13), (1, 3)])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_synthetic_network_blocks_and_workers(synth_net, small_blocks, tau_mode,
+def test_synthetic_network_blocks_and_workers(synth_net, small_blocks, tau_range,
                                               runs_per_block, runs, workers):
     small_blocks(runs_per_block, synth_net)
     cfg = SimulationConfig(seeds=6, horizon_days=7, r_t=60.0, sigma=0.5,
-                           tau_mode=tau_mode, rng_seed=11, runs=runs)
+                           tau_range=tau_range, rng_seed=11, runs=runs)
     got = run_simulation(synth_net, cfg, workers=workers)
     assert np.array_equal(got, _reference_simulation(synth_net, cfg))
     assert got[:, :, epi.NEW_INFECTIONS].any()
@@ -309,7 +317,7 @@ def test_runs_without_draws_derive_no_streams(synth_net, monkeypatch):
     run_simulation(synth_net, cfg)
     assert built == []  # no infectious host, nothing drawn
 
-    cfg = replace(cfg, seeds=3, tau_mode="mean3")
+    cfg = replace(cfg, seeds=3, tau_range=(3, 3))  # a pinned period
     assert np.array_equal(run_simulation(synth_net, cfg),
                           _reference_simulation(synth_net, cfg))
     day_keys = [key for key in built if len(key) == 4]

@@ -1,12 +1,12 @@
 """Golden digests of the simulation outputs the CLI writes.
 
 A dense synthetic trace is built into SDT and SST with `spdt build` and
-`spdt project-spst`. `spdt simulate` runs on SDT in both tau modes, the
-second with a horizon past the network's last day, and the SHA-256 of its
-daily and summary CSVs is pinned. A 2x2-cell mini-sweep (SDT/SST x r_t
-10/60) pins every output its manifest lists. Its run count is above the
-number of runs the simulator steps together on this SDT, so a block
-boundary is crossed. The trace and every run come from numpy Generator
+`spdt project-spst`. `spdt simulate` runs on SDT with a drawn and a pinned
+infectious period, the second with a horizon past the network's last day,
+and the SHA-256 of its daily and summary CSVs is pinned. A 2x2-cell
+mini-sweep (SDT/SST x r_t 10/60) pins every output its manifest lists. Its
+run count is above the number of runs the simulator steps together on this
+SDT, so a block boundary is crossed. The trace and every run come from numpy Generator
 streams, which may change between numpy releases, so digests are keyed by
 the numpy version they were recorded with; other versions skip, and the
 skip reason (``pytest -rs``) carries the digests to record from a trusted
@@ -93,7 +93,7 @@ def simulate_digests(trace_and_net):
         ("uniform", ["--runs", "40", "--seeds", "8", "--r-t", "35",
                      "--seed", "3", "--tau", "3-5"]),
         ("mean3", ["--runs", "25", "--seeds", "12", "--r-t", "60",
-                   "--seed", "4", "--tau", "3-5", "--tau-mode", "mean3",
+                   "--seed", "4", "--tau", "3",
                    "--horizon", "6"]),
     )
     digests = {}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spdt import sweep
-from spdt.cli import main
+from spdt.cli import _SIM_OPTIONS, _SYNTH_OPTIONS, main
 from spdt.epidemic import SimulationConfig, run_simulation, write_daily_csv
 from spdt.metrics import (
     degree_distribution,
@@ -123,7 +123,7 @@ class TestPlan:
 
     @pytest.mark.parametrize("key, value", [
         ("b_range", "7.5, inf"), ("sigma", "0.33, inf"), ("sigma", "nan"),
-        ("runs", "0"), ("seeds", "-1"), ("tau_mode", "weird"), ("tau", "3-5, 0"),
+        ("runs", "0"), ("seeds", "-1"), ("tau", "3-5, 0"),
         ("r_t", "5"),
     ])
     def test_rejects_invalid_cell(self, key, value):
@@ -131,11 +131,19 @@ class TestPlan:
         with pytest.raises(ValueError, match=name):
             ExperimentPlan.from_mapping({key: value})
 
+    def test_unknown_key_lists_the_plan_keys(self):
+        with pytest.raises(ValueError, match=r"unknown keys \['foo'\]") as info:
+            ExperimentPlan.from_mapping({"foo": "1"})
+        valid = str(info.value).partition("valid: ")[2]
+        assert valid == str(sorted([
+            "variants", "r_t", "sigma", "tau", "runs", "seeds", "horizon_days",
+            "rng_seed", "densify_seed", "b_range"]))
+
     def test_defaults_follow_simulation_config(self):
         plan, cfg = ExperimentPlan(), SimulationConfig()
         assert plan.sigma_values == (cfg.sigma,)
         assert [parse_tau_spec(t) for t in plan.tau_values] == [cfg.tau_range]
-        assert (plan.tau_mode, plan.b_range) == (cfg.tau_mode, cfg.b_range)
+        assert plan.b_range == cfg.b_range
 
     def test_distinct_grid_values_accepted(self):
         plan = ExperimentPlan(r_t_values=(10.0, 10.001), sigma_values=(0.33, 0.330001))
@@ -541,6 +549,88 @@ class TestCli:
                      "--out-summary", str(tmp_path / "s.csv"),
                      "--config", str(cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize("command, key", [
+        *(("synth", key) for key in _SYNTH_OPTIONS),
+        *(("simulate", key) for key in _SIM_OPTIONS),
+    ])
+    def test_bad_flag_and_config_value_fail_alike(self, tmp_path, capsys,
+                                                  command, key):
+        # the network does not exist: only a parse before the load names the key
+        out = tmp_path / "out"
+        out.mkdir()
+        args = {"synth": ["--out", str(out / "trace.csv")],
+                "simulate": ["--net", str(tmp_path / "missing.spdt"),
+                             "--out-daily", str(out / "d.csv"),
+                             "--out-summary", str(out / "s.csv")]}[command]
+        options = {"synth": _SYNTH_OPTIONS, "simulate": _SIM_OPTIONS}[command]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = x\n")
+        errors = []
+        for given in (["--" + options[key][1], "x"], ["--config", str(cfg)]):
+            assert main([command, *args, *given]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"spdt: error: {key}: ")
+        assert errors[0].count("\n") == 1
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("command, options", [
+        ("synth", _SYNTH_OPTIONS), ("simulate", _SIM_OPTIONS)])
+    def test_help_lists_every_option_row(self, capsys, command, options):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        for key, (_, flag, _) in options.items():
+            assert f"--{flag} {key.upper()}\n" in text
+
+    @pytest.mark.parametrize("manifest", ["{}", '{"format": "spdt-run v9"}'])
+    def test_compare_rejects_an_unknown_manifest(self, tmp_path, capsys, manifest):
+        run_a, run_b = tmp_path / "a", tmp_path / "b"
+        for run, text in ((run_a, '{"format": "spdt-run v1"}'), (run_b, manifest)):
+            run.mkdir()
+            (run / "manifest.json").write_text(text + "\n")
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--a", str(run_a), "--b", str(run_b),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spdt: error:")
+        assert str(run_b / "manifest.json") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", [
+        "metrics of the network", "simulate of the network", "build --horizon",
+        "simulate --horizon"])
+    def test_horizon_too_large_to_index_reported_cleanly(self, tmp_path, capsys,
+                                                        case):
+        # 10^15 days asks for arrays of about 7 PiB, beyond any user address
+        # space, so the allocation fails at once and touches no memory
+        huge = str(10**15)
+        big, ok = tmp_path / "big.spdt", tmp_path / "ok.spdt"
+        big.write_text(f"spdt-net v1 horizon={huge}\n0 a b 0 30 10 20\n")
+        ok.write_text("spdt-net v1 horizon=1\n0 a b 0 30 10 20\n")
+        trace = tmp_path / "trace.csv"
+        trace.write_text("user_id,t_min,x_m,y_m\na,0,0,0\nb,5,1,1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        simulate = ["simulate", "--out-daily", str(out / "d.csv"),
+                    "--out-summary", str(out / "s.csv"), "--seeds", "1"]
+        argv = {
+            "metrics of the network": ["metrics", "--net", str(big),
+                                       "--out-prefix", str(out / "m_")],
+            "simulate of the network": [*simulate, "--net", str(big)],
+            "build --horizon": ["build", "--trace", str(trace),
+                                "--out", str(out / "net.spdt"), "--horizon", huge],
+            "simulate --horizon": [*simulate, "--net", str(ok), "--horizon", huge],
+        }[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("spdt: error: ") and captured.out == ""
+        assert captured.err.strip() != "spdt: error:"
+        assert not list(out.iterdir())
 
     def test_error_reported_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "nope.spdt"
