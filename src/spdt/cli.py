@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .epidemic import SimulationConfig, run_simulation, write_daily_csv
+from .epidemic import SimulationConfig, resolve_workers, run_simulation, write_daily_csv
 from .exposure import check_positive
 from .metrics import (
     DEFAULT_EDGE_THRESHOLD,
@@ -111,7 +111,7 @@ def _cmd_build(args) -> int:
         visit_gap_min=args.gap,
         horizon_days=args.horizon,
     )
-    parsed = parse_trace(args.trace, project_latlon=args.project_latlon)
+    parsed = parse_trace(args.trace)
     visits = segment_all(parsed, cfg.radius_m, cfg.visit_gap_min)
     net = extract_spdt_links(visits, parsed, cfg)
     save_network(net, args.out)
@@ -152,9 +152,10 @@ def _cmd_make_ldt_lst(args) -> int:
 
 def _cmd_simulate(args) -> int:
     given = _config_kwargs(args, _SIM_OPTIONS)  # bad values fail before the load
+    workers = resolve_workers()
     net = load_network(args.net)
     cfg = SimulationConfig(**{"horizon_days": net.horizon, **given})
-    counts = run_simulation(net, cfg)
+    counts = run_simulation(net, cfg, workers)
     write_daily_csv(counts, args.out_daily)
     write_summary_csv(counts, args.out_summary)
     total = int(outbreak_size(counts).sum())
@@ -204,8 +205,7 @@ def _cmd_sweep(args) -> int:
     base = ExperimentPlan.full() if args.full else ExperimentPlan.desk()
     plan = (ExperimentPlan.from_mapping(read_config_file(args.config), base)
             if args.config else base)
-    manifest = run_plan(plan, args.trace, args.out_dir,
-                        project_latlon=args.project_latlon)
+    manifest = run_plan(plan, args.trace, args.out_dir)
     failed = [c for c in manifest["cells"] if c["status"] != "ok"]
     print(f"swept {len(manifest['cells'])} cells "
           f"({len(failed)} failed); outputs in {args.out_dir}")
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--horizon", type=int, default=BuilderConfig.horizon_days)
-    p.add_argument("--project-latlon", action="store_true")
     p.add_argument("--radius", type=float, default=BuilderConfig.radius_m)
     p.add_argument("--delta", type=float, default=BuilderConfig.indirect_window_min,
                    help="indirect window after host departure (minutes)")
@@ -291,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--full", action="store_true",
                    help="whole-grid profile instead of the desk-scale default")
-    p.add_argument("--project-latlon", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", help="difference table between two sweep runs")

@@ -348,6 +348,8 @@ def resolve_workers(workers: int | None = None) -> int:
         except ValueError:
             raise ValueError(
                 f"SPDT_WORKERS must be an integer, got {raw!r}") from None
+        if workers < 1:
+            raise ValueError(f"SPDT_WORKERS must be at least 1, got {raw!r}")
     if workers < 1:
         raise ValueError("worker count must be at least 1")
     return workers

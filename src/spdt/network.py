@@ -303,16 +303,17 @@ def extract_spdt_links(
     key, code, t, x, y = key[order], code[order], t[order], x[order], y[order]
 
     # per visit: rounded host bounds, day, and the time window in ranks
-    window_end_f = v_t1 + delta
     t_s_v = np.rint(v_t0).astype(np.int64)
     t_l_v = np.rint(v_t1).astype(np.int64)
     window_end = t_l_v + int(round(delta))
     day_v = t_s_v // MINUTES_PER_DAY
     in_horizon = (day_v >= 0) & (day_v < cfg.horizon_days)
     rank_lo = np.searchsorted(times, v_t0, side="left")
-    rank_hi = np.searchsorted(times, window_end_f, side="right")
+    rank_hi = np.searchsorted(times, v_t1 + delta, side="right")
 
-    # candidate ranges [lo, hi) of the 3x3 cells around each anchor
+    # candidate ranges [lo, hi) of the 3x3 cells around each anchor; a
+    # candidate's time is times[rank] for a rank in [rank_lo, rank_hi), so
+    # the ranges already hold only updates in [t_start, t_end + delta]
     vcol = np.floor(v_x / cfg.radius_m).astype(np.int64)
     vrow = np.floor(v_y / cfg.radius_m).astype(np.int64)
     lo = np.zeros((len(visits), 9), dtype=np.int64)
@@ -338,17 +339,12 @@ def extract_spdt_links(
             pos = _ranges(lo[a:b].ravel(), c)
             dx = x[pos] - v_x[vis]
             dy = y[pos] - v_y[vis]
-            tc = t[pos]
-            hit = (
-                (dx * dx + dy * dy <= radius2)
-                & (tc >= v_t0[vis])
-                & (tc <= window_end_f[vis])
-                & (code[pos] != host[vis])
-            )
+            hit = (dx * dx + dy * dy <= radius2) & (code[pos] != host[vis])
             # one group per (visit, neighbour), ordered by visit, then neighbour
-            group = vis[hit] * len(users) + code[pos[hit]]
+            pos = pos[hit]
+            group = vis[hit] * len(users) + code[pos]
             by_group = np.argsort(group, kind="stable")
-            group, tc = group[by_group], tc[hit][by_group]
+            group, tc = group[by_group], t[pos[by_group]]
             starts = np.flatnonzero(_run_starts(group))
             if starts.size:
                 first = np.rint(np.minimum.reduceat(tc, starts)).astype(np.int64)

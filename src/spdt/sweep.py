@@ -21,7 +21,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .epidemic import PREVALENCE, SimulationConfig, run_simulation, write_daily_csv
+from .epidemic import (
+    PREVALENCE,
+    SimulationConfig,
+    resolve_workers,
+    run_simulation,
+    write_daily_csv,
+)
 from .metrics import _fmt, outbreak_size, run_summaries
 from .network import (
     DEFAULT_DENSIFY_SEED,
@@ -194,7 +200,6 @@ def build_variants(
     horizon_days: int,
     variants: Iterable[str],
     densify_seed: int = DEFAULT_DENSIFY_SEED,
-    project_latlon: bool = False,
 ) -> dict[str, DynamicContactNetwork]:
     """Parse a trace and derive the requested network variants."""
     wanted = set(variants)
@@ -203,7 +208,7 @@ def build_variants(
         raise ValueError(f"unknown variants {sorted(unknown)}")
     cfg = BuilderConfig(horizon_days=horizon_days)
 
-    parsed = parse_trace(trace_path, project_latlon=project_latlon)
+    parsed = parse_trace(trace_path)
     visits = segment_all(parsed, cfg.radius_m, cfg.visit_gap_min)
     sdt = extract_spdt_links(visits, parsed, cfg)
 
@@ -299,8 +304,7 @@ def _cell_rows(cell: str, counts: np.ndarray) -> tuple[list[str], list[str], flo
     return summary, prevalence, float(outbreak.mean())
 
 
-def run_plan(plan: ExperimentPlan, trace_path, out_dir,
-             project_latlon: bool = False) -> dict:
+def run_plan(plan: ExperimentPlan, trace_path, out_dir) -> dict:
     """Execute every cell of the plan on the given trace.
 
     Writes, under ``out_dir``: per-cell daily CSVs, a long-format summary,
@@ -312,17 +316,19 @@ def run_plan(plan: ExperimentPlan, trace_path, out_dir,
     The manifest marks a complete run: an existing one is deleted before
     any output is written, and the new one is written to a temporary file
     and renamed into place last, so an interrupted sweep never leaves
-    outputs that look complete.
+    outputs that look complete. A bad trace or worker count fails before
+    anything under ``out_dir`` is made, changed or deleted.
     """
+    resolve_workers()  # each cell resolves it again: a bad one fails here first
+    nets = build_variants(trace_path, plan.horizon_days, plan.variants,
+                          plan.densify_seed)
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
     manifest_path.unlink(missing_ok=True)
     cells_dir = out / "cells"
     cells_dir.mkdir(exist_ok=True)
-
-    nets = build_variants(trace_path, plan.horizon_days, plan.variants,
-                          plan.densify_seed, project_latlon)
 
     summary_rows: list[str] = []
     prevalence_rows: list[str] = []
@@ -422,6 +428,33 @@ def _load_group_means(run_dir: Path) -> dict[tuple[str, str, str], dict[float, f
     return groups
 
 
+def _read_manifest(path: Path) -> dict:
+    """A run's manifest, checked for every field that compare reads.
+
+    Raises naming ``path`` unless the file is a v1 manifest with a string
+    ``trace.sha256`` and an ``outputs`` map from paths inside the run
+    directory to string digests.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+    found = manifest.get("format") if isinstance(manifest, dict) else None
+    if found != MANIFEST_FORMAT:
+        raise ValueError(f"{path}: not a {MANIFEST_FORMAT!r} manifest "
+                         f"(format {found!r})")
+    trace, outputs = manifest.get("trace"), manifest.get("outputs")
+    if not (isinstance(trace, dict) and isinstance(trace.get("sha256"), str)
+            and isinstance(outputs, dict)
+            and all(isinstance(sha, str) for sha in outputs.values())):
+        raise ValueError(f"{path}: 'trace.sha256' or 'outputs' missing or malformed")
+    for rel in map(Path, outputs):
+        if rel.is_absolute() or ".." in rel.parts:
+            raise ValueError(f"{path}: output {str(rel)!r} is outside the run directory")
+    return manifest
+
+
 def reconstruct_compare(dir_a, dir_b, out_path=None) -> list[dict]:
     """Per-removal-time difference table between two completed runs.
 
@@ -432,16 +465,7 @@ def reconstruct_compare(dir_a, dir_b, out_path=None) -> list[dict]:
     difference is B minus A.
     """
     dir_a, dir_b = Path(dir_a), Path(dir_b)
-    manifests = []
-    for d in (dir_a, dir_b):
-        path = d / "manifest.json"
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        found = manifest.get("format") if isinstance(manifest, dict) else None
-        if found != MANIFEST_FORMAT:
-            raise ValueError(f"{path}: not a {MANIFEST_FORMAT!r} manifest "
-                             f"(format {found!r})")
-        manifests.append(manifest)
+    manifests = [_read_manifest(d / "manifest.json") for d in (dir_a, dir_b)]
     if manifests[0]["trace"]["sha256"] != manifests[1]["trace"]["sha256"]:
         raise ValueError("mismatched trace digests: runs are not comparable")
     for d, manifest in zip((dir_a, dir_b), manifests):

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
+import numpy as np
+
 MINUTES_PER_DAY = 1440
 
 TRACE_HEADER = ("user_id", "t_min", "x_m", "y_m")
@@ -47,11 +49,14 @@ class Visit(NamedTuple):
 @dataclass
 class ParsedTrace:
     """Updates sorted by (user_id, t) plus the count of rows dropped as
-    malformed, in total and by reason."""
+    malformed, by reason; ``skipped`` is their total."""
 
     updates: list[LocationUpdate] = field(default_factory=list)
-    skipped: int = 0
     skip_reasons: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def skipped(self) -> int:
+        return sum(self.skip_reasons.values())
 
     def by_user(self) -> dict[str, list[LocationUpdate]]:
         grouped: dict[str, list[LocationUpdate]] = {}
@@ -68,10 +73,11 @@ def _project_equirectangular(rows: list[tuple[str, float, float, float]]):
     piece. City-scale traces make the projection error negligible relative
     to the 20 m co-location radius.
     """
-    lat0 = math.radians(sum(r[2] for r in rows) / len(rows))
+    # sums run left to right, whatever the Python version (3.12's sum compensates)
+    lat0 = math.radians(np.cumsum([r[2] for r in rows])[-1] / len(rows))
     lons = [math.radians(r[3]) for r in rows]
-    lon0 = math.degrees(math.atan2(sum(map(math.sin, lons)),
-                                   sum(map(math.cos, lons))))
+    lon0 = math.degrees(math.atan2(np.cumsum(list(map(math.sin, lons)))[-1],
+                                   np.cumsum(list(map(math.cos, lons)))[-1]))
     cos_lat0 = math.cos(lat0)
     projected = []
     for user_id, t, lat, lon in rows:
@@ -82,27 +88,29 @@ def _project_equirectangular(rows: list[tuple[str, float, float, float]]):
     return projected
 
 
-def parse_trace(source: str | Path | TextIO, project_latlon: bool = False) -> ParsedTrace:
+def parse_trace(source: str | Path | TextIO) -> ParsedTrace:
     """Parse a trace CSV into per-user time-sorted updates.
 
-    Rows with the wrong field count, non-numeric or non-finite values, or an
-    empty user id are counted by reason and skipped. A missing or wrong
-    header raises. With ``project_latlon`` the input columns are geographic
-    coordinates, converted to planar metres about the trace centroid; rows
-    with |lat| > 90 or |lon| > 180 are skipped too.
+    The header names the coordinates: ``user_id,t_min,x_m,y_m`` for planar
+    metres, or ``user_id,t_min,lat,lon`` for geographic degrees, which are
+    converted to planar metres about the trace centroid; under the latter,
+    rows with |lat| > 90 or |lon| > 180 are skipped. Rows with the wrong
+    field count, non-numeric or non-finite values, or an empty user id are
+    counted by reason and skipped too. A missing or other header raises.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return parse_trace(fh, project_latlon=project_latlon)
+            return parse_trace(fh)
 
     header_line = source.readline()
     if not header_line:
         raise ValueError("empty trace: missing header")
-    expected = TRACE_HEADER_LATLON if project_latlon else TRACE_HEADER
     header = tuple(part.strip() for part in header_line.strip().split(","))
-    if header != expected:
+    if header not in (TRACE_HEADER, TRACE_HEADER_LATLON):
         raise ValueError(f"unparseable trace header {header_line.strip()!r}; "
-                         f"expected {','.join(expected)!r}")
+                         f"expected {','.join(TRACE_HEADER)!r} or "
+                         f"{','.join(TRACE_HEADER_LATLON)!r}")
+    latlon = header == TRACE_HEADER_LATLON
 
     rows: list[tuple[str, float, float, float]] = []
     reasons: dict[str, int] = {}
@@ -125,20 +133,19 @@ def parse_trace(source: str | Path | TextIO, project_latlon: bool = False) -> Pa
                     reason = "empty user id"
                 elif not all(map(math.isfinite, (t, a, b))):
                     reason = "non-finite value"
-                elif project_latlon and not (abs(a) <= 90.0 and abs(b) <= 180.0):
+                elif latlon and not (abs(a) <= 90.0 and abs(b) <= 180.0):
                     reason = "lat/lon out of range"
         if reason is None:
             rows.append((user_id, t, a, b))
         else:
             reasons[reason] = reasons.get(reason, 0) + 1
 
-    if project_latlon and rows:
+    if latlon and rows:
         rows = _project_equirectangular(rows)
 
     updates = [LocationUpdate(u, t, x, y) for u, t, x, y in rows]
     updates.sort(key=lambda upd: (upd.user_id, upd.t))
-    return ParsedTrace(updates=updates, skipped=sum(reasons.values()),
-                       skip_reasons=reasons)
+    return ParsedTrace(updates=updates, skip_reasons=reasons)
 
 
 def write_trace_csv(updates: Iterable[LocationUpdate], path: str | Path) -> None:
@@ -194,12 +201,12 @@ def segment_visits(
 
 
 def segment_all(
-    parsed: ParsedTrace | dict[str, list[LocationUpdate]],
+    parsed: ParsedTrace,
     radius_m: float = DEFAULT_VISIT_RADIUS_M,
     max_gap_min: float = DEFAULT_VISIT_GAP_MIN,
 ) -> list[Visit]:
     """Segment every user's updates; output ordered by (user_id, t_start)."""
-    grouped = parsed.by_user() if isinstance(parsed, ParsedTrace) else parsed
+    grouped = parsed.by_user()
     visits: list[Visit] = []
     for user_id in sorted(grouped):
         visits.extend(segment_visits(grouped[user_id], radius_m, max_gap_min))

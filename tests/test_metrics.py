@@ -1,5 +1,6 @@
 """Reproduction series, static/daily graph metrics, clustering oracle."""
 
+import math
 import re
 from itertools import combinations
 
@@ -106,6 +107,21 @@ class TestStaticGraphBasics:
         assert coeffs["a"] == pytest.approx(2.0 / 3.0)
         assert coeffs["c"] == pytest.approx(2.0 / 3.0)
         assert mean == pytest.approx((1 + 1 + 2 / 3 + 2 / 3) / 4)
+
+    def test_mean_clustering_summed_left_to_right(self):
+        # every node of the circulant graph C_10(1, 2, 3) has coefficient 0.6,
+        # and ten 0.6s summed left to right round otherwise than a compensated
+        # sum (the builtin sum of floats from Python 3.12) does
+        nodes = [f"n{i}" for i in range(10)]
+        g = graph_of(nodes, [(nodes[i], nodes[(i + k) % 10])
+                             for i in range(10) for k in (1, 2, 3)])
+        coeffs, mean = clustering_distribution(g)
+        assert set(coeffs.values()) == {0.6}
+        total = 0.0
+        for c in coeffs.values():
+            total += c
+        assert total / 10 != math.fsum(coeffs.values()) / 10
+        assert mean == total / 10
 
 
 def brute_force_clustering(nodes, edges) -> dict[str, float]:

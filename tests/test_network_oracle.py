@@ -555,7 +555,7 @@ def test_scheduled_network_matches_materialised(tmp_path_factory, net, seed):
                                r_t=35.0, sigma=500.0, rng_seed=seed, runs=3)
         want = run_simulation(flat, cfg)
         assert np.array_equal(run_simulation(dense, cfg, workers=1), want)
-        # one run per block, so two workers each get a pickled copy
+        # one run per block, so the blocks are spread over two workers
         with mock.patch.object(epi, "_BLOCK_PAIRS", 1):
             assert np.array_equal(run_simulation(dense, cfg, workers=2), want)
         assert np.array_equal(

@@ -363,8 +363,7 @@ class TestCli:
                          "a,0,51.5,179.9999\n" "b,1,51.5,-179.9999\n"
                          "a,2,95.0,0.0\n" "b,3,51.5\n")
         assert main(["build", "--trace", str(trace), "--out",
-                     str(tmp_path / "net.spdt"), "--horizon", "1",
-                     "--project-latlon"]) == 0
+                     str(tmp_path / "net.spdt"), "--horizon", "1"]) == 0
         out = capsys.readouterr().out
         assert "2 rows skipped: 1 lat/lon out of range, 1 wrong field count" in out
 
@@ -444,6 +443,58 @@ class TestCli:
         assert named in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
         assert (out / "manifest.json").read_text() == "{}\n"
+
+    @pytest.mark.parametrize("case", ["missing trace", "bad SPDT_WORKERS"])
+    def test_sweep_bad_input_leaves_the_run_directory(self, small_trace, tmp_path,
+                                                      capsys, monkeypatch, case):
+        plan_file = tmp_path / "plan.cfg"
+        plan_file.write_text("variants = SDT\nr_t = 10\nruns = 2\nseeds = 5\n"
+                             "horizon_days = 4\n")
+        out = tmp_path / "run"
+
+        def files():
+            return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        sweep = ["sweep", "--out-dir", str(out), "--config", str(plan_file)]
+        assert main([*sweep, "--trace", str(small_trace)]) == 0
+        before = files()
+        trace, named = small_trace, "SPDT_WORKERS"
+        if case == "missing trace":
+            trace = named = str(tmp_path / "typo.csv")
+        else:
+            monkeypatch.setenv("SPDT_WORKERS", "abc")
+        capsys.readouterr()
+        assert main([*sweep, "--trace", str(trace)]) == 2
+        assert named in capsys.readouterr().err
+        assert files() == before
+        monkeypatch.delenv("SPDT_WORKERS", raising=False)
+        assert main(["compare", "--a", str(out), "--b", str(out),
+                     "--out", str(tmp_path / "cmp.csv")]) == 0
+
+    def test_simulate_bad_worker_variable_named_before_the_load(self, tmp_path,
+                                                               capsys, monkeypatch):
+        monkeypatch.setenv("SPDT_WORKERS", "0")
+        assert main(["simulate", "--net", str(tmp_path / "missing.spdt"),
+                     "--out-daily", str(tmp_path / "d.csv"),
+                     "--out-summary", str(tmp_path / "s.csv")]) == 2
+        assert "SPDT_WORKERS must be at least 1, got '0'" in capsys.readouterr().err
+
+    def test_sweep_latlon_trace(self, small_trace, tmp_path):
+        # the synthetic trace's metres as degrees near 51.5 N: the header
+        # alone selects the projection
+        trace = tmp_path / "latlon.csv"
+        rows = [line.split(",") for line in small_trace.read_text().splitlines()[1:]]
+        trace.write_text("user_id,t_min,lat,lon\n" + "".join(
+            f"{u},{t},{51.5 + float(y) / 111_195!r},{float(x) / 69_218!r}\n"
+            for u, t, x, y in rows))
+        plan_file = tmp_path / "plan.cfg"
+        plan_file.write_text("variants = SDT,SST\nr_t = 10\nruns = 2\nseeds = 5\n"
+                             "horizon_days = 4\n")
+        out = tmp_path / "run"
+        assert main(["sweep", "--trace", str(trace), "--out-dir", str(out),
+                     "--config", str(plan_file)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [c["status"] for c in manifest["cells"]] == ["ok", "ok"]
 
     def test_densify_rejects_negative_seed(self, tmp_path, capsys):
         net = tmp_path / "ok.spdt"
@@ -587,17 +638,31 @@ class TestCli:
         for key, (_, flag, _) in options.items():
             assert f"--{flag} {key.upper()}\n" in text
 
-    @pytest.mark.parametrize("manifest", ["{}", '{"format": "spdt-run v9"}'])
+    @pytest.mark.parametrize("manifest", [
+        "{}",
+        '{"format": "spdt-run v9"}',
+        "not json",
+        '{"format": "spdt-run v1"}',
+        '{"format": "spdt-run v1", "trace": {"sha256": 1}, "outputs": {}}',
+        '{"format": "spdt-run v1", "trace": {"sha256": "0"}, "outputs": []}',
+        '{"format": "spdt-run v1", "trace": {"sha256": "0"}, "outputs": {"x": 1}}',
+        '{"format": "spdt-run v1", "trace": {"sha256": "0"},'
+        ' "outputs": {"../../../etc/passwd": "0"}}',
+        '{"format": "spdt-run v1", "trace": {"sha256": "0"},'
+        ' "outputs": {"/etc/passwd": "0"}}',
+    ])
     def test_compare_rejects_an_unknown_manifest(self, tmp_path, capsys, manifest):
+        # run a's manifest is well formed and lists no outputs
         run_a, run_b = tmp_path / "a", tmp_path / "b"
-        for run, text in ((run_a, '{"format": "spdt-run v1"}'), (run_b, manifest)):
+        valid = '{"format": "spdt-run v1", "trace": {"sha256": "0"}, "outputs": {}}'
+        for run, text in ((run_a, valid), (run_b, manifest)):
             run.mkdir()
             (run / "manifest.json").write_text(text + "\n")
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--a", str(run_a), "--b", str(run_b),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("spdt: error:")
+        assert err.startswith("spdt: error:") and err.count("\n") == 1
         assert str(run_b / "manifest.json") in err
         assert not out.exists()
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spdt.trace import (
     LocationUpdate,
+    ParsedTrace,
     parse_trace,
     segment_all,
     segment_visits,
@@ -30,8 +31,17 @@ class TestParseTrace:
         assert parsed.updates == [] and parsed.skipped == 0
 
     def test_wrong_header_rejected(self):
-        with pytest.raises(ValueError, match="unparseable"):
+        with pytest.raises(ValueError, match="unparseable") as info:
             parse_trace(make_trace([], header="uid,time,x,y"))
+        assert "'user_id,t_min,x_m,y_m' or 'user_id,t_min,lat,lon'" in str(info.value)
+
+    def test_header_picks_the_coordinates(self):
+        # the same two rows are 0.001 m apart as metres, ~111 m as degrees
+        rows = ["a,0,0.0,0.0", "a,1,0.001,0.0"]
+        for header, metres in (("user_id,t_min,x_m,y_m", 0.001),
+                               ("user_id,t_min,lat,lon", 111.2)):
+            a, b = parse_trace(make_trace(rows, header=header)).updates
+            assert math.hypot(a.x - b.x, a.y - b.y) == pytest.approx(metres, rel=0.01)
 
     def test_rows_sorted_per_user(self):
         parsed = parse_trace(make_trace([
@@ -69,7 +79,7 @@ class TestParseTrace:
         parsed = parse_trace(make_trace(
             ["a,0,0.0,0.0", "a,1,0.001,0.0"],
             header="user_id,t_min,lat,lon",
-        ), project_latlon=True)
+        ))
         a, b = parsed.updates
         dist = math.hypot(a.x - b.x, a.y - b.y)
         assert dist == pytest.approx(111.2, rel=0.01)
@@ -80,7 +90,7 @@ class TestParseTrace:
         parsed = parse_trace(make_trace(
             ["a,0,0.0,179.9995", "a,1,0.0,-179.9995", "b,0,0.0,179.9990"],
             header="user_id,t_min,lat,lon",
-        ), project_latlon=True)
+        ))
         a0, a1, b = parsed.updates
         assert math.hypot(a0.x - a1.x, a0.y - a1.y) == pytest.approx(111.2, rel=0.01)
         assert math.hypot(a0.x - b.x, a0.y - b.y) == pytest.approx(55.6, rel=0.01)
@@ -91,7 +101,7 @@ class TestParseTrace:
             ["a,0,10.0,20.0", "a,1,90.5,20.0", "a,2,-91,20.0", "a,3,10.0,180.01",
              "a,4,10.0,-181", "a,5,-90,-180", "a,6,90,180", "a,7,10.0,zz"],
             header="user_id,t_min,lat,lon",
-        ), project_latlon=True)
+        ))
         assert [u.t for u in parsed.updates] == [0.0, 5.0, 6.0]
         assert parsed.skipped == 5
         assert parsed.skip_reasons == {"lat/lon out of range": 4,
@@ -212,9 +222,9 @@ def test_segmentation_idempotent(ups):
 
 
 def test_segment_all_orders_by_user():
-    grouped = {
-        "b": [LocationUpdate("b", 0, 0, 0)],
-        "a": [LocationUpdate("a", 5, 0, 0), LocationUpdate("a", 100, 0, 0)],
-    }
-    visits = segment_all(grouped)
+    parsed = ParsedTrace(updates=[
+        LocationUpdate("b", 0, 0, 0),
+        LocationUpdate("a", 5, 0, 0), LocationUpdate("a", 100, 0, 0),
+    ])
+    visits = segment_all(parsed)
     assert [v.user_id for v in visits] == ["a", "a", "b"]
