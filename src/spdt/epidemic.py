@@ -53,6 +53,7 @@ from .exposure import (
     DEFAULT_PULMONARY_RATE,
     DEFAULT_SIGMA,
     check_positive,
+    infection_probability,
 )
 from .network import _ROW_BLOCK, DynamicContactNetwork, _ranges
 
@@ -148,13 +149,6 @@ def _stream_seeds(rng_seed: int, runs, days) -> np.ndarray:
                np.asarray(_DAY_STREAMS), np.asarray(days)[:, None])
 
 
-def removal_rate_from_time(b: float) -> float:
-    """Removal rate (per minute) for a removal time of b minutes."""
-    if not b > 0:
-        raise ValueError(f"removal time must be positive, got {b!r}")
-    return 1.0 / b
-
-
 def _removal_times(
     r_t: float, b_range: tuple[float, float], draws: np.ndarray
 ) -> np.ndarray:
@@ -173,8 +167,7 @@ def sample_removal_rate(
     lo, hi = b_range
     if not lo <= r_t <= hi:
         raise ValueError(f"median removal time {r_t} outside bounds {b_range}")
-    return removal_rate_from_time(
-        float(_removal_times(r_t, b_range, rng.random((2, 1)))[0]))
+    return 1.0 / float(_removal_times(r_t, b_range, rng.random((2, 1)))[0])
 
 
 # Upper bound on the (run, link) pairs of one lockstep day: a block holds as
@@ -252,7 +245,7 @@ def _step_block(
             totals = np.bincount(key, weights=doses, minlength=n_runs * n_users)
             exposed = np.flatnonzero(totals > 0.0)
             if exposed.size:
-                p_inf = -np.expm1(-cfg.sigma * totals[exposed])
+                p_inf = infection_probability(totals[exposed], cfg.sigma)
                 u = per_run_draws(np.bincount(exposed // n_users, minlength=n_runs),
                                   _STREAM_INFECTION, lambda rng, k: rng.random(k))
                 newly = exposed[u < p_inf]

@@ -1,10 +1,13 @@
-"""Airborne exposure model: per-link inhaled dose and infection risk.
+"""Airborne exposure model: its constants and the dose-response conversion.
 
 An infected host deposits infectious particles at a constant rate while
 present at a location. The ambient concentration rises toward the steady
 state g/(rV) during the stay and decays exponentially once the host leaves.
 A neighbour inhales particles while present in the same proximity, possibly
 only after the host has already departed (the indirect part of a link).
+``spdt._kernel.batch_link_exposure`` integrates both parts in closed form
+for a batch of links; ``infection_probability`` turns a summed dose into
+the chance of infection, for the simulator and for any caller.
 
 Canonical units throughout: minutes, cubic metres, PFU. The influenza-like
 defaults below are expressed in these units (generation 0.304 PFU/s,
@@ -17,11 +20,8 @@ All functions here are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from ._kernel import batch_link_exposure
 
 DEFAULT_GENERATION_RATE = 18.24  # PFU/min (0.304 PFU/s)
 DEFAULT_PROXIMITY_VOLUME = 2512.0  # m^3
@@ -35,98 +35,10 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class EnvironmentParams:
-    """Location environment driving particle build-up and removal.
-
-    g: particle generation rate (PFU per minute)
-    V: proximity air volume (cubic metres)
-    p: pulmonary ventilation rate (cubic metres per minute)
-    r: particle removal rate (per minute)
-    """
-
-    g: float
-    V: float
-    p: float
-    r: float
-
-    def __post_init__(self):
-        for name in ("g", "V", "p", "r"):
-            check_positive(name, getattr(self, name))
-
-
-def default_env(r: float) -> EnvironmentParams:
-    """Environment with the canonical g, V, p and the given removal rate."""
-    return EnvironmentParams(
-        g=DEFAULT_GENERATION_RATE,
-        V=DEFAULT_PROXIMITY_VOLUME,
-        p=DEFAULT_PULMONARY_RATE,
-        r=r,
-    )
-
-
-@dataclass(frozen=True)
-class LinkInterval:
-    """Host and neighbour presence bounds of one transmission link (minutes).
-
-    The host occupies the location during [t_s, t_l]; the neighbour is
-    present during [t_s_n, t_l_n], which may extend past the host's
-    departure. Every valid interval falls in exactly one of three cases:
-    direct-only (t_l_n <= t_l), mixed (t_s_n < t_l < t_l_n) or
-    indirect-only (t_s_n >= t_l).
-    """
-
-    t_s: float
-    t_l: float
-    t_s_n: float
-    t_l_n: float
-
-    def __post_init__(self):
-        if not self.t_s <= self.t_l:
-            raise ValueError(f"host departs before arriving: {self.t_s} > {self.t_l}")
-        if not self.t_s_n <= self.t_l_n:
-            raise ValueError(
-                f"neighbour departs before arriving: {self.t_s_n} > {self.t_l_n}"
-            )
-        if not self.t_l_n > self.t_s:
-            raise ValueError(
-                "neighbour gone before host arrives: no exposure window exists"
-            )
-
-    @property
-    def case(self) -> str:
-        """'direct', 'mixed' or 'indirect'."""
-        if self.t_l_n <= self.t_l:
-            return "direct"
-        if self.t_s_n >= self.t_l:
-            return "indirect"
-        return "mixed"
-
-
-def link_exposure(env: EnvironmentParams, link: LinkInterval) -> float:
-    """Particles inhaled by the neighbour over one link (PFU).
-
-    The neighbour breathes at rate p over [max(t_s, t_s_n), t_l_n]; the
-    concentration follows the presence curve before t_l and the decay curve
-    after. Both segments are integrated in closed form by the active kernel
-    backend.
-    """
-    out = batch_link_exposure(
-        np.array([link.t_s]),
-        np.array([link.t_l]),
-        np.array([link.t_s_n]),
-        np.array([link.t_l_n]),
-        np.array([env.r]),
-        env.g,
-        env.V,
-        env.p,
-    )
-    return float(out[0])
-
-
-def infection_probability(exposure: float, sigma: float) -> float:
-    """Dose-response conversion: P = 1 - e^{-sigma * exposure}, in [0, 1)."""
-    if exposure < 0.0:
-        raise ValueError(f"exposure must be non-negative, got {exposure!r}")
+def infection_probability(dose, sigma: float):
+    """Dose-response conversion, elementwise: P = 1 - e^{-sigma * dose}, in
+    [0, 1), for a dose in PFU or an array of them."""
+    if np.any(dose < 0.0):
+        raise ValueError(f"dose must be non-negative, got {float(np.min(dose))!r}")
     check_positive("sigma", sigma)
-    return -math.expm1(-sigma * exposure)
+    return -np.expm1(-sigma * dose)

@@ -43,6 +43,8 @@ from .trace import parse_trace, segment_all
 VARIANTS = ("SDT", "SST", "DDT", "DST", "LDT", "LST")
 
 MANIFEST_FORMAT = "spdt-run v1"
+# written by run_plan and required by compare
+_SUMMARY_HEADER = "variant,r_t,sigma,tau,run,outbreak_size,R_e,initial_R_t\n"
 
 _PAIRS = (("SDT", "SST"), ("DDT", "DST"), ("LDT", "LST"))
 
@@ -360,7 +362,7 @@ def run_plan(plan: ExperimentPlan, trace_path, out_dir) -> dict:
 
     summary_path = out / "summary.csv"
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("variant,r_t,sigma,tau,run,outbreak_size,R_e,initial_R_t\n")
+        fh.write(_SUMMARY_HEADER)
         fh.write("".join(row + "\n" for row in summary_rows))
     outputs.append(summary_path)
 
@@ -410,18 +412,25 @@ def run_plan(plan: ExperimentPlan, trace_path, out_dir) -> dict:
 
 
 def _load_group_means(run_dir: Path) -> dict[tuple[str, str, str], dict[float, float]]:
-    """Mean outbreak by (variant, sigma, tau) group, keyed by r_t inside."""
+    """Mean outbreak by (variant, sigma, tau) group, keyed by r_t inside.
+
+    Raises naming ``path:line`` unless the file starts with the header
+    run_plan writes and every row has its eight fields, r_t and
+    outbreak_size numeric.
+    """
+    path = run_dir / "summary.csv"
     sums: dict[tuple, list[float]] = {}
-    with open(run_dir / "summary.csv", "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            key = (parts[idx["variant"]], parts[idx["sigma"]], parts[idx["tau"]])
-            r_t = float(parts[idx["r_t"]])
-            sums.setdefault((key, r_t), []).append(
-                float(parts[idx["outbreak_size"]])
-            )
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline() != _SUMMARY_HEADER:
+            raise ValueError(f"{path}:1: header is not {_SUMMARY_HEADER.strip()!r}")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                variant, r_t, sigma, tau, _, size, _, _ = line.rstrip("\n").split(",")
+                sums.setdefault(((variant, sigma, tau), float(r_t)), []).append(
+                    float(size))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed summary row {line.rstrip()!r}") from None
     groups: dict[tuple[str, str, str], dict[float, float]] = {}
     for (key, r_t), values in sums.items():
         groups.setdefault(key, {})[r_t] = sum(values) / len(values)
@@ -433,7 +442,7 @@ def _read_manifest(path: Path) -> dict:
 
     Raises naming ``path`` unless the file is a v1 manifest with a string
     ``trace.sha256`` and an ``outputs`` map from paths inside the run
-    directory to string digests.
+    directory to string digests that lists ``summary.csv``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -452,6 +461,8 @@ def _read_manifest(path: Path) -> dict:
     for rel in map(Path, outputs):
         if rel.is_absolute() or ".." in rel.parts:
             raise ValueError(f"{path}: output {str(rel)!r} is outside the run directory")
+    if "summary.csv" not in outputs:
+        raise ValueError(f"{path}: outputs do not list 'summary.csv'")
     return manifest
 
 

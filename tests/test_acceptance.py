@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from linkrows import edge_set, to_tuples
+from spdt._kernel import batch_link_exposure
 from spdt.epidemic import (
     INFECTED,
     NEW_INFECTIONS,
@@ -29,7 +30,7 @@ from spdt.epidemic import (
     step_day,
     write_daily_csv,
 )
-from spdt.exposure import LinkInterval, default_env, infection_probability, link_exposure
+from spdt.exposure import infection_probability
 from spdt.metrics import (
     StaticGraph,
     clustering_distribution,
@@ -105,9 +106,9 @@ def test_criterion_1_exposure_oracle_suite():
     t0 = time.monotonic()
     worst = 0.0
     for i in range(m):
-        env = default_env(r=r[i])
-        env = type(env)(g=g[i], V=V[i], p=p[i], r=r[i])
-        closed = link_exposure(env, LinkInterval(t_s[i], t_l[i], t_s_n[i], t_l_n[i]))
+        one = slice(i, i + 1)
+        closed = float(batch_link_exposure(t_s[one], t_l[one], t_s_n[one],
+                                           t_l_n[one], r[one], g[i], V[i], p[i])[0])
 
         def conc(t, i=i):
             if t <= t_l[i]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from linkrows import from_tuples
+from spdt import epidemic
 from spdt.epidemic import (
     INFECTED,
     NEW_INFECTIONS,
@@ -16,13 +17,13 @@ from spdt.epidemic import (
     SUSCEPTIBLE,
     PopulationState,
     SimulationConfig,
-    removal_rate_from_time,
     run_simulation,
     sample_removal_rate,
     seeded_state,
     step_day,
     write_daily_csv,
 )
+from spdt.exposure import infection_probability
 from spdt.synth import SynthConfig, generate_trace
 from spdt.trace import ParsedTrace, segment_all
 from spdt.network import BuilderConfig, extract_spdt_links
@@ -48,7 +49,9 @@ def synth_net(users=250, days=6, seed=2):
 
 class TestRemovalSampler:
     def test_rate_is_reciprocal_time(self):
-        assert removal_rate_from_time(60.0) == pytest.approx(1.0 / 60.0)
+        # a pinned range leaves one removal time, whose rate is its reciprocal
+        rng = np.random.default_rng(0)
+        assert sample_removal_rate(60.0, (60.0, 60.0), rng) == 1.0 / 60.0
 
     def test_rejects_median_outside_bounds(self):
         rng = np.random.default_rng(0)
@@ -190,6 +193,27 @@ class TestRunSimulation:
         for stats in run_simulation(net, cfg):
             assert stats[0, PREVALENCE] == net.n_users
             assert stats[0, NEW_INFECTIONS] == 0
+
+    def test_infections_drawn_with_the_dose_response(self, monkeypatch):
+        # the stepper compares its draws with infection_probability of the
+        # summed doses, so the dose-response tests (acceptance criterion 2)
+        # test the simulator's own formula
+        seen = []
+
+        def spy(dose, sigma):
+            probs = infection_probability(dose, sigma)
+            seen.append((dose, sigma, probs))
+            return probs
+
+        monkeypatch.setattr(epidemic, "infection_probability", spy)
+        cfg = SimulationConfig(seeds=20, horizon_days=6, r_t=35.0, runs=4, rng_seed=3)
+        run_simulation(synth_net(), cfg)
+        assert seen and all(sigma == cfg.sigma for _, sigma, _ in seen)
+        dose = np.concatenate([d for d, _, _ in seen])
+        probs = np.concatenate([p for _, _, p in seen])
+        assert np.all(dose > 0.0)
+        np.testing.assert_allclose(probs, 1.0 - np.exp(-cfg.sigma * dose),
+                                   rtol=1e-9, atol=1e-15)
 
     def test_seeds_beyond_population_rejected(self):
         net = synth_net()

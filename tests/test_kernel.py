@@ -1,9 +1,13 @@
-"""The dose kernel: backend report, block evaluation, scalar agreement."""
+"""The dose kernel: backend report, block evaluation, per-link agreement
+with quadrature."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from spdt._kernel import (
     KERNEL_BACKEND,
@@ -11,7 +15,6 @@ from spdt._kernel import (
     available_backends,
     batch_link_exposure,
 )
-from spdt.exposure import LinkInterval, default_env, link_exposure
 
 
 def random_links(n, seed=0):
@@ -100,13 +103,22 @@ def test_doses_do_not_change_under_whole_day_shifts(case):
     assert np.array_equal(base.view(np.int64), moved.view(np.int64))
 
 
-def test_batch_matches_scalar_link_exposure():
+def test_batch_matches_quadrature_per_link():
+    # each element of one mixed-rate batch is its own link's dose: adaptive
+    # quadrature of the concentration the neighbour breathes, link by link
+    g, V, p = 18.24, 2512.0, 0.0075
     t_s, t_l, t_s_n, t_l_n, r = random_links(500, seed=2)
-    batch = batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, 18.24, 2512.0, 0.0075)
+    batch = batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p)
     for i in range(0, t_s.size, 37):
-        env = default_env(r=r[i])
-        link = LinkInterval(t_s[i], t_l[i], t_s_n[i], t_l_n[i])
-        assert batch[i] == pytest.approx(link_exposure(env, link), rel=1e-12)
+        def conc(t, i=i):
+            rise = (g / (r[i] * V)) * -math.expm1(-r[i] * (min(t, t_l[i]) - t_s[i]))
+            return rise * math.exp(-r[i] * max(t - t_l[i], 0.0))
+
+        a = max(t_s[i], t_s_n[i])
+        edges = [a, *([t_l[i]] if a < t_l[i] < t_l_n[i] else []), t_l_n[i]]
+        expected = p * sum(quad(conc, lo, hi, epsabs=1e-14, epsrel=1e-12)[0]
+                           for lo, hi in zip(edges, edges[1:]))
+        assert batch[i] == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
 
 def test_rejects_mismatched_lengths():

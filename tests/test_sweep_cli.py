@@ -1,5 +1,6 @@
 """Experiment orchestration and the command-line pipeline."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -652,9 +653,10 @@ class TestCli:
         ' "outputs": {"/etc/passwd": "0"}}',
     ])
     def test_compare_rejects_an_unknown_manifest(self, tmp_path, capsys, manifest):
-        # run a's manifest is well formed and lists no outputs
+        # run a's manifest is well formed and lists only the summary
         run_a, run_b = tmp_path / "a", tmp_path / "b"
-        valid = '{"format": "spdt-run v1", "trace": {"sha256": "0"}, "outputs": {}}'
+        valid = ('{"format": "spdt-run v1", "trace": {"sha256": "0"},'
+                 ' "outputs": {"summary.csv": "0"}}')
         for run, text in ((run_a, valid), (run_b, manifest)):
             run.mkdir()
             (run / "manifest.json").write_text(text + "\n")
@@ -665,6 +667,55 @@ class TestCli:
         assert err.startswith("spdt: error:") and err.count("\n") == 1
         assert str(run_b / "manifest.json") in err
         assert not out.exists()
+
+    @staticmethod
+    def _run_dirs(tmp_path, summary: str, listed: bool = True):
+        # two run directories holding the same summary.csv, their manifests
+        # listing it with its digest, or listing no outputs
+        digest = hashlib.sha256(summary.encode()).hexdigest()
+        manifest = {"format": "spdt-run v1", "trace": {"sha256": "0"},
+                    "outputs": {"summary.csv": digest} if listed else {}}
+        runs = tmp_path / "a", tmp_path / "b"
+        for run in runs:
+            run.mkdir(parents=True)
+            (run / "manifest.json").write_text(json.dumps(manifest) + "\n")
+            (run / "summary.csv").write_text(summary)
+        return runs
+
+    def _compare_fails(self, runs, tmp_path, capsys) -> str:
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--a", str(runs[0]), "--b", str(runs[1]),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spdt: error:") and err.count("\n") == 1
+        assert not out.exists()
+        return err
+
+    def test_compare_reads_only_a_listed_summary(self, tmp_path, capsys):
+        header = "variant,r_t,sigma,tau,run,outbreak_size,R_e,initial_R_t\n"
+        summary = header + "SDT,10,0.33,4,0,5,0.0,0.0\n"
+        listed = self._run_dirs(tmp_path / "listed", summary)
+        assert main(["compare", "--a", str(listed[0]), "--b", str(listed[1]),
+                     "--out", str(tmp_path / "ok.csv")]) == 0
+        runs = self._run_dirs(tmp_path / "unlisted", summary, listed=False)
+        err = self._compare_fails(runs, tmp_path, capsys)
+        assert f"{runs[0] / 'manifest.json'}:" in err and "summary.csv" in err
+
+    @pytest.mark.parametrize("summary, line", [
+        ("variant,r_t\nSDT,10\n", 1),
+        ("", 1),
+        ("variant,r_t,sigma,tau,run,outbreak_size,R_e,initial_R_t\n"
+         "SDT,x,0.33,4,0,5,0.0,0.0\n", 2),
+        ("variant,r_t,sigma,tau,run,outbreak_size,R_e,initial_R_t\n"
+         "SDT,10,0.33,4,0,5,0.0,0.0\nSDT,10,0.33,4,1,five,0.0,0.0\n", 3),
+        ("variant,r_t,sigma,tau,run,outbreak_size,R_e,initial_R_t\n"
+         "SDT,10,0.33,4,0,5\n", 2),
+    ], ids=["other-header", "empty", "bad-r_t", "bad-size", "short-row"])
+    def test_compare_names_a_malformed_summary_line(self, tmp_path, capsys,
+                                                    summary, line):
+        runs = self._run_dirs(tmp_path, summary)
+        err = self._compare_fails(runs, tmp_path, capsys)
+        assert f"{runs[0] / 'summary.csv'}:{line}:" in err
 
     @pytest.mark.parametrize("case", [
         "metrics of the network", "simulate of the network", "build --horizon",
