@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 from itertools import islice, product, repeat
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -27,9 +26,9 @@ from .trace import (
     DEFAULT_VISIT_GAP_MIN,
     DEFAULT_VISIT_RADIUS_M,
     MINUTES_PER_DAY,
-    LocationUpdate,
     ParsedTrace,
-    Visit,
+    Updates,
+    Visits,
 )
 
 NETWORK_FORMAT_VERSION = 1
@@ -248,8 +247,8 @@ def _find(distinct: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def extract_spdt_links(
-    visits: Iterable[Visit],
-    updates: ParsedTrace | Iterable[LocationUpdate],
+    visits: Visits,
+    updates: Updates | ParsedTrace,
     cfg: BuilderConfig,
 ) -> DynamicContactNetwork:
     """Extract directed host-to-neighbour links from visits and raw updates.
@@ -260,7 +259,7 @@ def extract_spdt_links(
     first and last qualifying update times (the latter capped at the window
     end). Co-presence therefore yields two links with roles swapped. Links
     are binned to the day of the host visit start; days past the horizon are
-    dropped.
+    dropped. Visits and updates are coded over the same user ids.
 
     The updates are sorted by (grid cell, time) on a grid of radius-sized
     cells. Each visit's candidates are the updates of the 3x3 cells around
@@ -271,27 +270,20 @@ def extract_spdt_links(
     """
     if isinstance(updates, ParsedTrace):
         updates = updates.updates
-    updates = list(updates)
-    visits = list(visits)
+    if visits.users != updates.users:
+        raise ValueError("visits and updates are coded over different user ids")
+    users = updates.users
     delta = cfg.indirect_window_min
     radius2 = cfg.radius_m * cfg.radius_m
     empty = np.empty(0, dtype=np.int64)
 
-    if not updates or not visits:
-        return DynamicContactNetwork._from_arrays((), cfg.horizon_days, *[empty] * 7)
-
-    u_id, u_t, u_x, u_y = zip(*updates)
-    v_id, *v_cols = zip(*visits)
-    v_x, v_y, v_t0, v_t1 = (np.array(col, dtype=np.float64) for col in v_cols)
-    # hosts absent from the update stream are users too; their own updates
-    # (none) exclude nothing
-    users = sorted(set(u_id).union(v_id))
-    code_of = {u: i for i, u in enumerate(users)}
-    host = np.fromiter(map(code_of.__getitem__, v_id), np.int64, len(v_id))
-    code = np.fromiter(map(code_of.__getitem__, u_id), np.int64, len(u_id))
-    t = np.array(u_t, dtype=np.float64)
-    x = np.array(u_x, dtype=np.float64)
-    y = np.array(u_y, dtype=np.float64)
+    # only visits that start on a day in the horizon are cast to minutes
+    rounded_start = np.rint(visits.t_start)
+    kept = np.flatnonzero((rounded_start >= 0)
+                          & (rounded_start < cfg.horizon_days * MINUTES_PER_DAY))
+    host, v_x, v_y, v_t0, v_t1 = (col[kept] for col in (
+        visits.user, visits.anchor_x, visits.anchor_y, visits.t_start, visits.t_end))
+    code, t, x, y = updates.user, updates.t, updates.x, updates.y
 
     # sort key: (cell rank, time rank), both dense, so the key fits in int64
     xs, col = _dense_rank(np.floor(x / cfg.radius_m).astype(np.int64))
@@ -303,11 +295,10 @@ def extract_spdt_links(
     key, code, t, x, y = key[order], code[order], t[order], x[order], y[order]
 
     # per visit: rounded host bounds, day, and the time window in ranks
-    t_s_v = np.rint(v_t0).astype(np.int64)
+    t_s_v = rounded_start[kept].astype(np.int64)
     t_l_v = np.rint(v_t1).astype(np.int64)
     window_end = t_l_v + int(round(delta))
     day_v = t_s_v // MINUTES_PER_DAY
-    in_horizon = (day_v >= 0) & (day_v < cfg.horizon_days)
     rank_lo = np.searchsorted(times, v_t0, side="left")
     rank_hi = np.searchsorted(times, v_t1 + delta, side="right")
 
@@ -316,12 +307,12 @@ def extract_spdt_links(
     # the ranges already hold only updates in [t_start, t_end + delta]
     vcol = np.floor(v_x / cfg.radius_m).astype(np.int64)
     vrow = np.floor(v_y / cfg.radius_m).astype(np.int64)
-    lo = np.zeros((len(visits), 9), dtype=np.int64)
-    hi = np.zeros((len(visits), 9), dtype=np.int64)
+    lo = np.zeros((host.size, 9), dtype=np.int64)
+    hi = np.zeros((host.size, 9), dtype=np.int64)
     for k, (dx, dy) in enumerate(product((-1, 0, 1), repeat=2)):
         c, r = _find(xs, vcol + dx), _find(ys, vrow + dy)
         near = _find(cells, np.where((c >= 0) & (r >= 0), c * ys.size + r, -1))
-        ok = (near >= 0) & in_horizon
+        ok = near >= 0
         lo[ok, k] = np.searchsorted(key, near[ok] * times.size + rank_lo[ok])
         hi[ok, k] = np.searchsorted(key, near[ok] * times.size + rank_hi[ok])
     counts = hi - lo
@@ -329,7 +320,7 @@ def extract_spdt_links(
 
     blocks = []
     a = 0
-    while a < len(visits):
+    while a < host.size:
         # visits [a, b) hold at most _PAIR_BLOCK candidates, or one visit
         done = per_visit[a - 1] if a else 0
         b = max(int(np.searchsorted(per_visit, done + _PAIR_BLOCK, side="right")), a + 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exposure import check_positive
-from .trace import MINUTES_PER_DAY, LocationUpdate
+from .trace import MINUTES_PER_DAY, Updates
 
 _STREAM_LAYOUT = 0
 _STREAM_USER = 1
@@ -113,27 +113,29 @@ def _jitter(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
     norm = np.hypot(off[:, 0], off[:, 1])
     cap = 3.0 * scale
     too_far = norm > cap
-    if np.any(too_far):
+    if too_far.any():
         off[too_far] *= (cap / norm[too_far])[:, None]
     return off
 
 
-def generate_trace(cfg: SynthConfig) -> list[LocationUpdate]:
-    """Generate updates for every user, sorted by (user_id, time)."""
+def generate_trace(cfg: SynthConfig) -> Updates:
+    """Generate updates for every user with at least one."""
     loc_xy, loc_weights = location_layout(cfg)
+    # Generator.choice(n, p=w)'s own search, without its per-call checks
+    cdf = np.cumsum(loc_weights)
+    cdf /= cdf[-1]
     interval = cfg.update_interval_min
     v_lo, v_hi = cfg.visits_per_active_day
     u_lo, u_hi = cfg.updates_per_visit
     id_width = max(4, len(str(max(cfg.n_users - 1, 0))))
 
-    updates: list[LocationUpdate] = []
+    owner, sizes = [], []  # each visit's user and update count
+    ts, xy = [np.empty(0)], [np.empty((0, 2))]
     for user in range(cfg.n_users):
         rng = np.random.default_rng(
             np.random.SeedSequence((cfg.rng_seed, _STREAM_USER, user))
         )
-        user_id = f"u{user:0{id_width}d}"
         active = rng.random(cfg.days) < cfg.active_day_probability
-        rows: list[tuple[int, float, float]] = []
         for day in np.flatnonzero(active).tolist():
             n_visits = int(rng.integers(v_lo, v_hi + 1))
             slot = MINUTES_PER_DAY / n_visits
@@ -142,18 +144,19 @@ def generate_trace(cfg: SynthConfig) -> list[LocationUpdate]:
                 duration = (n_upd - 1) * interval
                 slack = max(slot - duration - interval, 1.0)
                 start = day * MINUTES_PER_DAY + k * slot + rng.uniform(0.0, slack)
-                loc = int(rng.choice(cfg.n_locations, p=loc_weights))
+                loc = int(cdf.searchsorted(rng.random(), side="right"))
                 times = start + np.arange(n_upd) * interval \
                     + rng.uniform(-2.0, 2.0, n_upd)
-                times = np.maximum.accumulate(np.round(np.maximum(times, 0.0)))
-                times = times.astype(np.int64)
-                offsets = _jitter(rng, n_upd, cfg.position_jitter_m)
-                for i in range(n_upd):
-                    rows.append((
-                        int(times[i]),
-                        float(loc_xy[loc, 0] + offsets[i, 0]),
-                        float(loc_xy[loc, 1] + offsets[i, 1]),
-                    ))
-        rows.sort()
-        updates.extend(LocationUpdate(user_id, float(t), x, y) for t, x, y in rows)
-    return updates
+                times = np.maximum.accumulate(np.maximum(times, 0.0).round())
+                ts.append(times.astype(np.int64))
+                xy.append(loc_xy[loc] + _jitter(rng, n_upd, cfg.position_jitter_m))
+                owner.append(user)
+                sizes.append(n_upd)
+
+    present, user = np.unique(np.repeat(np.array(owner, dtype=np.int64), sizes),
+                              return_inverse=True)
+    users = [f"u{u:0{id_width}d}" for u in present.tolist()]
+    t, (x, y) = np.concatenate(ts), np.concatenate(xy).T
+    # each user's rows in (t, x, y) order, as a sort of those tuples gives
+    order = np.lexsort((y, x, t, user))
+    return Updates(users, user[order], t[order], x[order], y[order])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -27,76 +27,85 @@ DEFAULT_VISIT_RADIUS_M = 20.0
 DEFAULT_VISIT_GAP_MIN = 30.0
 
 
-class LocationUpdate(NamedTuple):
-    """One timestamped position report (planar metres, minutes since epoch)."""
+class Updates:
+    """Timestamped position reports (planar metres, minutes since epoch).
 
-    user_id: str
-    t: float
-    x: float
-    y: float
+    ``users`` are the distinct user ids, sorted; row i is user
+    ``users[user[i]]`` at ``(x[i], y[i])`` at time ``t[i]``. The rows are
+    stable-sorted by (user, t), so rows tied on both keep their given order.
+    """
+
+    __slots__ = ("users", "user", "t", "x", "y")
+
+    def __init__(self, users, user, t, x, y):
+        self.users: tuple[str, ...] = tuple(users)
+        user = np.asarray(user, dtype=np.int64)
+        t, x, y = (np.asarray(col, dtype=np.float64) for col in (t, x, y))
+        order = np.lexsort((t, user))  # a stable sort
+        self.user, self.t, self.x, self.y = (col[order] for col in (user, t, x, y))
+
+    def __len__(self) -> int:
+        return self.t.size
 
 
-class Visit(NamedTuple):
-    """A user's contiguous stay near one anchor position."""
+@dataclass(frozen=True, eq=False)
+class Visits:
+    """Each visit's user, anchor position and first and last update time,
+    coded over the user ids of the updates it was cut from."""
 
-    user_id: str
-    anchor_x: float
-    anchor_y: float
-    t_start: float
-    t_end: float
+    users: tuple[str, ...]
+    user: np.ndarray
+    anchor_x: np.ndarray
+    anchor_y: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
+
+    def __len__(self) -> int:
+        return self.user.size
 
 
 @dataclass
 class ParsedTrace:
-    """Updates sorted by (user_id, t) plus the count of rows dropped as
-    malformed, by reason; ``skipped`` is their total."""
+    """A trace's updates plus the count of rows dropped as malformed, by
+    reason; ``skipped`` is their total."""
 
-    updates: list[LocationUpdate] = field(default_factory=list)
+    updates: Updates
     skip_reasons: dict[str, int] = field(default_factory=dict)
 
     @property
     def skipped(self) -> int:
         return sum(self.skip_reasons.values())
 
-    def by_user(self) -> dict[str, list[LocationUpdate]]:
-        grouped: dict[str, list[LocationUpdate]] = {}
-        for upd in self.updates:
-            grouped.setdefault(upd.user_id, []).append(upd)
-        return grouped
 
-
-def _project_equirectangular(rows: list[tuple[str, float, float, float]]):
-    """Map (lat, lon) degrees to planar metres about the trace centroid.
+def _project_equirectangular(lat: np.ndarray, lon: np.ndarray):
+    """Map (lat, lon) degrees to planar metres (x, y) about the trace centroid.
 
     The lon centroid is circular and lon offsets are wrapped to
     (-180, 180], so a trace that straddles the antimeridian stays in one
     piece. City-scale traces make the projection error negligible relative
     to the 20 m co-location radius.
     """
-    # sums run left to right, whatever the Python version (3.12's sum compensates)
-    lat0 = math.radians(np.cumsum([r[2] for r in rows])[-1] / len(rows))
-    lons = [math.radians(r[3]) for r in rows]
+    # sums run left to right, whatever the Python version (3.12's sum
+    # compensates); sin and cos are libm's, as np.sin's may round otherwise
+    lat0 = math.radians(np.cumsum(lat)[-1] / lat.size)
+    lons = np.radians(lon).tolist()
     lon0 = math.degrees(math.atan2(np.cumsum(list(map(math.sin, lons)))[-1],
                                    np.cumsum(list(map(math.cos, lons)))[-1]))
-    cos_lat0 = math.cos(lat0)
-    projected = []
-    for user_id, t, lat, lon in rows:
-        dlon = 180.0 - (180.0 - (lon - lon0)) % 360.0
-        x = EARTH_RADIUS_M * cos_lat0 * math.radians(dlon)
-        y = EARTH_RADIUS_M * (math.radians(lat) - lat0)
-        projected.append((user_id, t, x, y))
-    return projected
+    dlon = 180.0 - (180.0 - (lon - lon0)) % 360.0
+    return (EARTH_RADIUS_M * math.cos(lat0) * np.radians(dlon),
+            EARTH_RADIUS_M * (np.radians(lat) - lat0))
 
 
 def parse_trace(source: str | Path | TextIO) -> ParsedTrace:
-    """Parse a trace CSV into per-user time-sorted updates.
+    """Parse a trace CSV into updates sorted by (user, time).
 
     The header names the coordinates: ``user_id,t_min,x_m,y_m`` for planar
     metres, or ``user_id,t_min,lat,lon`` for geographic degrees, which are
     converted to planar metres about the trace centroid; under the latter,
     rows with |lat| > 90 or |lon| > 180 are skipped. Rows with the wrong
-    field count, non-numeric or non-finite values, or an empty user id are
-    counted by reason and skipped too. A missing or other header raises.
+    field count, non-numeric or non-finite values, or an empty user id or
+    one that contains whitespace are counted by reason and skipped too. A
+    missing or other header raises.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -112,7 +121,8 @@ def parse_trace(source: str | Path | TextIO) -> ParsedTrace:
                          f"{','.join(TRACE_HEADER_LATLON)!r}")
     latlon = header == TRACE_HEADER_LATLON
 
-    rows: list[tuple[str, float, float, float]] = []
+    ids: list[str] = []
+    values: list[float] = []  # t, x, y of each kept row in turn
     reasons: dict[str, int] = {}
     for line in source:
         line = line.strip()
@@ -123,91 +133,86 @@ def parse_trace(source: str | Path | TextIO) -> ParsedTrace:
         if len(parts) != 4:
             reason = "wrong field count"
         else:
-            user_id = parts[0].strip()
+            words = parts[0].split()
             try:
-                t, a, b = float(parts[1]), float(parts[2]), float(parts[3])
+                row = float(parts[1]), float(parts[2]), float(parts[3])
             except ValueError:
                 reason = "non-numeric value"
             else:
-                if not user_id:
+                if not words:
                     reason = "empty user id"
-                elif not all(map(math.isfinite, (t, a, b))):
+                elif len(words) > 1:
+                    reason = "user id contains whitespace"
+                elif not all(map(math.isfinite, row)):
                     reason = "non-finite value"
-                elif latlon and not (abs(a) <= 90.0 and abs(b) <= 180.0):
+                elif latlon and not (abs(row[1]) <= 90.0 and abs(row[2]) <= 180.0):
                     reason = "lat/lon out of range"
         if reason is None:
-            rows.append((user_id, t, a, b))
+            ids.append(words[0])
+            values.extend(row)
         else:
             reasons[reason] = reasons.get(reason, 0) + 1
 
-    if latlon and rows:
-        rows = _project_equirectangular(rows)
+    code = {user: i for i, user in enumerate(sorted(set(ids)))}
+    user = np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
+    t, x, y = np.array(values, dtype=np.float64).reshape(-1, 3).T
+    if latlon and ids:
+        x, y = _project_equirectangular(x, y)
+    return ParsedTrace(Updates(list(code), user, t, x, y), reasons)
 
-    updates = [LocationUpdate(u, t, x, y) for u, t, x, y in rows]
-    updates.sort(key=lambda upd: (upd.user_id, upd.t))
-    return ParsedTrace(updates=updates, skip_reasons=reasons)
 
-
-def write_trace_csv(updates: Iterable[LocationUpdate], path: str | Path) -> None:
+def write_trace_csv(updates: Updates, path: str | Path) -> None:
     """Write updates in the trace CSV format (`user_id,t_min,x_m,y_m`)."""
+    rows = zip(*(col.tolist() for col in (updates.user, updates.t, updates.x, updates.y)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
-        for upd in updates:
-            fh.write(f"{upd.user_id},{upd.t!r},{upd.x!r},{upd.y!r}\n")
-
-
-def segment_visits(
-    updates: Sequence[LocationUpdate],
-    radius_m: float = DEFAULT_VISIT_RADIUS_M,
-    max_gap_min: float = DEFAULT_VISIT_GAP_MIN,
-) -> list[Visit]:
-    """Greedy left-to-right segmentation of one user's time-sorted updates.
-
-    A new visit starts when the next update is more than ``radius_m`` from
-    the current visit's anchor or more than ``max_gap_min`` after the last
-    assigned update. A single update yields a zero-duration visit; such
-    visits are retained because the host's particles persist after departure.
-    """
-    if not updates:
-        return []
-    user_id = updates[0].user_id
-    visits: list[Visit] = []
-    anchor_x = anchor_y = 0.0
-    t_start = t_last = -math.inf
-
-    def close() -> None:
-        visits.append(Visit(user_id, anchor_x, anchor_y, t_start, t_last))
-
-    open_visit = False
-    for upd in updates:
-        if upd.user_id != user_id:
-            raise ValueError(
-                f"segment_visits takes one user's updates; saw {user_id!r} "
-                f"and {upd.user_id!r}"
-            )
-        if upd.t < t_last:
-            raise ValueError("updates must be sorted by time")
-        if open_visit:
-            dist = math.hypot(upd.x - anchor_x, upd.y - anchor_y)
-            if dist > radius_m or upd.t - t_last > max_gap_min:
-                close()
-                open_visit = False
-        if not open_visit:
-            anchor_x, anchor_y, t_start = upd.x, upd.y, upd.t
-            open_visit = True
-        t_last = upd.t
-    close()
-    return visits
+        fh.writelines(f"{updates.users[u]},{t!r},{x!r},{y!r}\n" for u, t, x, y in rows)
 
 
 def segment_all(
-    parsed: ParsedTrace,
+    updates: Updates | ParsedTrace,
     radius_m: float = DEFAULT_VISIT_RADIUS_M,
     max_gap_min: float = DEFAULT_VISIT_GAP_MIN,
-) -> list[Visit]:
-    """Segment every user's updates; output ordered by (user_id, t_start)."""
-    grouped = parsed.by_user()
-    visits: list[Visit] = []
-    for user_id in sorted(grouped):
-        visits.extend(segment_visits(grouped[user_id], radius_m, max_gap_min))
-    return visits
+) -> Visits:
+    """Cut every user's updates into visits, ordered by (user, t_start).
+
+    A new visit starts at a user's first update, after a pause of more than
+    ``max_gap_min``, and at an update more than ``radius_m`` from the open
+    visit's anchor. A single update yields a zero-duration visit; such
+    visits are retained because the host's particles persist after departure.
+
+    The first two rules cut the rows into runs in one pass. The anchor rule
+    is sequential within a run, so it steps all runs together: step k tests
+    the k-th update of each run longer than k against its current anchor.
+    """
+    if isinstance(updates, ParsedTrace):
+        updates = updates.updates
+    user, t = updates.user, updates.t
+    n = t.size
+    start = np.ones(n, dtype=bool)
+    start[1:] = (user[1:] != user[:-1]) | (t[1:] - t[:-1] > max_gap_min)
+    first = np.flatnonzero(start)
+    length = np.diff(first, append=n)
+    # longest first: the runs longer than k, open at step k, are a prefix
+    first = first[np.argsort(-length, kind="stable")]
+    still_open = (first.size - np.cumsum(np.bincount(length))).tolist()
+    position = updates.x + 1j * updates.y
+    anchor = first.copy()
+    for k in range(1, len(still_open)):
+        at = first[:still_open[k]] + k
+        offset = position[at] - position[anchor[:at.size]]
+        dist = np.abs(offset)
+        far = dist > radius_m
+        # np.abs may round otherwise than math.hypot, which settles near-ties
+        near = np.abs(dist - radius_m) <= 8 * np.spacing(radius_m)
+        if near.any():
+            far[near] = [math.hypot(d.real, d.imag) > radius_m
+                         for d in offset[near].tolist()]
+        at = at[far]
+        start[at] = True
+        anchor[:far.size][far] = at
+
+    first = np.flatnonzero(start)
+    last = np.append(first, n)[1:] - 1
+    return Visits(updates.users, user[first], updates.x[first], updates.y[first],
+                  t[first], t[last])

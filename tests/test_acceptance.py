@@ -54,7 +54,8 @@ from spdt.sweep import (
     simulate_cell,
 )
 from spdt.synth import SynthConfig, desk_profile, generate_trace
-from spdt.trace import LocationUpdate, ParsedTrace, Visit, segment_all, segment_visits
+from spdt.trace import ParsedTrace, segment_all
+from tracerows import LocationUpdate, Visit, columns
 
 
 def _report(number: int, label: str, detail: str = "") -> None:
@@ -157,7 +158,11 @@ def test_criterion_3_construction_rules():
     host = Visit("h", 0.0, 0.0, 0.0, 30.0)
 
     def links_for(updates):
-        return to_tuples(extract_spdt_links([host], updates, cfg))
+        updates, visits = columns(updates, [host])
+        return to_tuples(extract_spdt_links(visits, updates, cfg))
+
+    def visits_of(updates):
+        return len(segment_all(columns(updates)[0]))
 
     direct = links_for([LocationUpdate("v", 10.0, 5.0, 0.0),
                         LocationUpdate("v", 20.0, 5.0, 0.0)])
@@ -170,12 +175,10 @@ def test_criterion_3_construction_rules():
     assert links_for([LocationUpdate("v", 10.0, 25.0, 0.0)]) == []
 
     # visit gap: 40 minutes of silence starts a new visit
-    two = segment_visits([LocationUpdate("u", 0.0, 0.0, 0.0),
-                          LocationUpdate("u", 40.0, 0.0, 0.0)])
-    assert len(two) == 2
-    one = segment_visits([LocationUpdate("u", 0.0, 0.0, 0.0),
-                          LocationUpdate("u", 30.0, 0.0, 0.0)])
-    assert len(one) == 1
+    assert visits_of([LocationUpdate("u", 0.0, 0.0, 0.0),
+                      LocationUpdate("u", 40.0, 0.0, 0.0)]) == 2
+    assert visits_of([LocationUpdate("u", 0.0, 0.0, 0.0),
+                      LocationUpdate("u", 30.0, 0.0, 0.0)]) == 1
 
     # indirect window cutoff at departure + 200
     assert len(links_for([LocationUpdate("v", 229.0, 0.0, 0.0)])) == 1

@@ -1,6 +1,7 @@
 """Construction rules for links and the derived network variants."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from spdt.network import (
     save_network,
 )
 from spdt.synth import SynthConfig, generate_trace
-from spdt.trace import LocationUpdate, ParsedTrace, Visit, segment_all
+from spdt.trace import ParsedTrace, segment_all
+from tracerows import LocationUpdate, Visit, columns
 
 CFG = BuilderConfig(horizon_days=32)
 
 
 def extract(visits, updates, cfg=CFG):
+    """Links of hand-built visit and update rows."""
+    updates, visits = columns(updates, visits)
     return extract_spdt_links(visits, updates, cfg)
 
 
@@ -98,6 +102,30 @@ class TestExtractRules:
         ups = [LocationUpdate("v", 1510.0, 1.0, 0.0)]
         assert the_link(extract([host_visit], ups))[6] == 1
 
+    def test_times_far_past_the_horizon_never_cast(self):
+        # visits at +-1e300 minutes lie on no day of the horizon; they are
+        # dropped before their times are rounded to int64 minutes
+        near = [LocationUpdate("h", 0.0, 0.0, 0.0), LocationUpdate("h", 30.0, 0.0, 0.0),
+                LocationUpdate("v", 10.0, 5.0, 0.0)]
+        far = [LocationUpdate(u, t, x, 0.0) for t in (1e300, -1e300)
+               for u, x in (("a", 0.0), ("c", 1.0))]
+
+        def build(rows):
+            updates, _ = columns(rows)
+            return extract_spdt_links(segment_all(updates), updates, CFG)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net = build(near + far)
+            assert build(far).n_links == 0
+        assert net == build(near) and net.n_links == 2
+
+    def test_visits_and_updates_share_their_user_ids(self):
+        updates, _ = columns([LocationUpdate("v", 10.0, 5.0, 0.0)])
+        _, visits = columns([], [Visit("h", 0.0, 0.0, 0.0, 30.0)])
+        with pytest.raises(ValueError, match="different user ids"):
+            extract_spdt_links(visits, updates, CFG)
+
 
 class TestBuilderConfig:
     def test_rejects_nonpositive_values(self):
@@ -154,7 +182,8 @@ class TestProjectSPST:
         cfg = SynthConfig(n_users=150, days=5, rng_seed=3, n_locations=12,
                           area_m=(800.0, 800.0), active_day_probability=0.4)
         parsed = ParsedTrace(updates=generate_trace(cfg))
-        net = extract(segment_all(parsed), parsed, BuilderConfig(horizon_days=5))
+        net = extract_spdt_links(segment_all(parsed), parsed,
+                                 BuilderConfig(horizon_days=5))
         proj = project_spst(net)
         assert set(proj.users) <= set(net.users)
         assert np.all(proj.day_link_counts() <= net.day_link_counts())
@@ -224,7 +253,8 @@ class TestMakeLdtLst:
         cfg = SynthConfig(n_users=200, days=6, rng_seed=5, n_locations=15,
                           area_m=(900.0, 900.0), active_day_probability=0.35)
         parsed = ParsedTrace(updates=generate_trace(cfg))
-        net = extract(segment_all(parsed), parsed, BuilderConfig(horizon_days=6))
+        net = extract_spdt_links(segment_all(parsed), parsed,
+                                 BuilderConfig(horizon_days=6))
         ldt, lst = make_ldt_lst(densify(net, 0))
         assert ldt.users == lst.users
         assert np.array_equal(ldt.day_link_counts(), lst.day_link_counts())
@@ -249,7 +279,8 @@ class TestDeltaBound:
 
 
 def _variants(parsed, horizon):
-    net = extract(segment_all(parsed), parsed, BuilderConfig(horizon_days=horizon))
+    net = extract_spdt_links(segment_all(parsed), parsed,
+                             BuilderConfig(horizon_days=horizon))
     ddt = densify(net, 0)
     ldt, lst = make_ldt_lst(ddt)
     return net, project_spst(net), ddt, project_spst(ddt), ldt, lst

@@ -41,14 +41,12 @@ from spdt.network import (
     save_network,
 )
 from spdt.synth import SynthConfig, generate_trace
-from spdt.trace import MINUTES_PER_DAY, LocationUpdate, ParsedTrace, Visit, segment_all
+from spdt.trace import MINUTES_PER_DAY, ParsedTrace, segment_all
+from tracerows import LocationUpdate, Visit, columns, update_rows, visit_rows
 
 
 def ref_extract(visits, updates, cfg):
-    if isinstance(updates, ParsedTrace):
-        updates = updates.updates
-    updates = list(updates)
-    visits = list(visits)
+    """Links of visit and update rows, one visit at a time."""
     delta = cfg.indirect_window_min
     radius2 = cfg.radius_m * cfg.radius_m
 
@@ -253,8 +251,9 @@ def extract_case(draw):
 @given(extract_case(), st.sampled_from([1, 3, 7, 1 << 16]))
 def test_extract_matches_per_visit_reference(case, block):
     visits, updates, cfg = case
+    update_cols, visit_cols = columns(updates, visits)
     with mock.patch.object(network, "_PAIR_BLOCK", block):
-        got = extract_spdt_links(visits, updates, cfg)
+        got = extract_spdt_links(visit_cols, update_cols, cfg)
     assert got == ref_extract(visits, updates, cfg)
 
 
@@ -264,7 +263,7 @@ def test_extract_matches_reference_on_synthetic_trace():
         active_day_probability=0.5)))
     visits = segment_all(parsed)
     cfg = BuilderConfig(horizon_days=2)
-    want = ref_extract(visits, parsed, cfg)
+    want = ref_extract(visit_rows(visits), update_rows(parsed.updates), cfg)
     assert want.n_links > 1000
     for block in (64, 1 << 16):
         with mock.patch.object(network, "_PAIR_BLOCK", block):
@@ -300,7 +299,8 @@ def test_extract_edge_cases_match_reference(visits, updates, n_links):
     cfg = BuilderConfig(horizon_days=2)
     want = ref_extract(visits, updates, cfg)
     assert want.n_links == n_links
-    assert extract_spdt_links(visits, updates, cfg) == want
+    update_cols, visit_cols = columns(updates, visits)
+    assert extract_spdt_links(visit_cols, update_cols, cfg) == want
 
 
 # --- save and load ---------------------------------------------------------

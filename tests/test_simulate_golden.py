@@ -11,17 +11,32 @@ streams, which may change between numpy releases, so digests are keyed by
 the numpy version they were recorded with; other versions skip, and the
 skip reason (``pytest -rs``) carries the digests to record from a trusted
 commit.
+
+The full-profile regime has its own golden: a month-long cut of the desk
+profile with a quarter of the users seeded, where outbreaks saturate within
+days. SDT, DDT and LST (a scheduled, rewritten variant) are simulated in
+process and the SHA-256 of each counts array is pinned.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spdt import epidemic
 from spdt.cli import main
-from spdt.network import load_network
+from spdt.epidemic import SimulationConfig, run_simulation
+from spdt.network import (
+    BuilderConfig,
+    densify,
+    extract_spdt_links,
+    load_network,
+    make_ldt_lst,
+)
+from spdt.synth import desk_profile, generate_trace
+from spdt.trace import ParsedTrace, segment_all
 
 GOLDEN = {
     "2.4.6": {
@@ -51,6 +66,14 @@ GOLDEN = {
             "summary.csv":
                 "b3b32e933c75dba05e9a2ff5a1b0a9db9b8b04e1270f84e699984bf09604af33",
         },
+    },
+}
+
+FULL_REGIME_GOLDEN = {
+    "2.4.6": {
+        "SDT": "f252ecf71d74e7c4f6219a6910c5e33c570903532bc84cbd350e654b2f1b6411",
+        "DDT": "c7770bd4b9d4334ac1531547cca38e82834d5dff7fbe7c6f61dcf04bc4dbf3cc",
+        "LST": "fa3508450b231f60def38ab3935c5d00d051890872c1d51f6376933b7402823a",
     },
 }
 
@@ -142,3 +165,27 @@ def test_mini_sweep_crosses_a_block_boundary(trace_and_net):
 def test_mini_sweep_outputs_match_golden_digests(sweep_digests):
     assert len(sweep_digests) == 7  # four cells plus three reports
     assert sweep_digests == _golden("sweep", sweep_digests)
+
+
+@pytest.fixture(scope="module")
+def full_regime_digests():
+    # the full profile's horizon and seed share (500 of 2,000) on 400 users
+    parsed = ParsedTrace(generate_trace(replace(desk_profile(0), n_users=400,
+                                                days=32)))
+    sdt = extract_spdt_links(segment_all(parsed), parsed,
+                             BuilderConfig(horizon_days=32))
+    ddt = densify(sdt, rng_seed=0)
+    lst = make_ldt_lst(ddt)[1]
+    cfg = SimulationConfig(seeds=100, horizon_days=32, r_t=35.0, rng_seed=0,
+                           runs=10)
+    assert sdt.n_users == 400
+    return {name: hashlib.sha256(run_simulation(net, cfg, workers=1).tobytes())
+            .hexdigest() for name, net in (("SDT", sdt), ("DDT", ddt), ("LST", lst))}
+
+
+def test_full_regime_counts_match_golden_digests(full_regime_digests):
+    golden = FULL_REGIME_GOLDEN.get(np.__version__)
+    if golden is None:
+        pytest.skip(f"no full-regime digests recorded for numpy {np.__version__}; "
+                    f"this run gave {full_regime_digests!r}")
+    assert full_regime_digests == golden

@@ -368,6 +368,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "2 rows skipped: 1 lat/lon out of range, 1 wrong field count" in out
 
+    def test_build_counts_user_ids_with_whitespace(self, tmp_path, capsys):
+        # such an id cannot be saved; it is skipped with its rows, not
+        # found only when the network is written
+        trace = tmp_path / "trace.csv"
+        trace.write_text("user_id,t_min,x_m,y_m\n"
+                         "a,0,0,0\n" "a b,5,0,0\n" "c,10,1,0\n")
+        net = tmp_path / "net.spdt"
+        assert main(["build", "--trace", str(trace), "--out", str(net),
+                     "--horizon", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "from 2 updates (1 rows skipped: 1 user id contains whitespace)" in out
+        assert load_network(net).users == ("a", "c")
+
     def test_simulate_config_file_with_cli_override(self, tmp_path):
         trace = tmp_path / "trace.csv"
         main(["synth", "--out", str(trace), "--users", "120", "--days", "3",

@@ -5,19 +5,21 @@ import pytest
 
 from spdt.synth import SynthConfig, desk_profile, generate_trace, location_layout
 from spdt.trace import parse_trace, write_trace_csv
+from tracerows import update_rows
 
 MINUTES_PER_DAY = 1440
 
 
 def test_empty_population():
-    assert generate_trace(SynthConfig(n_users=0)) == []
+    updates = generate_trace(SynthConfig(n_users=0))
+    assert len(updates) == 0 and updates.users == ()
 
 
 def test_deterministic_under_seed():
     cfg = SynthConfig(n_users=40, days=6, rng_seed=42)
-    assert generate_trace(cfg) == generate_trace(cfg)
+    assert update_rows(generate_trace(cfg)) == update_rows(generate_trace(cfg))
     other = SynthConfig(n_users=40, days=6, rng_seed=43)
-    assert generate_trace(other) != generate_trace(cfg)
+    assert update_rows(generate_trace(other)) != update_rows(generate_trace(cfg))
 
 
 def test_trace_schema_round_trip(tmp_path):
@@ -26,19 +28,19 @@ def test_trace_schema_round_trip(tmp_path):
     write_trace_csv(updates, path)
     parsed = parse_trace(path)
     assert parsed.skipped == 0
-    assert len(parsed.updates) == len(updates)
+    assert update_rows(parsed.updates) == update_rows(updates)
 
 
 def test_positions_inside_area():
     cfg = SynthConfig(n_users=60, days=5, rng_seed=2, area_m=(500.0, 300.0))
-    for upd in generate_trace(cfg):
+    for upd in update_rows(generate_trace(cfg)):
         assert 0.0 <= upd.x <= 500.0
         assert 0.0 <= upd.y <= 300.0
 
 
 def test_times_sorted_and_nonnegative():
     cfg = SynthConfig(n_users=30, days=5, rng_seed=3)
-    updates = generate_trace(cfg)
+    updates = update_rows(generate_trace(cfg))
     by_user: dict[str, list[float]] = {}
     for upd in updates:
         assert upd.t >= 0
@@ -49,7 +51,7 @@ def test_times_sorted_and_nonnegative():
 
 def test_every_user_every_day_when_probability_one():
     cfg = SynthConfig(n_users=12, days=5, rng_seed=4, active_day_probability=1.0)
-    updates = generate_trace(cfg)
+    updates = update_rows(generate_trace(cfg))
     seen = {(u.user_id, int(u.t // MINUTES_PER_DAY)) for u in updates}
     for user in range(12):
         for day in range(5):
@@ -58,7 +60,7 @@ def test_every_user_every_day_when_probability_one():
 
 def test_sparsity_targets_three_and_a_half_days():
     cfg = SynthConfig(n_users=1000, days=32, rng_seed=5)  # default sparsity
-    updates = generate_trace(cfg)
+    updates = update_rows(generate_trace(cfg))
     active: dict[str, set[int]] = {}
     for u in updates:
         active.setdefault(u.user_id, set()).add(int(u.t // MINUTES_PER_DAY))
@@ -78,7 +80,7 @@ def test_hub_bias_shows_in_visit_counts():
     cfg = SynthConfig(n_users=300, days=6, rng_seed=6, n_locations=30,
                       zipf_exponent=1.2)
     xy, _ = location_layout(cfg)
-    updates = generate_trace(cfg)
+    updates = update_rows(generate_trace(cfg))
     counts = np.zeros(30)
     for u in updates:
         counts[np.argmin(np.hypot(xy[:, 0] - u.x, xy[:, 1] - u.y))] += 1
@@ -122,4 +124,55 @@ def test_non_finite_fields_named(field, value):
 def test_zero_jitter_accepted():
     updates = generate_trace(SynthConfig(n_users=5, days=2, rng_seed=1,
                                          position_jitter_m=0.0))
-    assert all(np.isfinite([u.x for u in updates]))
+    assert np.isfinite(updates.x).all()
+
+
+def reference_trace(cfg):
+    """The generator stated one update at a time, with ``Generator.choice``
+    drawing the location and each user's rows sorted as (t, x, y) tuples."""
+    from spdt.synth import _STREAM_USER, _jitter
+
+    loc_xy, loc_weights = location_layout(cfg)
+    interval = cfg.update_interval_min
+    id_width = max(4, len(str(max(cfg.n_users - 1, 0))))
+    updates = []
+    for user in range(cfg.n_users):
+        rng = np.random.default_rng(
+            np.random.SeedSequence((cfg.rng_seed, _STREAM_USER, user)))
+        active = rng.random(cfg.days) < cfg.active_day_probability
+        rows = []
+        for day in np.flatnonzero(active).tolist():
+            n_visits = int(rng.integers(cfg.visits_per_active_day[0],
+                                        cfg.visits_per_active_day[1] + 1))
+            slot = MINUTES_PER_DAY / n_visits
+            for k in range(n_visits):
+                n_upd = int(rng.integers(cfg.updates_per_visit[0],
+                                         cfg.updates_per_visit[1] + 1))
+                slack = max(slot - (n_upd - 1) * interval - interval, 1.0)
+                start = day * MINUTES_PER_DAY + k * slot + rng.uniform(0.0, slack)
+                loc = int(rng.choice(cfg.n_locations, p=loc_weights))
+                times = start + np.arange(n_upd) * interval \
+                    + rng.uniform(-2.0, 2.0, n_upd)
+                times = np.maximum.accumulate(np.round(np.maximum(times, 0.0)))
+                offsets = _jitter(rng, n_upd, cfg.position_jitter_m)
+                for i in range(n_upd):
+                    rows.append((int(times[i]), float(loc_xy[loc, 0] + offsets[i, 0]),
+                                 float(loc_xy[loc, 1] + offsets[i, 1])))
+        rows.sort()
+        updates += [(f"u{user:0{id_width}d}", float(t), x, y) for t, x, y in rows]
+    return updates
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(n_users=30, days=4, rng_seed=7),
+    # half-minute reports round onto tied minutes, and 20 updates overrun
+    # their slot, so visits overlap: rows tie on time and sort by position
+    SynthConfig(n_users=20, days=2, rng_seed=8, update_interval_min=0.5,
+                updates_per_visit=(5, 20), visits_per_active_day=(40, 60),
+                active_day_probability=0.7, n_locations=3, zipf_exponent=0.0),
+], ids=["default", "tied-and-overlapping"])
+def test_matches_per_update_reference(cfg):
+    rows = update_rows(generate_trace(cfg))
+    assert [tuple(r) for r in rows] == reference_trace(cfg)
+    if cfg.update_interval_min < 1.0:
+        assert len({(r.user_id, r.t) for r in rows}) < len(rows)

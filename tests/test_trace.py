@@ -3,22 +3,33 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spdt.trace import (
+from spdt.trace import ParsedTrace, parse_trace, segment_all, write_trace_csv
+from tracerows import (
     LocationUpdate,
-    ParsedTrace,
-    parse_trace,
-    segment_all,
+    columns,
+    segment_rows,
     segment_visits,
-    write_trace_csv,
+    update_rows,
+    visit_rows,
 )
 
 
 def make_trace(rows, header="user_id,t_min,x_m,y_m"):
     return io.StringIO(header + "\n" + "".join(r + "\n" for r in rows))
+
+
+def parsed_rows(rows, header="user_id,t_min,x_m,y_m"):
+    return update_rows(parse_trace(make_trace(rows, header)).updates)
+
+
+def segment(updates, radius_m=20.0, max_gap_min=30.0):
+    """The package's visits of update rows, as rows."""
+    return visit_rows(segment_all(columns(updates)[0], radius_m, max_gap_min))
 
 
 class TestParseTrace:
@@ -28,7 +39,7 @@ class TestParseTrace:
 
     def test_header_only_gives_empty(self):
         parsed = parse_trace(make_trace([]))
-        assert parsed.updates == [] and parsed.skipped == 0
+        assert len(parsed.updates) == 0 and parsed.skipped == 0
 
     def test_wrong_header_rejected(self):
         with pytest.raises(ValueError, match="unparseable") as info:
@@ -40,14 +51,12 @@ class TestParseTrace:
         rows = ["a,0,0.0,0.0", "a,1,0.001,0.0"]
         for header, metres in (("user_id,t_min,x_m,y_m", 0.001),
                                ("user_id,t_min,lat,lon", 111.2)):
-            a, b = parse_trace(make_trace(rows, header=header)).updates
+            a, b = parsed_rows(rows, header=header)
             assert math.hypot(a.x - b.x, a.y - b.y) == pytest.approx(metres, rel=0.01)
 
     def test_rows_sorted_per_user(self):
-        parsed = parse_trace(make_trace([
-            "b,50,0,0", "a,20,1,1", "a,5,2,2", "b,10,3,3",
-        ]))
-        assert [(u.user_id, u.t) for u in parsed.updates] == [
+        rows = parsed_rows(["b,50,0,0", "a,20,1,1", "a,5,2,2", "b,10,3,3"])
+        assert [(u.user_id, u.t) for u in rows] == [
             ("a", 5.0), ("a", 20.0), ("b", 10.0), ("b", 50.0)]
 
     def test_malformed_rows_counted_and_skipped(self):
@@ -66,35 +75,45 @@ class TestParseTrace:
                                        "empty user id": 1,
                                        "non-finite value": 1}
 
+    def test_user_id_with_whitespace_counted(self):
+        # the network format separates fields with spaces, so such an id
+        # could never be saved; padding around an id is trimmed
+        parsed = parse_trace(make_trace(
+            ["a b,0,0,0", "a\tb,1,0,0", "a\u00a0b,2,0,0", "  a ,3,0,0", " ,4,0,0"]))
+        assert [(u.user_id, u.t) for u in update_rows(parsed.updates)] == [("a", 3.0)]
+        assert parsed.skip_reasons == {"user id contains whitespace": 3,
+                                       "empty user id": 1}
+
     def test_file_round_trip(self, tmp_path):
         updates = [LocationUpdate("u1", 0.0, 1.5, -2.0),
                    LocationUpdate("u1", 10.0, 1.5, -2.0)]
         path = tmp_path / "trace.csv"
-        write_trace_csv(updates, path)
+        write_trace_csv(columns(updates)[0], path)
         parsed = parse_trace(path)
-        assert parsed.updates == updates and parsed.skipped == 0
+        assert update_rows(parsed.updates) == updates and parsed.skipped == 0
+
+    def test_rows_tied_on_user_and_time_keep_file_order(self):
+        rows = parsed_rows(["b,1,0,0", "a,7,3,0", "a,7,1,0", "a,7,2,0"])
+        assert [u.x for u in rows] == [3.0, 1.0, 2.0, 0.0]
 
     def test_latlon_projection_preserves_scale(self):
         # two points ~111 m apart in latitude at the equator
-        parsed = parse_trace(make_trace(
-            ["a,0,0.0,0.0", "a,1,0.001,0.0"],
-            header="user_id,t_min,lat,lon",
-        ))
-        a, b = parsed.updates
+        a, b = parsed_rows(["a,0,0.0,0.0", "a,1,0.001,0.0"],
+                           header="user_id,t_min,lat,lon")
         dist = math.hypot(a.x - b.x, a.y - b.y)
         assert dist == pytest.approx(111.2, rel=0.01)
 
     def test_latlon_projection_across_antimeridian(self):
         # 0.001 deg of longitude either side of 180 is ~111 m at the equator;
         # an arithmetic lon centroid puts the points 360 deg apart
-        parsed = parse_trace(make_trace(
+        rows = parsed_rows(
             ["a,0,0.0,179.9995", "a,1,0.0,-179.9995", "b,0,0.0,179.9990"],
             header="user_id,t_min,lat,lon",
-        ))
-        a0, a1, b = parsed.updates
+        )
+        a0, a1, b = rows
         assert math.hypot(a0.x - a1.x, a0.y - a1.y) == pytest.approx(111.2, rel=0.01)
         assert math.hypot(a0.x - b.x, a0.y - b.y) == pytest.approx(55.6, rel=0.01)
-        assert max(abs(u.x) for u in parsed.updates) < 200.0
+        assert max(abs(u.x) for u in rows) < 200.0
 
     def test_latlon_projection_counts_out_of_range_rows(self):
         parsed = parse_trace(make_trace(
@@ -102,7 +121,7 @@ class TestParseTrace:
              "a,4,10.0,-181", "a,5,-90,-180", "a,6,90,180", "a,7,10.0,zz"],
             header="user_id,t_min,lat,lon",
         ))
-        assert [u.t for u in parsed.updates] == [0.0, 5.0, 6.0]
+        assert parsed.updates.t.tolist() == [0.0, 5.0, 6.0]
         assert parsed.skipped == 5
         assert parsed.skip_reasons == {"lat/lon out of range": 4,
                                        "non-numeric value": 1}
@@ -115,29 +134,29 @@ class TestParseTrace:
 class TestSegmentVisits:
     def test_single_stay(self):
         ups = [LocationUpdate("u", t, 0.0, 0.0) for t in (0, 10, 20)]
-        visits = segment_visits(ups)
+        visits = segment(ups)
         assert len(visits) == 1
         v = visits[0]
         assert (v.anchor_x, v.anchor_y, v.t_start, v.t_end) == (0.0, 0.0, 0, 20)
 
     def test_distance_rule_splits(self):
         ups = [LocationUpdate("u", 0, 0.0, 0.0), LocationUpdate("u", 5, 0.0, 25.0)]
-        visits = segment_visits(ups)
+        visits = segment(ups)
         assert len(visits) == 2
 
     def test_exactly_20m_keeps_visit(self):
         ups = [LocationUpdate("u", 0, 0.0, 0.0), LocationUpdate("u", 5, 0.0, 20.0)]
-        assert len(segment_visits(ups)) == 1
+        assert len(segment(ups)) == 1
 
     def test_gap_rule_splits(self):
         ups = [LocationUpdate("u", 0, 0.0, 0.0), LocationUpdate("u", 40, 0.0, 0.0)]
-        visits = segment_visits(ups)
+        visits = segment(ups)
         assert len(visits) == 2
         assert visits[0].t_end == 0 and visits[1].t_start == 40
 
     def test_exactly_30min_gap_keeps_visit(self):
         ups = [LocationUpdate("u", 0, 0.0, 0.0), LocationUpdate("u", 30, 0.0, 0.0)]
-        assert len(segment_visits(ups)) == 1
+        assert len(segment(ups)) == 1
 
     def test_anchor_is_first_update_not_centroid(self):
         # drifting within 20 m of the first update stays one visit even when
@@ -147,14 +166,15 @@ class TestSegmentVisits:
             LocationUpdate("u", 5, 0.0, 19.0),
             LocationUpdate("u", 10, 0.0, -19.0),
         ]
-        visits = segment_visits(ups)
+        visits = segment(ups)
         assert len(visits) == 1
         assert visits[0].anchor_x == 0.0 and visits[0].anchor_y == 0.0
 
     def test_single_update_zero_duration(self):
-        visits = segment_visits([LocationUpdate("u", 7, 1.0, 2.0)])
+        visits = segment([LocationUpdate("u", 7, 1.0, 2.0)])
         assert visits == [("u", 1.0, 2.0, 7, 7)]
 
+    # the per-user oracle checks its own input: one user's sorted updates
     def test_mixed_users_rejected(self):
         with pytest.raises(ValueError):
             segment_visits([LocationUpdate("a", 0, 0, 0),
@@ -193,7 +213,7 @@ def reference_segmentation(ups, radius=20.0, gap=30.0):
 
 @given(user_updates())
 def test_greedy_rule_against_reference(ups):
-    visits = segment_visits(ups)
+    visits = segment(ups)
     groups = reference_segmentation(ups)
     assert len(visits) == len(groups)
     for v, g in zip(visits, groups):
@@ -216,15 +236,115 @@ def test_partition_and_distance_invariants(ups):
 def test_segmentation_idempotent(ups):
     # re-segmenting each visit's own members reproduces that visit unchanged
     for g in reference_segmentation(ups):
-        again = segment_visits(g)
+        again = segment(g)
         assert len(again) == 1
         assert again[0].t_start == g[0].t and again[0].t_end == g[-1].t
 
 
+def test_no_updates_no_visits():
+    visits = segment_all(parse_trace(make_trace([])))
+    assert len(visits) == 0 and visits.users == ()
+
+
 def test_segment_all_orders_by_user():
-    parsed = ParsedTrace(updates=[
+    updates, _ = columns([
         LocationUpdate("b", 0, 0, 0),
         LocationUpdate("a", 5, 0, 0), LocationUpdate("a", 100, 0, 0),
     ])
-    visits = segment_all(parsed)
-    assert [v.user_id for v in visits] == ["a", "a", "b"]
+    visits = segment_all(ParsedTrace(updates))
+    assert [v.user_id for v in visit_rows(visits)] == ["a", "a", "b"]
+    assert visits.users == updates.users
+
+
+# --- the array segmenter against the per-user oracle -------------------------
+
+# a lattice whose points lie exactly at the radius from one another, (0, 20)
+# and (12, 16) among them, plus free coordinates
+SEG_COORD = st.one_of(st.sampled_from([0.0, 12.0, -12.0, 16.0, 20.0, -20.0, 32.0]),
+                      st.floats(-45.0, 45.0))
+# a repeat, the exact gap, just over it, and sub-minute steps
+SEG_STEP = st.sampled_from([0.0, 0.0, 1.0, 0.25, 29.5, 30.0, 30.5, 200.0])
+
+
+@st.composite
+def several_users(draw):
+    rows = []
+    for user in draw(st.lists(st.sampled_from(["a", "b", "c10", "c9"]),
+                              min_size=1, max_size=4, unique=True)):
+        t = draw(st.floats(-50.0, 50.0))
+        for _ in range(draw(st.integers(1, 40))):
+            t += draw(SEG_STEP)
+            rows.append(LocationUpdate(user, t, draw(SEG_COORD), draw(SEG_COORD)))
+    return draw(st.permutations(rows))  # interleaved and unsorted
+
+
+def exact(visits):
+    """Visit rows with each float as its exact hex form, so -0.0 != 0.0."""
+    return [(v.user_id, *map(float.hex, v[1:])) for v in visits]
+
+
+@given(several_users(), st.sampled_from([(20.0, 30.0), (7.5, 1.0), (40.0, 0.25)]))
+def test_segment_all_matches_per_user_oracle(rows, rule):
+    got = visit_rows(segment_all(columns(rows)[0], *rule))
+    assert exact(got) == exact(segment_rows(rows, *rule))
+
+
+def test_one_long_run_matches_oracle():
+    # two weeks of one-minute reports with no gap: one run of 20,160 updates,
+    # a random walk that leaves its anchor every few dozen steps
+    rng = np.random.default_rng(0)
+    x, y = np.cumsum(rng.normal(0.0, 3.0, (2, 20160)), axis=1)
+    rows = [LocationUpdate("u", float(t), a, b)
+            for t, a, b in zip(range(20160), x.tolist(), y.tolist())]
+    got = visit_rows(segment_all(columns(rows)[0]))
+    assert len(got) > 100
+    assert exact(got) == exact(segment_rows(rows))
+
+
+def test_radius_ties_decided_as_math_hypot_decides():
+    # offsets at about the radius where np.hypot and math.hypot round to
+    # different sides of 20 m; each user is an anchor and one such offset
+    rng = np.random.default_rng(1)
+    dx = rng.uniform(-20.0, 20.0, 200_000)
+    dy = np.sqrt(400.0 - dx * dx)
+    split = np.flatnonzero((np.hypot(dx, dy) > 20.0) != np.array(
+        [math.hypot(a, b) > 20.0 for a, b in zip(dx.tolist(), dy.tolist())]))
+    assert split.size > 10
+    rows = []
+    for k, i in enumerate(split[:50].tolist()):
+        rows += [LocationUpdate(f"u{k:02d}", 0.0, 0.0, 0.0),
+                 LocationUpdate(f"u{k:02d}", 1.0, float(dx[i]), float(dy[i]))]
+    got = visit_rows(segment_all(columns(rows)[0]))
+    assert exact(got) == exact(segment_rows(rows))
+
+
+# --- the array projection against per-element math ---------------------------
+
+def reference_projection(rows):
+    """Each (lat, lon) row to metres with math's per-element functions."""
+    lat0 = math.radians(np.cumsum([lat for lat, _ in rows])[-1] / len(rows))
+    lons = [math.radians(lon) for _, lon in rows]
+    lon0 = math.degrees(math.atan2(np.cumsum(list(map(math.sin, lons)))[-1],
+                                   np.cumsum(list(map(math.cos, lons)))[-1]))
+    return [(6371000.0 * math.cos(lat0)
+             * math.radians(180.0 - (180.0 - (lon - lon0)) % 360.0),
+             6371000.0 * (math.radians(lat) - lat0)) for lat, lon in rows]
+
+
+def exact_pairs(pairs):
+    return [(float.hex(x), float.hex(y)) for x, y in pairs]
+
+
+LAT = st.one_of(st.sampled_from([0.0, -0.0, 90.0, -90.0, 51.5]), st.floats(-90, 90))
+LON = st.one_of(st.sampled_from([0.0, -0.0, 180.0, -180.0, 179.9995, -179.9995]),
+                st.floats(-180, 180))
+
+
+@given(st.lists(st.tuples(LAT, LON), min_size=1, max_size=30))
+def test_latlon_projection_matches_per_element_math(rows):
+    # one user, one minute apart: the parsed rows keep the file's order
+    parsed = parse_trace(make_trace(
+        [f"u,{t},{lat!r},{lon!r}" for t, (lat, lon) in enumerate(rows)],
+        header="user_id,t_min,lat,lon"))
+    got = [(u.x, u.y) for u in update_rows(parsed.updates)]
+    assert exact_pairs(got) == exact_pairs(reference_projection(rows))
