@@ -27,6 +27,55 @@ def _psi(w):
     return np.add(1.0, ratio, out=out, where=big)
 
 
+def link_geometry(t_s, t_l, t_s_n, t_l_n):
+    """Direct length, lead, indirect length, stay and decay gap per link.
+
+    The neighbour is present over [a, t_l_n] with a = max(t_s, t_s_n): a
+    direct segment [a, min(t_l_n, t_l)] while the host is still present and
+    an indirect segment [max(a, t_l), t_l_n] after it left. Either may be
+    empty. Every value is a difference of two times, so integer times give
+    exact integer lengths.
+    """
+    a = np.maximum(t_s, t_s_n)
+    a2 = np.maximum(a, t_l)
+    return (np.maximum(np.minimum(t_l_n, t_l) - a, 0), np.maximum(a - t_s, 0),
+            np.maximum(t_l_n - a2, 0), np.maximum(t_l - t_s, 0), a2 - t_l)
+
+
+def link_doses(d_len, lead, i_len, stay, gap, r, g, V, p):
+    """Inhaled dose (PFU) per link from its geometry and removal rate.
+
+    Block by block into a zeroed output: the direct term only where
+    ``d_len > 0`` and the indirect term only where ``i_len > 0``. A link
+    without a segment has an exact +0.0 term, so skipping it changes no bit
+    of the sum. Integer geometry is converted to float64 exactly.
+    """
+    n = d_len.shape[0]
+    out = np.zeros(n)
+    for a in range(0, n, _BLOCK):
+        b = a + _BLOCK
+        _class_doses(out[a:b], d_len[a:b], lead[a:b], i_len[a:b], stay[a:b],
+                     gap[a:b], r[a:b], g, V, p)
+    return out
+
+
+def _class_doses(out, d_len, lead, i_len, stay, gap, r, g, V, p):
+    # concentration rising toward g/(rV) while the host is present
+    k = np.flatnonzero(d_len > 0)
+    if k.size:
+        rk, length = r[k], d_len[k].astype(np.float64, copy=False)
+        w = rk * length
+        u = rk * lead[k]
+        out[k] = (g * p) / (rk * V) * length * (_psi(w) + _phi(w) * (-np.expm1(-u)))
+    # exponential decay after the host left
+    k = np.flatnonzero(i_len > 0)
+    if k.size:
+        rk = r[k]
+        length, s = (x[k].astype(np.float64, copy=False) for x in (i_len, stay))
+        out[k] += ((g * p) / (rk * V) * rk * s * _phi(rk * s) * np.exp(-rk * gap[k])
+                   * length * _phi(rk * length))
+
+
 def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p):
     """Inhaled dose (PFU) per link; all time/rate arguments are equal-length arrays.
 
@@ -37,36 +86,6 @@ def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p):
     out = np.empty(n)
     for a in range(0, n, _BLOCK):
         b = a + _BLOCK
-        out[a:b] = _doses(*(np.asarray(x[a:b], dtype=np.float64)
-                            for x in (t_s, t_l, t_s_n, t_l_n, r)), g, V, p)
+        times = (np.asarray(x[a:b], dtype=np.float64) for x in (t_s, t_l, t_s_n, t_l_n))
+        out[a:b] = link_doses(*link_geometry(*times), r[a:b], g, V, p)
     return out
-
-
-def _doses(t_s, t_l, t_s_n, t_l_n, r, g, V, p):
-    """Dose per link of one block.
-
-    The neighbour inhales over [max(t_s, t_s_n), t_l_n], split into a segment
-    while the host is still present (concentration rising toward g/(rV)) and a
-    segment after departure (exponential decay). Either segment may be empty.
-    """
-    a = np.maximum(t_s, t_s_n)
-    b = t_l_n
-    scale = (g * p) / (r * V)
-
-    # segment while host present: [a, min(b, t_l)]
-    d_len = np.maximum(np.minimum(b, t_l) - a, 0.0)
-    w = r * d_len
-    u = r * np.maximum(a - t_s, 0.0)
-    direct = scale * d_len * (_psi(w) + _phi(w) * (-np.expm1(-u)))
-
-    # segment after host departure: [max(a, t_l), b]
-    a2 = np.maximum(a, t_l)
-    i_len = np.maximum(b - a2, 0.0)
-    stay = np.maximum(t_l - t_s, 0.0)
-    ws = r * stay
-    wi = r * i_len
-    indirect = (
-        scale * r * stay * _phi(ws) * np.exp(-r * (a2 - t_l)) * i_len * _phi(wi)
-    )
-
-    return direct + indirect

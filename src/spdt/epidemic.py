@@ -22,11 +22,14 @@ doses are summed per (run, neighbour) with one bincount. The pairs are in
 run-major, ascending-link order, so every run sees its links, draws and
 dose sums in the order a run stepped alone would.
 
-The stepper reads the network's base columns through ``host_links``. Each
-block-day gathers its links' int64 times, unshifted since doses depend only
-on differences of whole minutes, which the kernel converts to float64
-exactly, one kernel block at a time; no per-network copy of the columns, or
-of a densified network's repeats, is kept.
+The stepper reads the network's base links through ``host_links``. Once
+per ``run_simulation`` call it computes every base link's geometry, the five
+whole-minute lengths a dose depends on, as int32 (20 B per base link, range
+checked), and each block-day gathers its links' rows of it. A densified
+network's repeats are their base links moved by whole days, so they share
+the base link's geometry; no per-network copy of the columns, or of the
+repeats, is kept. The kernel converts the lengths to float64 exactly and
+evaluates each dose term only on the links that have it.
 
 Randomness is organised as named substreams keyed by
 (rng_seed, run, stream, day), so results are reproducible for any worker
@@ -46,7 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import batch_link_exposure
+# the stepper calls link_doses; perfbench/layers.py still patches
+# batch_link_exposure by name in this module
+from ._kernel import batch_link_exposure, link_doses, link_geometry  # noqa: F401
 from .exposure import (
     DEFAULT_GENERATION_RATE,
     DEFAULT_PROXIMITY_VOLUME,
@@ -187,8 +192,41 @@ def _block_runs(net: DynamicContactNetwork) -> int:
     return max(1, _BLOCK_PAIRS // max(busiest, 1))
 
 
+# Base links whose geometry is built at once: the int64 temporaries of a
+# block take about 0.3 MB, next to the 20 B per link the geometry keeps.
+_GEOMETRY_BLOCK = 1 << 12
+
+
+def _base_geometry(net: DynamicContactNetwork) -> np.ndarray:
+    """The kernel's link geometry of every base link, one int32 row of five
+    lengths per link, built a block of links at a time.
+
+    A link's geometry is at most its span, max(t_l, t_l_n) - t_s, and its
+    direct length, lead and indirect length add up to it. Below 2**63 the
+    span leaves the int64 geometry exact; at or above it, one of those three
+    lengths exceeds int32 anyway.
+    """
+    _, _, _, *times = net._base
+    n = times[0].size
+    geometry = np.empty((n, 5), dtype=np.int32)
+    top = np.iinfo(np.int32).max
+    for a in range(0, n, _GEOMETRY_BLOCK):
+        t_s, t_l, t_s_n, t_l_n = (t[a:a + _GEOMETRY_BLOCK] for t in times)
+        # t_s < max(t_l, t_l_n) in a valid network: the uint64 difference is exact
+        bad = np.maximum(t_l, t_l_n).view(np.uint64) - t_s.view(np.uint64) >= 1 << 63
+        for k, col in enumerate(link_geometry(t_s, t_l, t_s_n, t_l_n)):
+            bad |= col > top
+            geometry[a:a + _GEOMETRY_BLOCK, k] = col
+        if bad.any():
+            raise ValueError(f"base link {a + int(bad.argmax())}: link geometry "
+                             f"exceeds {top} minutes, the kernel's int32 range")
+    geometry.setflags(write=False)
+    return geometry
+
+
 def _step_block(
     net: DynamicContactNetwork,
+    geometry: np.ndarray,
     state: PopulationState,
     day: int,
     cfg: SimulationConfig,
@@ -197,9 +235,10 @@ def _step_block(
 ) -> None:
     """Advance a block of runs by one day in place.
 
-    ``state`` holds one row per run; ``seeds``, of shape (runs, 3, 4), holds
-    the day's _stream_seeds of each run, and the day's counts are written
-    into ``row``, of shape (runs, 3).
+    ``geometry`` is the network's _base_geometry; ``state`` holds one row
+    per run; ``seeds``, of shape (runs, 3, 4), holds the day's _stream_seeds
+    of each run, and the day's counts are written into ``row``, of shape
+    (runs, 3).
     A run's generator for a stream is built at most once, when drawn from.
     """
     from ._rng import generator
@@ -227,7 +266,7 @@ def _step_block(
         run, host = np.nonzero((status == INFECTED) & (day_infected <= day))
         first, count = (col[host] for col in net.host_links(day))
         link = _ranges(first, count)
-        _, _, nbr, *times = net._base
+        nbr = net._base[2]
         key = np.repeat(run * n_users, count) + nbr[link]
         susceptible = status.ravel()[key] == SUSCEPTIBLE
         link, key = link[susceptible], key[susceptible]
@@ -235,13 +274,10 @@ def _step_block(
             per_run = np.bincount(key // n_users, minlength=n_runs)
             b = _removal_times(cfg.r_t, cfg.b_range, per_run_draws(
                 per_run, _STREAM_REMOVAL, lambda rng, k: rng.random((2, k))))
-            # the kernel converts the gathered int64 minutes, exact in
-            # float64, block by block: no float copy of a column is made
-            doses = batch_link_exposure(
-                *(t[link] for t in times),
-                1.0 / b, DEFAULT_GENERATION_RATE, DEFAULT_PROXIMITY_VOLUME,
-                DEFAULT_PULMONARY_RATE,
-            )
+            # one take of whole rows: far quicker than fancy indexing of rows
+            doses = link_doses(
+                *np.take(geometry, link, axis=0).T, 1.0 / b, DEFAULT_GENERATION_RATE,
+                DEFAULT_PROXIMITY_VOLUME, DEFAULT_PULMONARY_RATE)
             totals = np.bincount(key, weights=doses, minlength=n_runs * n_users)
             exposed = np.flatnonzero(totals > 0.0)
             if exposed.size:
@@ -271,13 +307,14 @@ def step_day(
     run: int,
 ) -> tuple[PopulationState, np.ndarray]:
     """Advance run ``run`` by one day; returns the new state and the day's
-    counts, a length-3 row of the counts array."""
+    counts, a length-3 row of the counts array. The base links' geometry is
+    built for this one call."""
     if day < 0 or day >= cfg.horizon_days:
         raise ValueError(f"day {day} outside [0, {cfg.horizon_days})")
     block = PopulationState(states.status[None].copy(),
                             states.day_infected[None].copy(), states.tau[None].copy())
     row = np.empty((1, 3), dtype=np.int64)
-    _step_block(net, block, day, cfg,
+    _step_block(net, _base_geometry(net), block, day, cfg,
                 _stream_seeds(cfg.rng_seed, [run], [day])[:, 0], row)
     return PopulationState(block.status[0], block.day_infected[0], block.tau[0]), row[0]
 
@@ -310,22 +347,24 @@ def _seeded_block(n_users: int, cfg: SimulationConfig, runs: range) -> Populatio
 
 
 def _simulate_block(
-    net: DynamicContactNetwork, cfg: SimulationConfig, block: range
+    net: DynamicContactNetwork, geometry: np.ndarray, cfg: SimulationConfig,
+    block: range,
 ) -> np.ndarray:
-    """Counts of the runs ``block``, stepped in lockstep."""
+    """Counts of the runs ``block``, stepped in lockstep; ``geometry`` is
+    the network's _base_geometry."""
     state = _seeded_block(net.n_users, cfg, block)
     seeds = _stream_seeds(cfg.rng_seed, block, range(cfg.horizon_days))
     counts = np.empty((len(block), cfg.horizon_days, 3), dtype=np.int64)
     for day in range(cfg.horizon_days):
-        _step_block(net, state, day, cfg, seeds[:, day], counts[:, day])
+        _step_block(net, geometry, state, day, cfg, seeds[:, day], counts[:, day])
     return counts
 
 
 _POOL_STATE: dict = {}
 
 
-def _pool_init(net, cfg):
-    _POOL_STATE["args"] = (net, cfg)
+def _pool_init(net, geometry, cfg):
+    _POOL_STATE["args"] = (net, geometry, cfg)
 
 
 def _pool_block(block: range) -> np.ndarray:
@@ -363,16 +402,17 @@ def run_simulation(
     if cfg.seeds > net.n_users:
         raise ValueError(f"seeds={cfg.seeds} exceeds population {net.n_users}")
     workers = resolve_workers(workers)
+    geometry = _base_geometry(net)
     size = min(_block_runs(net), max(1, _BLOCK_KEYS // (3 * cfg.horizon_days)))
     blocks = [range(start, min(start + size, cfg.runs))
               for start in range(0, cfg.runs, size)]
     if workers == 1 or len(blocks) == 1:
-        parts = [_simulate_block(net, cfg, block) for block in blocks]
+        parts = [_simulate_block(net, geometry, cfg, block) for block in blocks]
     else:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(blocks)),
             initializer=_pool_init,
-            initargs=(net, cfg),
+            initargs=(net, geometry, cfg),
         ) as pool:
             parts = list(pool.map(_pool_block, blocks))
     return np.concatenate(parts)

@@ -284,6 +284,12 @@ def extract_spdt_links(
     host, v_x, v_y, v_t0, v_t1 = (col[kept] for col in (
         visits.user, visits.anchor_x, visits.anchor_y, visits.t_start, visits.t_end))
     code, t, x, y = updates.user, updates.t, updates.x, updates.y
+    # a kept visit's end and window end must be int64 minutes
+    late = np.flatnonzero(~(np.rint(v_t1) + round(delta) < 2.0**63))
+    if late.size:
+        i = late[0]
+        raise ValueError(f"visit of user {users[host[i]]!r} ends at {float(v_t1[i])!r} "
+                         f"min, past the int64 minutes of a link time")
 
     # sort key: (cell rank, time rank), both dense, so the key fits in int64
     xs, col = _dense_rank(np.floor(x / cfg.radius_m).astype(np.int64))
@@ -482,10 +488,11 @@ def _check_line(path, lineno: int, line: str) -> None:
     if not parts[1] or not parts[2]:
         raise ValueError(f"{path}:{lineno}: empty user id")
     try:
-        for part in parts[:1] + parts[3:]:
-            int(part)
+        values = [int(part) for part in parts[:1] + parts[3:]]
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: non-integer field") from exc
+    if not all(-1 << 63 <= v < 1 << 63 for v in values):
+        raise ValueError(f"{path}:{lineno}: integer field out of range")
 
 
 def _parse_rows(path, lines: list[str], first_lineno: int, index: dict):
@@ -503,7 +510,7 @@ def _parse_rows(path, lines: list[str], first_lineno: int, index: dict):
             day, t_s, t_l, t_s_n, t_l_n = [
                 np.fromiter(map(int, fields[k::7]), np.int64, len(lines))
                 for k in (0, 3, 4, 5, 6)]
-        except ValueError:
+        except (ValueError, OverflowError):
             pass
         else:
             for user in set(hosts).union(nbrs).difference(index):

@@ -179,6 +179,28 @@ class TestStepDay:
 
 
 class TestRunSimulation:
+    @pytest.mark.parametrize("bad", [
+        # a host stay of 2**31 minutes
+        ("c", "d", 0, 2**31, 5, 10, 0),
+        # a span past int64: every int64 length wraps to a small value, so
+        # only the span shows it
+        ("c", "d", -2**63, -2**63, 2**63 - 5, 2**63 - 2, 0),
+    ])
+    def test_geometry_past_int32_names_its_base_link(self, bad):
+        net = from_tuples([("a", "b", 0, 30, 10, 100, 0), bad,
+                           ("e", "f", 0, 2**31 - 1, 2**31 - 1, 2**31, 0)], horizon=1)
+        cfg = SimulationConfig(seeds=1, horizon_days=1, runs=1)
+        with pytest.raises(ValueError, match=r"^base link 1: link geometry exceeds "
+                                             r"2147483647 minutes"):
+            run_simulation(net, cfg)
+        with pytest.raises(ValueError, match=r"^base link 1: "):
+            step_day(net, seeded_state(net.n_users, cfg, 0), 0, cfg, 0)
+        # the largest lengths that fit are simulated
+        top = 2**31 - 1
+        fits = from_tuples([(h, v, 0, top, top, 2 * top, 0) for h, v in ("ef", "fe")],
+                           horizon=1)
+        assert run_simulation(fits, cfg)[0, 0, PREVALENCE] >= 1
+
     def test_zero_seeds_all_zero(self):
         net = synth_net()
         cfg = SimulationConfig(seeds=0, horizon_days=4, r_t=60.0, runs=3)

@@ -288,8 +288,8 @@ def test_key_budget_caps_block_runs(synth_net, monkeypatch):
     monkeypatch.setattr(epi, "_BLOCK_KEYS", 2 * 3 * cfg.horizon_days)
     blocks = []
     real = epi._simulate_block
-    monkeypatch.setattr(epi, "_simulate_block", lambda net, cfg, block:
-                        blocks.append(block) or real(net, cfg, block))
+    monkeypatch.setattr(epi, "_simulate_block", lambda net, geometry, cfg, block:
+                        blocks.append(block) or real(net, geometry, cfg, block))
     assert np.array_equal(run_simulation(synth_net, cfg),
                           _reference_simulation(synth_net, cfg))
     assert blocks == [range(0, 2), range(2, 4), range(4, 6), range(6, 7)]

@@ -1,5 +1,5 @@
-"""The dose kernel: backend report, block evaluation, per-link agreement
-with quadrature."""
+"""The dose kernel: backend report, block evaluation, the class kernel
+against the single-pass reference, per-link agreement with quadrature."""
 
 import math
 
@@ -9,12 +9,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from doseref import reference_doses
+from linkrows import from_tuples
+from spdt import epidemic, metrics
 from spdt._kernel import (
     KERNEL_BACKEND,
     _exposure_np,
     available_backends,
     batch_link_exposure,
+    link_doses,
+    link_geometry,
 )
+
+GVP = (18.24, 2512.0, 0.0075)
 
 
 def random_links(n, seed=0):
@@ -74,6 +81,103 @@ def test_blocks_do_not_change_doses(monkeypatch):
         whole[1000:1007].view(np.int64),
         batch_link_exposure(*(a[1000:1007] for a in args[:5]),
                             *args[5:]).view(np.int64))
+
+
+KINDS = ("direct", "indirect", "both", "neither")
+
+
+@st.composite
+def classed_links(draw):
+    """Links in whole minutes, each of a drawn geometry class, with removal
+    rates from 1e-5 to 1 per minute, so that r times a length falls on both
+    sides of the psi series cutoff; and a positive scale and a shift that
+    make fractional times of the same order."""
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=30))
+    pick = st.integers(0, 10**6)
+    rows = []
+    for kind in kinds:
+        t_s = draw(st.integers(-1440, 46_080))
+        stay = draw(st.integers(0 if kind in ("indirect", "neither") else 1, 600))
+        t_l = t_s + stay
+        if kind in ("direct", "both"):
+            # arrives before the host leaves; leaves by then, or after
+            t_s_n = t_s - 100 + draw(pick) % (stay + 100)
+            a = max(t_s, t_s_n)
+            t_l_n = (a + 1 + draw(pick) % (t_l - a) if kind == "direct"
+                     else t_l + 1 + draw(pick) % 400)
+        elif kind == "indirect":
+            t_s_n = t_l + draw(pick) % 300
+            t_l_n = t_s_n + 1 + draw(pick) % 400
+        else:
+            # a zero-length presence after the host arrived
+            t_s_n = t_l_n = t_s + 1 + draw(pick) % 700
+        rows.append((t_s, t_l, t_s_n, t_l_n, 10.0 ** draw(st.floats(-5.0, 0.0))))
+    *times, r = (np.array(col) for col in zip(*rows))
+    scale = draw(st.floats(0.1, 3.0))
+    shift = draw(st.floats(-1e3, 1e3))
+    return kinds, times, r, (scale, shift)
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@given(classed_links())
+def test_class_kernel_matches_single_pass_reference(case):
+    # each term evaluated only on the links that have it, into a zeroed
+    # output, gives the reference's doses bit for bit, from int64 and int32
+    # geometry; the wrapper does so for fractional float times too
+    kinds, times, r, (scale, shift) = case
+    geometry = link_geometry(*times)
+    d_len, _, i_len, _, _ = geometry
+    assert [(d > 0, i > 0) for d, i in zip(d_len.tolist(), i_len.tolist())] == [
+        (k in ("direct", "both"), k in ("indirect", "both")) for k in kinds]
+    want = reference_doses(*(t.astype(np.float64) for t in times), r, *GVP)
+    assert same_bits(link_doses(*geometry, r, *GVP), want)
+    assert same_bits(link_doses(*(x.astype(np.int32) for x in geometry), r, *GVP), want)
+    fractional = [t * scale + shift for t in times]
+    assert same_bits(batch_link_exposure(*fractional, r, *GVP),
+                     reference_doses(*fractional, r, *GVP))
+
+
+def test_class_kernel_at_the_series_cutoff():
+    # one-minute direct and indirect segments at rates around the cutoff;
+    # a zero stay deposits nothing
+    w = np.array([0.0099999, _exposure_np._PSI_SERIES_CUTOFF, 0.0100001, 0.5])
+    r = np.tile(w, 3)
+    t_s = np.zeros(r.size, dtype=np.int64)
+    t_l = np.repeat([1, 0, 1], w.size)
+    t_s_n = np.repeat([0, 0, 1], w.size)
+    t_l_n = np.repeat([1, 1, 2], w.size)
+    want = reference_doses(t_s.astype(float), t_l.astype(float), t_s_n.astype(float),
+                           t_l_n.astype(float), r, *GVP)
+    assert np.array_equal(want > 0, t_l > t_s)
+    assert same_bits(link_doses(*link_geometry(t_s, t_l, t_s_n, t_l_n), r, *GVP), want)
+
+
+def test_every_dose_caller_reaches_the_class_kernel(monkeypatch):
+    # the stepper calls link_doses on gathered geometry, the graph metrics
+    # through batch_link_exposure; a spy counts the links each one passes
+    seen = []
+    real = _exposure_np.link_doses
+
+    def spy(*args):
+        seen.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(_exposure_np, "link_doses", spy)
+    monkeypatch.setattr(epidemic, "link_doses", spy)
+    net = from_tuples([("a", "b", 0, 30, 10, 100, 0), ("b", "c", 1440, 1500, 1450, 1700, 1),
+                       ("c", "a", 1500, 1510, 1520, 1600, 1)], horizon=2)
+    for call in (
+        lambda: epidemic.run_simulation(net, epidemic.SimulationConfig(
+            seeds=1, horizon_days=2, runs=4)),
+        lambda: metrics.static_graph(net),
+        lambda: metrics.daily_network_metrics(net, [10.0, 60.0]),
+    ):
+        seen.clear()
+        call()
+        assert sum(seen) > 0
 
 
 @st.composite

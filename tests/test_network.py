@@ -120,6 +120,25 @@ class TestExtractRules:
             assert build(far).n_links == 0
         assert net == build(near) and net.n_links == 2
 
+    def test_visit_ending_past_int64_minutes_rejected(self):
+        # a visit that starts in the horizon but ends past what an int64
+        # minute can hold, window included, is named before its end is cast
+        rows = [LocationUpdate("a", 0.0, 0.0, 0.0), LocationUpdate("a", 1e300, 0.0, 0.0),
+                LocationUpdate("c", 10.0, 1.0, 0.0)]
+        updates, _ = columns(rows)
+        visits = segment_all(updates, max_gap_min=1e301)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"user 'a'.* ends at 1e\+300 min"):
+                extract_spdt_links(visits, updates, CFG)
+        # the last float below 2**63 still fits with its 200-minute window
+        end = float(2**63 - 1024)
+        late = [LocationUpdate("a", 0.0, 0.0, 0.0), LocationUpdate("a", end, 0.0, 0.0),
+                LocationUpdate("c", 10.0, 1.0, 0.0)]
+        updates, _ = columns(late)
+        net = extract_spdt_links(segment_all(updates, max_gap_min=1e301), updates, CFG)
+        assert to_tuples(net) == [("a", "c", 0, int(end), 10, 10, 0)]
+
     def test_visits_and_updates_share_their_user_ids(self):
         updates, _ = columns([LocationUpdate("v", 10.0, 5.0, 0.0)])
         _, visits = columns([], [Visit("h", 0.0, 0.0, 0.0, 30.0)])
@@ -363,6 +382,16 @@ class TestPersistence:
         with pytest.raises(ValueError) as info:
             load_network(path)
         assert str(info.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("field", ["99999999999999999999", str(2**63),
+                                       str(-2**63 - 1)])
+    def test_integer_past_int64_names_its_line(self, tmp_path, field):
+        path = tmp_path / "net.spdt"
+        path.write_text(f"spdt-net v1 horizon=3\n0 a b 0 10 5 8\n"
+                        f"0 a b 1 5 2 {field}\n")
+        with pytest.raises(ValueError) as info:
+            load_network(path)
+        assert str(info.value) == f"{path}:3: integer field out of range"
 
     def test_whitespace_user_id_rejected_on_save(self, tmp_path):
         net = from_tuples([("a b", "c", 0, 10, 5, 8, 0)], horizon=1)

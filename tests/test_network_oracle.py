@@ -157,6 +157,8 @@ def ref_load(path):
                 t_s, t_l, t_s_n, t_l_n = map(int, parts[3:7])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer field") from exc
+            if not all(-2**63 <= v < 2**63 for v in (day, t_s, t_l, t_s_n, t_l_n)):
+                raise ValueError(f"{path}:{lineno}: integer field out of range")
             links.append((parts[1], parts[2], t_s, t_l, t_s_n, t_l_n, day))
     return from_tuples(links, horizon)
 
@@ -347,6 +349,8 @@ LINE_FAULTS = [
     "0 a\rb 0 10 5 8",
     "0 a b 0 10 5 8 ",         # trailing space: an eighth, empty field
     "0 a b 0 1_0 5 8",         # Python int syntax is accepted
+    "0 a b 1 5 2 99999999999999999999",  # past int64
+    "0 a b 1 5 x 99999999999999999999",  # non-integer before out of range
     " 0 a b 0 10 5 8",
 ]
 LINK_FAULTS = [
