@@ -60,7 +60,7 @@ from .exposure import (
     check_positive,
     infection_probability,
 )
-from .network import _ROW_BLOCK, DynamicContactNetwork, _ranges
+from .network import _ROW_BLOCK, DynamicContactNetwork, _int_text, _ranges, _text_rows
 
 SUSCEPTIBLE = 0
 INFECTED = 1
@@ -422,11 +422,9 @@ def write_daily_csv(counts: np.ndarray, path) -> None:
     """Write a counts array as `run,day,I_n,I_r,I_p` rows."""
     days = counts.shape[1]
     rows = counts.reshape(-1, 3)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("run,day,I_n,I_r,I_p\n")
+    with open(path, "wb") as fh:
+        fh.write(b"run,day,I_n,I_r,I_p\n")
         for i in range(0, rows.shape[0], _ROW_BLOCK):
-            run, day = np.divmod(np.arange(i, min(i + _ROW_BLOCK, rows.shape[0])), days)
-            fh.write("".join([
-                f"{r},{d},{i_n},{i_r},{i_p}\n" for r, d, (i_n, i_r, i_p)
-                in zip(run.tolist(), day.tolist(), rows[i:i + _ROW_BLOCK].tolist())
-            ]))
+            block = rows[i:i + _ROW_BLOCK]
+            run, day = np.divmod(np.arange(i, i + block.shape[0]), days)
+            fh.write(_text_rows([_int_text(col) for col in (run, day, *block.T)], ","))

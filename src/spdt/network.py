@@ -14,21 +14,26 @@ direct-bearing ones so both variants share users and per-day link counts.
 from __future__ import annotations
 
 import hashlib
+import io
 import re
 from dataclasses import dataclass
-from itertools import islice, product, repeat
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exposure import check_positive
 from .trace import (
     DEFAULT_VISIT_GAP_MIN,
     DEFAULT_VISIT_RADIUS_M,
     MINUTES_PER_DAY,
+    _ROW_BLOCK,
     ParsedTrace,
     Updates,
     Visits,
+    _check_utf8,
+    _sorted_codes,
 )
 
 NETWORK_FORMAT_VERSION = 1
@@ -161,14 +166,18 @@ class DynamicContactNetwork:
         return self.host_links(np.arange(self.horizon))[1].sum(axis=1)
 
     def __eq__(self, other) -> bool:
+        """Equal users, horizon and public columns. Equal base links and
+        schedules make equal columns, so those are compared first; the
+        columns are gathered only when they differ."""
         if not isinstance(other, DynamicContactNetwork):
             return NotImplemented
-        return (
-            self.users == other.users
-            and self.horizon == other.horizon
-            and all(np.array_equal(getattr(self, f), getattr(other, f))
-                    for f in _COLUMNS)
-        )
+        if self.users != other.users or self.horizon != other.horizon:
+            return False
+        same_source = (self._source is None) == (other._source is None) and (
+            self._source is None or np.array_equal(self._source, other._source))
+        if same_source and all(map(np.array_equal, self._base, other._base)):
+            return True
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _COLUMNS)
 
     def __repr__(self) -> str:
         return (f"DynamicContactNetwork(users={self.n_users}, links={self.n_links}, "
@@ -209,11 +218,9 @@ def _first_fault(horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n):
 
 
 # Extraction joins visits to updates in blocks of at most this many
-# candidate (visit, update) pairs, and network I/O formats or parses this
-# many rows at a time, so that temporaries stay small whatever the size of
-# the trace or the network.
+# candidate (visit, update) pairs, so that temporaries stay small whatever
+# the size of the trace.
 _PAIR_BLOCK = 1 << 16
-_ROW_BLOCK = 1 << 13
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -459,27 +466,188 @@ def make_ldt_lst(
 _HEADER_RE = re.compile(r"^spdt-net v(\d+) horizon=(\d+)$")
 
 
+def _int_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decimal text of integers as ``str`` writes them: an (n, width) byte
+    matrix with each value right-aligned, and the mask of its used bytes."""
+    values = np.asarray(values, dtype=np.int64)
+    neg = values < 0
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=neg)  # exact for -2**63 too
+    width = len(str(int(magnitude.max(initial=0)))) + 1  # digits and a sign
+    text = np.empty((values.size, width), dtype=np.uint8)
+    used = np.empty((values.size, width), dtype=bool)
+    used[:, -1] = True
+    for j in range(width - 1, 0, -1):
+        quotient = magnitude // 10
+        text[:, j] = magnitude - quotient * 10
+        magnitude = quotient
+        # a digit is used while higher digits remain
+        used[:, j - 1] = magnitude != 0
+    text += ord("0")
+    if neg.any():
+        rows = np.flatnonzero(neg)
+        sign = np.argmax(used[rows], axis=1) - 1
+        text[rows, sign] = ord("-")
+        used[rows, sign] = True
+    return text, used
+
+
+def _id_text(users) -> tuple[np.ndarray, np.ndarray]:
+    """UTF-8 bytes of each user id, left-aligned in a (n_users, width) byte
+    matrix, and the mask of its used bytes."""
+    encoded = [user.encode("utf-8") for user in users]
+    size = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    used = np.arange(size.max(initial=0)) < size[:, None]
+    text = np.zeros(used.shape, dtype=np.uint8)
+    text[used] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return text, used
+
+
+def _text_rows(fields, sep: str) -> np.ndarray:
+    """Lines of (byte matrix, used mask) fields, joined by ``sep`` and each
+    ended by a newline, as one array of bytes."""
+    n = fields[0][0].shape[0]
+    width = sum(field.shape[1] + 1 for field, _ in fields)
+    text = np.empty((n, width), dtype=np.uint8)
+    used = np.ones((n, width), dtype=bool)
+    at = 0
+    for field, field_used in fields:
+        end = at + field.shape[1]
+        text[:, at:end] = field
+        used[:, at:end] = field_used
+        text[:, end] = ord(sep)
+        at = end + 1
+    text[:, -1] = ord("\n")
+    return text[used]
+
+
 def save_network(net: DynamicContactNetwork, path: str | Path) -> None:
-    """Write the network in the line-oriented text format (lossless)."""
+    """Write the network in the line-oriented text format (lossless).
+
+    Lines are formatted a block at a time by byte-matrix passes: integers
+    by their digits, ids from a table of their UTF-8 bytes.
+    """
     for user in net.users:
         if not user or any(ch.isspace() for ch in user):
             raise ValueError(f"user id {user!r} not representable in network format")
-    users = net.users
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"spdt-net v{NETWORK_FORMAT_VERSION} horizon={net.horizon}\n")
+    ids, id_used = _id_text(net.users)
+    if net._source is None:
+        parts = [net._base]
+    else:
         # a day at a time: a scheduled network's repeats are never all made at once
-        for d in range(net.horizon):
-            columns = [net._column(k, [d]) for k in range(len(_COLUMNS))]
+        parts = ([net._column(k, [d]) for k in range(len(_COLUMNS))]
+                 for d in range(net.horizon))
+    with open(path, "wb") as fh:
+        fh.write(f"spdt-net v{NETWORK_FORMAT_VERSION} horizon={net.horizon}\n".encode())
+        for columns in parts:
             for i in range(0, columns[0].size, _ROW_BLOCK):
-                rows = zip(*(col[i:i + _ROW_BLOCK].tolist() for col in columns))
-                fh.write("".join([
-                    f"{day} {users[h]} {users[n]} {t_s} {t_l} {t_s_n} {t_l_n}\n"
-                    for day, h, n, t_s, t_l, t_s_n, t_l_n in rows
-                ]))
+                day, host, nbr, *times = (col[i:i + _ROW_BLOCK] for col in columns)
+                fh.write(_text_rows(
+                    [_int_text(day), (ids[host], id_used[host]), (ids[nbr], id_used[nbr])]
+                    + [_int_text(t) for t in times], " "))
 
 
-def _check_line(path, lineno: int, line: str) -> None:
-    """Raise on the first format fault of one link line, naming its location."""
+def _block_ints(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> bool:
+    """Write the values of the fields buf[lo:hi] to ``out``; False unless
+    each is -?[0-9]{1,18}.
+
+    Eighteen digits always fit in int64, so the digits are summed exactly.
+    """
+    neg = buf[lo] == ord("-")
+    lo = lo + neg
+    width = int((hi - lo).max())
+    if np.any(hi <= lo) or width > 18:
+        return False
+    # digit rows, most significant first, zero before a field's start
+    at = hi + np.arange(-width, 0)[:, None]
+    digits = buf.take(at, mode="clip") - ord("0")
+    digits *= at >= lo
+    if np.any(digits > 9):  # wrapped below '0' or above '9'
+        return False
+    out[:] = digits[0]
+    for row in digits[1:]:
+        out *= 10
+        out += row
+    np.negative(out, out=out, where=neg)
+    return True
+
+
+# _BYTE_MASKS[k] keeps the first k bytes of an 8-byte word
+_BYTE_MASKS = np.where(np.arange(8) < np.arange(9)[:, None], 0xFF, 0).astype(
+    np.uint8).view(np.uint64).ravel()
+
+
+def _block_ids(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, index: dict,
+               out: np.ndarray) -> bool:
+    """Write the codes in ``index`` of the ids buf[lo:hi] to ``out``, new
+    ids added to it; False if one is not UTF-8.
+
+    Each id is a key of NUL-padded 8-byte words, so none may hold a NUL; the
+    keys are told apart by one sort.
+    """
+    size = hi - lo
+    width = -(-int(size.max()) // 8) * 8
+    padded = np.concatenate((buf, np.zeros(width, dtype=np.uint8)))
+    words = sliding_window_view(padded, width)[lo].view(np.uint64)
+    for j in range(words.shape[1]):
+        words[:, j] &= _BYTE_MASKS[np.clip(size - 8 * j, 0, 8)]
+    # one word sorts faster alone
+    order = np.lexsort(words.T[::-1]) if words.shape[1] > 1 else words[:, 0].argsort()
+    words = words[order]
+    first = np.ones(order.size, dtype=bool)
+    np.any(words[1:] != words[:-1], axis=1, out=first[1:])
+    try:
+        names = [key.decode("utf-8")
+                 for key in words[first].view(f"S{width}").ravel().tolist()]
+    except UnicodeDecodeError:
+        return False
+    code = np.fromiter((index.setdefault(name, len(index)) for name in names),
+                       np.int64, len(names))
+    out[order] = code[np.cumsum(first) - 1]
+    return True
+
+
+# the separators of a canonical line
+_SEPARATORS = np.frombuffer(b"      \n", dtype=np.uint8)
+
+
+def _parse_block(block: bytes, index: dict):
+    """The (7, lines) columns of a block of link lines in canonical form,
+    ids coded in ``index``; None if any line is not canonical.
+
+    A canonical line has 7 non-empty fields separated by single spaces and
+    integer fields of the form -?[0-9]{1,18}, and the block holds no
+    carriage return or NUL: every file ``save_network`` writes, within 18
+    digits. Such a block is checked and converted by byte passes.
+    """
+    if b"\r" in block or b"\0" in block:
+        return None
+    if not block.endswith(b"\n"):  # the file's last line
+        block += b"\n"
+    # made before the temporaries: blocks kept among freed temporaries
+    # would leave the heap fragmented
+    columns = np.empty((7, block.count(b"\n")), dtype=np.int64)
+    buf = np.frombuffer(block, dtype=np.uint8)
+    # the separators must run six spaces, then a newline, line after line
+    seps = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
+    if seps.size % 7 or np.any(buf[seps].reshape(-1, 7) != _SEPARATORS):
+        return None
+    # each field runs from just after the previous separator to its own
+    hi = seps.reshape(-1, 7).T
+    lo = np.concatenate(([0], seps[:-1] + 1)).reshape(-1, 7).T
+    if np.any(hi <= lo):  # an empty field
+        return None
+    for k in (0, 3, 4, 5, 6):
+        if not _block_ints(buf, lo[k], hi[k], columns[k]):
+            return None
+    if not _block_ids(buf, lo[1:3].ravel(), hi[1:3].ravel(), index, columns[1:3].ravel()):
+        return None
+    return columns
+
+
+def _parse_line(path, lineno: int, line: str):
+    """Fields of one link line; raises on its first fault, naming its location."""
+    _check_utf8(path, lineno, line)
     if not line:
         raise ValueError(f"{path}:{lineno}: blank line in link section")
     parts = line.split(" ")
@@ -488,50 +656,48 @@ def _check_line(path, lineno: int, line: str) -> None:
     if not parts[1] or not parts[2]:
         raise ValueError(f"{path}:{lineno}: empty user id")
     try:
-        values = [int(part) for part in parts[:1] + parts[3:]]
+        day, *times = [int(part) for part in parts[:1] + parts[3:]]
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: non-integer field") from exc
-    if not all(-1 << 63 <= v < 1 << 63 for v in values):
+    if not all(-1 << 63 <= v < 1 << 63 for v in [day, *times]):
         raise ValueError(f"{path}:{lineno}: integer field out of range")
+    return day, parts[1], parts[2], *times
 
 
-def _parse_rows(path, lines: list[str], first_lineno: int, index: dict):
-    """Columns of a block of link lines, ids coded in first-seen order in ``index``.
+def _parse_lines(path, block: bytes, lineno: int, index: dict):
+    """The (7, lines) columns of a block read one line at a time, ids coded
+    in ``index``, and the number of the line after it.
 
-    The block is split once and each integer column converted with ``int``
-    over a strided slice. A block with a malformed line is checked line by
-    line, so the error names the same line and fault as a line parser would.
+    Lines end as a text-mode read ends them, at a carriage return too, and
+    fields are read with Python's ``int``: the reference for the canonical
+    pass, and the reader of every other block.
     """
-    fields = " ".join(lines).split(" ")
-    hosts, nbrs = fields[1::7], fields[2::7]
-    if (set(map(str.count, lines, repeat(" "))) == {6}
-            and "" not in hosts and "" not in nbrs):
-        try:
-            day, t_s, t_l, t_s_n, t_l_n = [
-                np.fromiter(map(int, fields[k::7]), np.int64, len(lines))
-                for k in (0, 3, 4, 5, 6)]
-        except (ValueError, OverflowError):
-            pass
-        else:
-            for user in set(hosts).union(nbrs).difference(index):
-                index[user] = len(index)
-            host, nbr = (np.fromiter(map(index.__getitem__, ids), np.int64, len(lines))
-                         for ids in (hosts, nbrs))
-            return day, host, nbr, t_s, t_l, t_s_n, t_l_n
-    for lineno, line in enumerate(lines, start=first_lineno):
-        _check_line(path, lineno, line)
-    raise AssertionError("a block that failed to parse has no faulty line")
+    rows = []
+    for line in io.StringIO(block.decode("utf-8", "surrogateescape"), newline=""):
+        day, host, nbr, *times = _parse_line(path, lineno, line.rstrip("\n"))
+        rows.append((day, index.setdefault(host, len(index)),
+                     index.setdefault(nbr, len(index)), *times))
+        lineno += 1
+    return np.array(rows, dtype=np.int64).T, lineno
 
 
 def load_network(path: str | Path) -> DynamicContactNetwork:
     """Read a network file; any malformed content raises without partial output.
 
     Every fault names the file and the line number of the first offending
-    line: format faults in the order a line-by-line read meets them, then
-    self-links, interval invariants and days outside [0, horizon).
+    line: format faults (bytes that are not UTF-8 among them) in the order
+    a line-by-line read meets them, then self-links, interval invariants
+    and days outside [0, horizon).
+
+    The link lines are read in blocks of ``_ROW_BLOCK``. A block in
+    canonical form is converted by byte passes; any other block is read one
+    line at a time.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n")
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("utf-8", "surrogateescape").rstrip("\n")
+        if "\r" in header:  # a text-mode read ends the line there
+            header = header[:header.index("\r") + 1]
+        _check_utf8(path, 1, header)
         m = _HEADER_RE.match(header)
         if m is None:
             raise ValueError(f"{path}:1: not a network file: bad header {header!r}")
@@ -544,21 +710,21 @@ def load_network(path: str | Path) -> DynamicContactNetwork:
         index: dict[str, int] = {}
         blocks = []
         lineno = 2
-        while lines := list(map(str.rstrip, islice(fh, _ROW_BLOCK), repeat("\n"))):
-            blocks.append(_parse_rows(path, lines, lineno, index))
-            lineno += len(lines)
+        while lines := list(islice(fh, _ROW_BLOCK)):
+            block = b"".join(lines)
+            part = _parse_block(block, index)
+            if part is None:
+                part, lineno = _parse_lines(path, block, lineno, index)
+            else:
+                lineno += len(lines)
+            blocks.append(part)
 
-    empty = np.empty(0, dtype=np.int64)
-    columns = [np.concatenate(col) for col in zip(*blocks)] or [empty] * 7
+    columns = np.concatenate(blocks or [np.empty((7, 0), dtype=np.int64)], axis=1)
+    del blocks  # copied: not held through the checks below
     fault = _first_fault(horizon, *columns)
     if fault is not None:
         raise ValueError(f"{path}:{fault[0] + 2}: {fault[1]}")
 
-    # ids were coded in first-seen order, which is the dict's order; recode
-    # them in sorted order
-    users = sorted(index)
-    rank = {user: i for i, user in enumerate(users)}
-    recode = np.fromiter(map(rank.__getitem__, index), np.int64, len(index))
-    day, host, nbr, *times = columns
-    return DynamicContactNetwork._from_arrays(
-        users, horizon, day, recode[host], recode[nbr], *times)
+    users, recode = _sorted_codes(index)
+    columns[1:3] = recode[columns[1:3]]
+    return DynamicContactNetwork._from_arrays(users, horizon, *columns)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 from typing import TextIO
 
@@ -96,6 +97,27 @@ def _project_equirectangular(lat: np.ndarray, lon: np.ndarray):
             EARTH_RADIUS_M * (np.radians(lat) - lat0))
 
 
+# Trace parsing, network I/O and the daily CSV writer read or write this
+# many lines at a time, so that temporaries stay small whatever the size of
+# the file.
+_ROW_BLOCK = 1 << 13
+
+
+def _is_utf8(text: str) -> bool:
+    """Whether text read with errors="surrogateescape" held only UTF-8:
+    other bytes become lone surrogates, which do not encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _check_utf8(path, lineno: int, line: str) -> None:
+    if not _is_utf8(line):
+        raise ValueError(f"{path}:{lineno}: bytes that are not UTF-8")
+
+
 def parse_trace(source: str | Path | TextIO) -> ParsedTrace:
     """Parse a trace CSV into updates sorted by (user, time).
 
@@ -105,13 +127,26 @@ def parse_trace(source: str | Path | TextIO) -> ParsedTrace:
     rows with |lat| > 90 or |lon| > 180 are skipped. Rows with the wrong
     field count, non-numeric or non-finite values, or an empty user id or
     one that contains whitespace are counted by reason and skipped too. A
-    missing or other header raises.
+    missing or other header raises, as do bytes that are not UTF-8 in a
+    trace given by path.
+
+    Rows are read in blocks of ``_ROW_BLOCK`` lines. A block whose rows are
+    all well formed is converted a column at a time; any other block is
+    read one row at a time, which counts each skipped row's reason.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return parse_trace(fh)
+        with open(source, "r", encoding="utf-8", errors="surrogateescape",
+                  newline="") as fh:
+            return _parse_trace(fh, source)
+    return _parse_trace(source, None)
 
+
+def _parse_trace(source: TextIO, path) -> ParsedTrace:
+    """``parse_trace`` of an open trace; ``path`` names it in UTF-8 faults,
+    and is None for a text stream, which is not checked."""
     header_line = source.readline()
+    if path is not None:
+        _check_utf8(path, 1, header_line)
     if not header_line:
         raise ValueError("empty trace: missing header")
     header = tuple(part.strip() for part in header_line.strip().split(","))
@@ -121,10 +156,76 @@ def parse_trace(source: str | Path | TextIO) -> ParsedTrace:
                          f"{','.join(TRACE_HEADER_LATLON)!r}")
     latlon = header == TRACE_HEADER_LATLON
 
+    index: dict[str, int] = {}  # a code per user id, in the order met
+    blocks = []
+    reasons: dict[str, int] = {}
+    lineno = 2
+    while lines := list(islice(source, _ROW_BLOCK)):
+        block = _parse_block(lines, latlon, index)
+        if block is None:
+            block = _parse_lines(lines, latlon, index, reasons, path, lineno)
+        blocks.append(block)
+        lineno += len(lines)
+
+    users, recode = _sorted_codes(index)
+    # each id was split out of a whole block of rows, and would keep that
+    # block's memory from being returned while the trace lives; copies made
+    # once the originals are dropped do not (no id holds whitespace)
+    joined = "\n".join(users)
+    del index, users
+    users = joined.split("\n") if joined else []
+    code, t, x, y = ([np.concatenate(col) for col in zip(*blocks)]
+                     or [np.empty(0, dtype=np.int64)] + [np.empty(0)] * 3)
+    if latlon and code.size:
+        x, y = _project_equirectangular(x, y)
+    return ParsedTrace(Updates(users, recode[code], t, x, y), reasons)
+
+
+def _sorted_codes(index: dict[str, int]):
+    """The ids of a code index, sorted, and each code's position among them."""
+    users = sorted(index)
+    rank = {user: i for i, user in enumerate(users)}
+    return users, np.fromiter(map(rank.__getitem__, index), np.int64, len(index))
+
+
+def _parse_block(lines: list[str], latlon: bool, index: dict):
+    """(user code, t, x, y) columns of a block of rows, ids coded in
+    ``index``; None if any row would be skipped, or any id is padded or
+    holds bytes that are not UTF-8 (only an id can hold them and convert).
+
+    The block is split once and each value column converted with ``float``
+    over a strided slice.
+    """
+    if set(map(str.count, lines, repeat(","))) != {3}:
+        return None
+    fields = ",".join(lines).split(",")
+    ids = fields[0::4]
+    distinct = set(ids)
+    if any(user.split() != [user] or not _is_utf8(user) for user in distinct):
+        return None
+    try:
+        t, x, y = [np.fromiter(map(float, fields[k::4]), np.float64, len(lines))
+                   for k in (1, 2, 3)]
+    except ValueError:
+        return None
+    if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(y).all()):
+        return None
+    if latlon and not ((np.abs(x) <= 90.0).all() and (np.abs(y) <= 180.0).all()):
+        return None
+    for user in sorted(distinct.difference(index)):
+        index[user] = len(index)
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)), t, x, y
+
+
+def _parse_lines(lines: list[str], latlon: bool, index: dict, reasons: dict,
+                 path, lineno: int):
+    """(user code, t, x, y) columns of a block read one row at a time, ids
+    coded in ``index``; each skipped row's reason is counted in ``reasons``."""
     ids: list[str] = []
     values: list[float] = []  # t, x, y of each kept row in turn
-    reasons: dict[str, int] = {}
-    for line in source:
+    for lineno, line in enumerate(lines, start=lineno):
+        if path is not None:
+            _check_utf8(path, lineno, line)
         line = line.strip()
         if not line:
             continue
@@ -152,13 +253,9 @@ def parse_trace(source: str | Path | TextIO) -> ParsedTrace:
             values.extend(row)
         else:
             reasons[reason] = reasons.get(reason, 0) + 1
-
-    code = {user: i for i, user in enumerate(sorted(set(ids)))}
-    user = np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
-    t, x, y = np.array(values, dtype=np.float64).reshape(-1, 3).T
-    if latlon and ids:
-        x, y = _project_equirectangular(x, y)
-    return ParsedTrace(Updates(list(code), user, t, x, y), reasons)
+    code = np.fromiter((index.setdefault(user, len(index)) for user in ids),
+                       np.int64, len(ids))
+    return code, *np.array(values, dtype=np.float64).reshape(-1, 3).T
 
 
 def write_trace_csv(updates: Updates, path: str | Path) -> None:

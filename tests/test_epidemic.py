@@ -2,6 +2,7 @@
 conservation invariants and determinism."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -327,6 +328,20 @@ def test_direct_only_network_is_its_own_projection():
     cfg = SimulationConfig(seeds=2, horizon_days=3, r_t=35.0, rng_seed=4,
                            runs=10)
     assert np.array_equal(run_simulation(net, cfg), run_simulation(proj, cfg))
+
+
+@pytest.mark.parametrize("runs, days, block", [(3, 5, 4), (1, 1, 1 << 13), (40, 7, 1 << 13)])
+def test_daily_csv_bytes_match_line_formatter(tmp_path, runs, days, block):
+    rng = np.random.default_rng(runs)
+    counts = rng.integers(0, 10 ** rng.integers(1, 13, size=(runs, days, 3)))
+    counts[0, 0] = [0, 9, 10]
+    path = tmp_path / "daily.csv"
+    with mock.patch.object(epidemic, "_ROW_BLOCK", block):
+        write_daily_csv(counts, path)
+    want = "run,day,I_n,I_r,I_p\n" + "".join(
+        f"{r},{d},{i_n},{i_r},{i_p}\n"
+        for r in range(runs) for d in range(days) for i_n, i_r, i_p in [counts[r, d].tolist()])
+    assert path.read_bytes() == want.encode()
 
 
 def test_daily_csv_format(tmp_path):

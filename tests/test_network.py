@@ -2,13 +2,17 @@
 
 import pickle
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from linkrows import from_tuples, to_tuples
+from spdt.cli import main
 from spdt.network import (
+    _COLUMNS,
     BuilderConfig,
+    DynamicContactNetwork,
     densify,
     extract_spdt_links,
     load_network,
@@ -164,6 +168,32 @@ class TestNetworkContainer:
     def test_self_link_rejected(self):
         with pytest.raises(ValueError):
             from_tuples([("a", "a", 0, 10, 5, 8, 0)], horizon=1)
+
+    def test_equality_compares_bases_before_columns(self):
+        net = from_tuples([
+            ("a", "b", 0, 30, 10, 100, 0),
+            ("b", "c", 1500, 1540, 1500, 1520, 1),
+            ("c", "a", 3000, 3040, 3000, 3020, 2),
+        ], horizon=4)
+        dense = densify(net)
+        assert dense._source is not None
+        flat = DynamicContactNetwork._from_arrays(
+            dense.users, dense.horizon, *(getattr(dense, f) for f in _COLUMNS))
+        assert dense == flat and flat == dense
+        # one link one minute longer
+        t_l_n = flat.t_l_n.copy()
+        t_l_n[5] += 1
+        changed = DynamicContactNetwork._from_arrays(
+            flat.users, flat.horizon, *(getattr(flat, f) for f in _COLUMNS[:-1]), t_l_n)
+        assert dense != changed and changed != dense and changed != flat
+        # equal base links and schedules are equal without a column read
+        copy = DynamicContactNetwork(dense.users, dense.horizon,
+                                     [col.copy() for col in dense._base],
+                                     dense._source.copy())
+        with mock.patch.object(DynamicContactNetwork, "_column",
+                               side_effect=AssertionError("a column was read")):
+            assert copy == dense and dense == copy and net == net
+        assert net != dense
 
     def test_day_slices_cover_links(self):
         links = [("a", "b", 0, 10, 5, 8, 0),
@@ -363,6 +393,10 @@ class TestPersistence:
         assert self.header_fault(tmp_path, "something else") == (
             "path:1: not a network file: bad header 'something else'")
 
+    def test_carriage_return_ends_the_header(self, tmp_path):
+        assert self.header_fault(tmp_path, "spdt-net v1 horizon=3\rspdt") == (
+            "path:1: not a network file: bad header 'spdt-net v1 horizon=3\\r'")
+
     def test_zero_horizon_rejected_at_header(self, tmp_path):
         assert self.header_fault(tmp_path, "spdt-net v1 horizon=0") == (
             "path:1: horizon must be at least 1")
@@ -392,6 +426,47 @@ class TestPersistence:
         with pytest.raises(ValueError) as info:
             load_network(path)
         assert str(info.value) == f"{path}:3: integer field out of range"
+
+    @pytest.mark.parametrize("line, lineno", [
+        (b"0 a \xff 0 10 5 8\n", 3),        # in an id
+        (b"0 a b 0 10 5 \xe9\n", 3),        # in an integer field
+        (b"0 a b 0 10 5 8\r\x80\n", 4),    # after a carriage return, which ends a line
+        (b"0 a\xc3 b 0 10 5 8", 3),          # a cut UTF-8 sequence
+    ])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, line, lineno):
+        path = tmp_path / "net.spdt"
+        # the faulty line comes before a malformed one
+        path.write_bytes(b"spdt-net v1 horizon=3\n0 a b 0 10 5 8\n" + line
+                         + b"\n0 a\n")
+        with pytest.raises(ValueError) as info:
+            load_network(path)
+        assert str(info.value) == f"{path}:{lineno}: bytes that are not UTF-8"
+
+    def test_cli_prints_one_error_line_for_bytes_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "net.spdt"
+        path.write_bytes(b"spdt-net v1 horizon=3\n0 a b 0 10 5 8\n0 \xfe b 0 10 5 8\n")
+        out = tmp_path / "sst.spdt"
+        assert main(["project-spst", "--net", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"spdt: error: {path}:3: bytes that are not UTF-8\n"
+        assert not out.exists()
+
+    def test_header_bytes_not_utf8_named(self, tmp_path):
+        path = tmp_path / "net.spdt"
+        path.write_bytes(b"spdt-net v1 horizon=\xff\n0 a b 0 10 5 8\n")
+        with pytest.raises(ValueError, match=r":1: bytes that are not UTF-8$"):
+            load_network(path)
+
+    def test_crlf_link_lines_load_alike(self, tmp_path):
+        # a carriage return ends the line, and int() strips it from the
+        # last field
+        net = self._sample_net()
+        path = tmp_path / "net.spdt"
+        save_network(net, path)
+        header, *lines = path.read_bytes().split(b"\n")[:-1]
+        crlf = tmp_path / "crlf.spdt"
+        crlf.write_bytes(header + b"\n" + b"".join(line + b"\r\n" for line in lines))
+        assert load_network(crlf) == net
 
     def test_whitespace_user_id_rejected_on_save(self, tmp_path):
         net = from_tuples([("a b", "c", 0, 10, 5, 8, 0)], horizon=1)

@@ -5,7 +5,8 @@ The references below are the earlier implementations: extraction as one
 Python iteration per visit over every update in the 3x3 grid cells,
 densification as one Python iteration per host and missing day followed by
 a full canonical sort, saving one formatted line per link, and
-loading one parsed line at a time. The package's array passes must agree
+loading one parsed line at a time, read in text mode with Python's
+``int``. The package's array passes must agree
 with them exactly: networks compared with ``==`` (users, horizon and every
 array in canonical order), files compared byte for byte, and load errors
 compared by message. A densified network, a day schedule over its base
@@ -120,14 +121,23 @@ def ref_extract(visits, updates, cfg):
     return from_tuples(links, cfg.horizon_days)
 
 
+def ref_text(net):
+    """The network's file, one formatted line per link; ids are not checked."""
+    return f"spdt-net v{NETWORK_FORMAT_VERSION} horizon={net.horizon}\n" + "".join(
+        f"{day} {host} {nbr} {t_s} {t_l} {t_s_n} {t_l_n}\n"
+        for host, nbr, t_s, t_l, t_s_n, t_l_n, day in to_tuples(net))
+
+
+def write_text(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def ref_save(net, path):
     for user in net.users:
         if not user or any(ch.isspace() for ch in user):
             raise ValueError(f"user id {user!r} not representable in network format")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"spdt-net v{NETWORK_FORMAT_VERSION} horizon={net.horizon}\n")
-        for host, nbr, t_s, t_l, t_s_n, t_l_n, day in to_tuples(net):
-            fh.write(f"{day} {host} {nbr} {t_s} {t_l} {t_s_n} {t_l_n}\n")
+    write_text(path, ref_text(net))
 
 
 def ref_load(path):
@@ -307,33 +317,90 @@ def test_extract_edge_cases_match_reference(visits, updates, n_links):
 
 # --- save and load ---------------------------------------------------------
 
-IDS = ["a", "b", "u10", "u9", "x_1"]
+# a non-ASCII id, one longer than an 8-byte word, and ids holding a tab (not
+# saveable, but loadable) and NULs (saveable, read line by line)
+IDS = ["a", "b", "u10", "u9", "x_1", "\u00e9t\u00e9", "user_0123456789", "t\tb", "n\x00l",
+       "u9\x00"]
+INT64 = 2**63
 
 
 @st.composite
-def link(draw, horizon):
+def link(draw, horizon, int64_bounds=False):
     host, nbr = draw(st.lists(st.sampled_from(IDS), min_size=2, max_size=2, unique=True))
     t_s = draw(st.integers(-50, 3000))
+    if int64_bounds and draw(st.booleans()):
+        t_s = -INT64
     t_l = t_s + draw(st.integers(0, 240))
-    t_s_n = draw(st.integers(t_s - 60, t_l + 200))
+    t_s_n = max(draw(st.integers(t_s - 60, t_l + 200)), -INT64)
     t_l_n = max(t_s_n, t_s + 1) + draw(st.integers(0, 240))
+    if int64_bounds and draw(st.booleans()):
+        t_l_n = INT64 - 1
     return host, nbr, t_s, t_l, t_s_n, t_l_n, draw(st.integers(0, horizon - 1))
 
 
 @st.composite
 def saved_network(draw):
     horizon = draw(st.integers(1, 3))
-    return from_tuples(draw(st.lists(link(horizon), max_size=30)), horizon)
+    return from_tuples(draw(st.lists(link(horizon, int64_bounds=True), max_size=30)),
+                       horizon)
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
 
 
 @given(saved_network(), st.sampled_from([1, 4, 1 << 13]))
 def test_save_and_load_match_line_references(tmp_path_factory, net, block):
     d = tmp_path_factory.mktemp("io")
+    # a network file of any ids, as another writer may make it
+    write_text(d / "any.spdt", ref_text(net))
     with mock.patch.object(network, "_ROW_BLOCK", block):
-        save_network(net, d / "new.spdt")
-        ref_save(net, d / "ref.spdt")
-        assert (d / "new.spdt").read_bytes() == (d / "ref.spdt").read_bytes()
-        assert load_network(d / "new.spdt") == ref_load(d / "ref.spdt") == net
+        saved = outcome(save_network, net, d / "new.spdt")
+        assert saved == outcome(ref_save, net, d / "ref.spdt")
+        if saved[0] == "ok":
+            assert (d / "new.spdt").read_bytes() == (d / "ref.spdt").read_bytes()
+        assert load_network(d / "any.spdt") == ref_load(d / "any.spdt") == net
+
+
+def tier_calls(path, block):
+    """The network at path, and how many blocks were read line by line."""
+    with mock.patch.object(network, "_ROW_BLOCK", block), mock.patch.object(
+            network, "_parse_lines", wraps=network._parse_lines) as per_line:
+        return load_network(path), per_line.call_count
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 13])
+def test_canonical_file_never_read_line_by_line(tmp_path, block):
+    parsed = ParsedTrace(updates=generate_trace(SynthConfig(
+        n_users=60, days=2, rng_seed=1, n_locations=6, area_m=(500.0, 500.0))))
+    links = to_tuples(extract_spdt_links(segment_all(parsed), parsed,
+                                         BuilderConfig(horizon_days=2)))
+    # ids of other lengths and scripts, negative and 18-digit times
+    links += [("\u00e9t\u00e9", "user_0123456789", -40, 10, -45, 9, 0),
+              ("\u00e9t\u00e9", "a", 10**17, 10**18 - 1, 0, 10**18 - 1, 1)]
+    net = from_tuples(links, 2)
+    save_network(net, tmp_path / "net.spdt")
+    assert tier_calls(tmp_path / "net.spdt", block) == (net, 0)
+    # a tab is only a byte of an id
+    write_text(tmp_path / "tab.spdt", "spdt-net v1 horizon=1\n0 t\tb a 0 10 5 8\n")
+    assert tier_calls(tmp_path / "tab.spdt", block)[1] == 0
+
+
+@pytest.mark.parametrize("line", [
+    "0 n\x00l a 0 10 5 8",                   # a NUL in an id
+    "0 a b 0 10 5 9223372036854775807",      # 19 digits
+    "0 a b 0 10 5 8\r",                      # CRLF
+    "0 a b 0 10 5 +8",
+])
+def test_other_lines_read_line_by_line(tmp_path, line):
+    path = tmp_path / "net.spdt"
+    write_text(path, f"spdt-net v1 horizon=1\n0 a b 0 10 5 8\n{line}\n0 b a 0 10 5 8\n")
+    with mock.patch.object(network, "_ROW_BLOCK", 1):
+        assert outcome(load_network, path) == outcome(ref_load, path)
+    assert tier_calls(path, 1)[1] == 1
 
 
 # one fault per kind, written into one line of a valid file
@@ -347,10 +414,19 @@ LINE_FAULTS = [
     "0 a b 0 1.5 5 8",
     "0 a b 0 10 5 8\r",        # a carriage return ends a line too
     "0 a\rb 0 10 5 8",
+    "0 a\rx b 0 10 5 8",
     "0 a b 0 10 5 8 ",         # trailing space: an eighth, empty field
     "0 a b 0 1_0 5 8",         # Python int syntax is accepted
+    "0 a b 0 10 +5 8",
+    "0 a b 0 10 \t5 8",
+    "0 a b 0 007 5 8",         # and so are leading zeros and a minus zero
+    "-0 a b 0 10 5 8",
     "0 a b 1 5 2 99999999999999999999",  # past int64
     "0 a b 1 5 x 99999999999999999999",  # non-integer before out of range
+    "0 a b 0 10 5 9223372036854775807",  # 19 digits, at and past the bounds
+    "0 a b 0 10 5 9223372036854775808",
+    "0 a b -9223372036854775808 10 5 8",
+    "0 a b -9223372036854775809 10 5 8",
     " 0 a b 0 10 5 8",
 ]
 LINK_FAULTS = [
@@ -362,25 +438,24 @@ LINK_FAULTS = [
 ]
 
 
-def outcome(load, path):
-    try:
-        return "ok", load(path)
-    except ValueError as exc:
-        return "error", str(exc)
+@pytest.mark.parametrize("block", [1, 1 << 13])
+@pytest.mark.parametrize("fault", LINE_FAULTS)
+def test_each_line_fault_matches_line_reference(tmp_path, fault, block):
+    path = tmp_path / "net.spdt"
+    write_text(path, f"spdt-net v1 horizon=1\n0 a b 0 10 5 8\n{fault}\n0 b a 0 10 5 8\n")
+    with mock.patch.object(network, "_ROW_BLOCK", block):
+        assert outcome(load_network, path) == outcome(ref_load, path)
 
 
 @given(saved_network(), st.data(), st.sampled_from([1, 3, 1 << 13]))
 def test_load_errors_match_line_reference(tmp_path_factory, net, data, block):
     path = tmp_path_factory.mktemp("bad") / "net.spdt"
-    ref_save(net, path)
-    lines = path.read_text().split("\n")[:-1]
+    lines = ref_text(net).split("\n")[:-1]
     faults = data.draw(st.lists(st.sampled_from(LINE_FAULTS + LINK_FAULTS),
                                 min_size=1, max_size=3))
     for fault in faults:
         lines.insert(data.draw(st.integers(1, len(lines))), fault)
-    text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    write_text(path, "\n".join(lines) + data.draw(st.sampled_from(["\n", ""])))
     with mock.patch.object(network, "_ROW_BLOCK", block):
         got = outcome(load_network, path)
     want = outcome(ref_load, path)
@@ -543,9 +618,10 @@ def test_scheduled_network_matches_materialised(tmp_path_factory, net, seed):
     assert np.array_equal(flat.day_link_counts(), dense.day_link_counts())
 
     d = tmp_path_factory.mktemp("sched")
-    save_network(dense, d / "dense.spdt")
-    save_network(flat, d / "flat.spdt")
-    assert (d / "dense.spdt").read_bytes() == (d / "flat.spdt").read_bytes()
+    saved = outcome(save_network, dense, d / "dense.spdt")
+    assert saved == outcome(save_network, flat, d / "flat.spdt")
+    if saved[0] == "ok":
+        assert (d / "dense.spdt").read_bytes() == (d / "flat.spdt").read_bytes()
 
     for threshold in (1e-6, DEFAULT_EDGE_THRESHOLD):
         for r_t in (10.0, 60.0):

@@ -3,15 +3,20 @@
 import io
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spdt import trace
+from spdt.cli import main
 from spdt.trace import ParsedTrace, parse_trace, segment_all, write_trace_csv
 from tracerows import (
     LocationUpdate,
     columns,
+    parse_rows,
     segment_rows,
     segment_visits,
     update_rows,
@@ -129,6 +134,101 @@ class TestParseTrace:
     def test_planar_rows_not_range_checked(self):
         parsed = parse_trace(make_trace(["a,0,500.0,-900.0"]))
         assert parsed.skipped == 0 and parsed.skip_reasons == {}
+
+
+# values: numbers as writers format them, and what float() reads or rejects
+NUMBER = st.one_of(
+    st.floats(-200.0, 200.0).map(repr),
+    st.integers(-300, 300).map(str),
+    st.sampled_from(["1_0", " 7", "7 ", "+3", "1e3", "1e400", "nan", "-inf",
+                     "0x1", "", "abc", "\t4"]),
+)
+USER = st.sampled_from(["a", "b", "u10", "\u00e9", "user_0123456789", "", " a",
+                        "a ", "a b", "a\tb", "\u00a0c"])
+
+
+@st.composite
+def trace_text(draw):
+    header = draw(st.sampled_from(["user_id,t_min,x_m,y_m", "user_id,t_min,lat,lon",
+                                   " user_id, t_min,lat ,lon"]))
+    rows = draw(st.lists(st.one_of(
+        st.tuples(USER, NUMBER, NUMBER, NUMBER).map(",".join),
+        # most rows are well formed, in the ranges of both headers
+        st.tuples(st.sampled_from(["a", "b", "\u00e9"]), st.integers(0, 3000),
+                  st.floats(-90, 90), st.floats(-180, 180)).map(
+            lambda row: f"{row[0]},{row[1]},{row[2]!r},{row[3]!r}"),
+        st.sampled_from(["", "  ", "a,1,2", "a,1,2,3,4", ",,,", "  b,1,2,3  "]),
+        # numbers are ids too, so a short and a long row may line up
+        st.lists(st.integers(0, 9).map(str), min_size=1, max_size=6).map(",".join),
+    ), max_size=30))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows) + 1,
+                         max_size=len(rows) + 1))
+    last = draw(st.booleans())  # whether the last row ends its line
+    text = header + ends[0] + "".join(row + end for row, end in zip(rows, ends[1:]))
+    return text if last or not rows else text[:-len(ends[-1])]
+
+
+def assert_same_trace(got, want):
+    assert got.updates.users == want.updates.users
+    for f in ("user", "t", "x", "y"):
+        a, b = getattr(got.updates, f), getattr(want.updates, f)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.skip_reasons == want.skip_reasons
+
+
+@settings(max_examples=200)
+@given(trace_text(), st.sampled_from([1, 2, 5, 1 << 13]))
+@example("user_id,t_min,x_m,y_m\n1,2,3\n4,5,6,7,8\n", 1 << 13)
+# each reason alone among well-formed rows
+@example("user_id,t_min,x_m,y_m\na,0,0,0\nb,1,inf,0\n", 1 << 13)
+@example("user_id,t_min,lat,lon\na,0,0,0\nb,1,0,180.5\n", 1 << 13)
+@example("user_id,t_min,x_m,y_m\na,0,0,0\nb,1,0,zz\n", 1 << 13)
+@example("user_id,t_min,x_m,y_m\na,0,0,0\nb c,1,0,0\n", 1 << 13)
+@example("user_id,t_min,x_m,y_m\na,0,0,0\n,1,0,0\n", 1 << 13)
+def test_parse_matches_per_row_oracle(text, block):
+    want = parse_rows(io.StringIO(text, newline=""))
+    with mock.patch.object(trace, "_ROW_BLOCK", block):
+        assert_same_trace(parse_trace(io.StringIO(text, newline="")), want)
+
+
+def test_parse_by_path_matches_per_row_oracle(tmp_path):
+    text = ("user_id,t_min,lat,lon\r\n" + "".join(
+        f"u{i % 7},{i * 0.5!r},{(i % 170) - 85.25!r},{(i % 350) - 175.5!r}\r\n"
+        for i in range(3000)) + "a b,1,2,3\r\n" + "c,1,2,3")
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    want = parse_rows(io.StringIO(text, newline=""))
+    assert want.skipped == 1 and len(want.updates) == 3001
+    for block in (7, 1 << 13):
+        with mock.patch.object(trace, "_ROW_BLOCK", block):
+            assert_same_trace(parse_trace(path), want)
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("row", [b"b,1,\xff,0", b"\xe9,1,0,0", b"a,1,\xff0",
+                                     b"a\xc3,1,0,0"])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, row):
+        # rows that would be kept or skipped alike
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"user_id,t_min,x_m,y_m\na,0,0,0\n" + row + b"\nb,2,0,0\n")
+        with pytest.raises(ValueError) as info:
+            parse_trace(path)
+        assert str(info.value) == f"{path}:3: bytes that are not UTF-8"
+
+    def test_header_named(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"user_id,t_min,x_m,y_\xffm\na,0,0,0\n")
+        with pytest.raises(ValueError, match=r":1: bytes that are not UTF-8$"):
+            parse_trace(path)
+
+    def test_cli_prints_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"user_id,t_min,x_m,y_m\na,0,0,0\nb\xff,1,0,0\n")
+        out = tmp_path / "net.spdt"
+        assert main(["build", "--trace", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"spdt: error: {path}:3: bytes that are not UTF-8\n"
+        assert not out.exists()
 
 
 class TestSegmentVisits:

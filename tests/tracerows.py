@@ -4,15 +4,25 @@ Hand-built traces are written as ``LocationUpdate`` and ``Visit`` rows and
 turned into the package's columns by ``columns``, which codes both over one
 shared tuple of user ids, so a host may have visits and no updates.
 ``segment_visits`` is the greedy rule stated one update at a time: the
-oracle for the array segmenter.
+oracle for the array segmenter. ``parse_rows`` is the trace parser stated
+one row at a time: the oracle for the block parser.
 """
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from spdt.trace import DEFAULT_VISIT_GAP_MIN, DEFAULT_VISIT_RADIUS_M, Updates, Visits
+from spdt.trace import (
+    DEFAULT_VISIT_GAP_MIN,
+    DEFAULT_VISIT_RADIUS_M,
+    TRACE_HEADER,
+    TRACE_HEADER_LATLON,
+    ParsedTrace,
+    Updates,
+    Visits,
+    _project_equirectangular,
+)
 
 
 class LocationUpdate(NamedTuple):
@@ -114,3 +124,55 @@ def segment_rows(updates: Sequence[LocationUpdate], radius_m=DEFAULT_VISIT_RADIU
         by_user.setdefault(upd.user_id, []).append(upd)
     return [visit for user in sorted(by_user)
             for visit in segment_visits(by_user[user], radius_m, max_gap_min)]
+
+
+def parse_rows(source: TextIO) -> ParsedTrace:
+    """``parse_trace`` of a text stream, one row at a time."""
+    header_line = source.readline()
+    if not header_line:
+        raise ValueError("empty trace: missing header")
+    header = tuple(part.strip() for part in header_line.strip().split(","))
+    if header not in (TRACE_HEADER, TRACE_HEADER_LATLON):
+        raise ValueError(f"unparseable trace header {header_line.strip()!r}; "
+                         f"expected {','.join(TRACE_HEADER)!r} or "
+                         f"{','.join(TRACE_HEADER_LATLON)!r}")
+    latlon = header == TRACE_HEADER_LATLON
+
+    ids: list[str] = []
+    values: list[float] = []  # t, x, y of each kept row in turn
+    reasons: dict[str, int] = {}
+    for line in source:
+        line = line.strip()
+        if not line:
+            continue
+        reason = None
+        parts = line.split(",")
+        if len(parts) != 4:
+            reason = "wrong field count"
+        else:
+            words = parts[0].split()
+            try:
+                row = float(parts[1]), float(parts[2]), float(parts[3])
+            except ValueError:
+                reason = "non-numeric value"
+            else:
+                if not words:
+                    reason = "empty user id"
+                elif len(words) > 1:
+                    reason = "user id contains whitespace"
+                elif not all(map(math.isfinite, row)):
+                    reason = "non-finite value"
+                elif latlon and not (abs(row[1]) <= 90.0 and abs(row[2]) <= 180.0):
+                    reason = "lat/lon out of range"
+        if reason is None:
+            ids.append(words[0])
+            values.extend(row)
+        else:
+            reasons[reason] = reasons.get(reason, 0) + 1
+
+    code = {user: i for i, user in enumerate(sorted(set(ids)))}
+    user = np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
+    t, x, y = np.array(values, dtype=np.float64).reshape(-1, 3).T
+    if latlon and ids:
+        x, y = _project_equirectangular(x, y)
+    return ParsedTrace(Updates(list(code), user, t, x, y), reasons)
