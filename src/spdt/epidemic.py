@@ -52,6 +52,7 @@ import numpy as np
 # the stepper calls link_doses; perfbench/layers.py still patches
 # batch_link_exposure by name in this module
 from ._kernel import batch_link_exposure, link_doses, link_geometry  # noqa: F401
+from . import _textio
 from .exposure import (
     DEFAULT_GENERATION_RATE,
     DEFAULT_PROXIMITY_VOLUME,
@@ -60,7 +61,7 @@ from .exposure import (
     check_positive,
     infection_probability,
 )
-from .network import _ROW_BLOCK, DynamicContactNetwork, _int_text, _ranges, _text_rows
+from .network import DynamicContactNetwork, _ranges
 
 SUSCEPTIBLE = 0
 INFECTED = 1
@@ -420,11 +421,8 @@ def run_simulation(
 
 def write_daily_csv(counts: np.ndarray, path) -> None:
     """Write a counts array as `run,day,I_n,I_r,I_p` rows."""
-    days = counts.shape[1]
     rows = counts.reshape(-1, 3)
+    run, day = np.divmod(np.arange(rows.shape[0]), counts.shape[1])
     with open(path, "wb") as fh:
         fh.write(b"run,day,I_n,I_r,I_p\n")
-        for i in range(0, rows.shape[0], _ROW_BLOCK):
-            block = rows[i:i + _ROW_BLOCK]
-            run, day = np.divmod(np.arange(i, i + block.shape[0]), days)
-            fh.write(_text_rows([_int_text(col) for col in (run, day, *block.T)], ","))
+        _textio.write_blocks(fh, (run, day, *rows.T), [_textio.int_text] * 5, ",")

@@ -17,23 +17,22 @@ import hashlib
 import io
 import re
 from dataclasses import dataclass
-from itertools import islice, product
+from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _textio
 from .exposure import check_positive
 from .trace import (
     DEFAULT_VISIT_GAP_MIN,
     DEFAULT_VISIT_RADIUS_M,
     MINUTES_PER_DAY,
-    _ROW_BLOCK,
     ParsedTrace,
     Updates,
     Visits,
-    _check_utf8,
-    _sorted_codes,
 )
 
 NETWORK_FORMAT_VERSION = 1
@@ -466,71 +465,17 @@ def make_ldt_lst(
 _HEADER_RE = re.compile(r"^spdt-net v(\d+) horizon=(\d+)$")
 
 
-def _int_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decimal text of integers as ``str`` writes them: an (n, width) byte
-    matrix with each value right-aligned, and the mask of its used bytes."""
-    values = np.asarray(values, dtype=np.int64)
-    neg = values < 0
-    magnitude = values.astype(np.uint64)
-    np.negative(magnitude, out=magnitude, where=neg)  # exact for -2**63 too
-    width = len(str(int(magnitude.max(initial=0)))) + 1  # digits and a sign
-    text = np.empty((values.size, width), dtype=np.uint8)
-    used = np.empty((values.size, width), dtype=bool)
-    used[:, -1] = True
-    for j in range(width - 1, 0, -1):
-        quotient = magnitude // 10
-        text[:, j] = magnitude - quotient * 10
-        magnitude = quotient
-        # a digit is used while higher digits remain
-        used[:, j - 1] = magnitude != 0
-    text += ord("0")
-    if neg.any():
-        rows = np.flatnonzero(neg)
-        sign = np.argmax(used[rows], axis=1) - 1
-        text[rows, sign] = ord("-")
-        used[rows, sign] = True
-    return text, used
-
-
-def _id_text(users) -> tuple[np.ndarray, np.ndarray]:
-    """UTF-8 bytes of each user id, left-aligned in a (n_users, width) byte
-    matrix, and the mask of its used bytes."""
-    encoded = [user.encode("utf-8") for user in users]
-    size = np.fromiter(map(len, encoded), np.int64, len(encoded))
-    used = np.arange(size.max(initial=0)) < size[:, None]
-    text = np.zeros(used.shape, dtype=np.uint8)
-    text[used] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    return text, used
-
-
-def _text_rows(fields, sep: str) -> np.ndarray:
-    """Lines of (byte matrix, used mask) fields, joined by ``sep`` and each
-    ended by a newline, as one array of bytes."""
-    n = fields[0][0].shape[0]
-    width = sum(field.shape[1] + 1 for field, _ in fields)
-    text = np.empty((n, width), dtype=np.uint8)
-    used = np.ones((n, width), dtype=bool)
-    at = 0
-    for field, field_used in fields:
-        end = at + field.shape[1]
-        text[:, at:end] = field
-        used[:, at:end] = field_used
-        text[:, end] = ord(sep)
-        at = end + 1
-    text[:, -1] = ord("\n")
-    return text[used]
-
-
 def save_network(net: DynamicContactNetwork, path: str | Path) -> None:
     """Write the network in the line-oriented text format (lossless).
 
     Lines are formatted a block at a time by byte-matrix passes: integers
     by their digits, ids from a table of their UTF-8 bytes.
     """
-    for user in net.users:
-        if not user or any(ch.isspace() for ch in user):
-            raise ValueError(f"user id {user!r} not representable in network format")
-    ids, id_used = _id_text(net.users)
+    if _textio.id_fault(*net.users) is not None:
+        user = next(user for user in net.users if _textio.id_fault(user))
+        raise ValueError(f"user id {user!r} not representable in network format")
+    ids = _textio.id_text(net.users)
+    formats = [_textio.int_text, ids, ids] + [_textio.int_text] * 4
     if net._source is None:
         parts = [net._base]
     else:
@@ -540,11 +485,7 @@ def save_network(net: DynamicContactNetwork, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"spdt-net v{NETWORK_FORMAT_VERSION} horizon={net.horizon}\n".encode())
         for columns in parts:
-            for i in range(0, columns[0].size, _ROW_BLOCK):
-                day, host, nbr, *times = (col[i:i + _ROW_BLOCK] for col in columns)
-                fh.write(_text_rows(
-                    [_int_text(day), (ids[host], id_used[host]), (ids[nbr], id_used[nbr])]
-                    + [_int_text(t) for t in times], " "))
+            _textio.write_blocks(fh, columns, formats, " ")
 
 
 def _block_ints(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> bool:
@@ -580,7 +521,7 @@ _BYTE_MASKS = np.where(np.arange(8) < np.arange(9)[:, None], 0xFF, 0).astype(
 def _block_ids(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, index: dict,
                out: np.ndarray) -> bool:
     """Write the codes in ``index`` of the ids buf[lo:hi] to ``out``, new
-    ids added to it; False if one is not UTF-8.
+    ids added to it; False if one breaks the id rule.
 
     Each id is a key of NUL-padded 8-byte words, so none may hold a NUL; the
     keys are told apart by one sort.
@@ -596,10 +537,9 @@ def _block_ids(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, index: dict,
     words = words[order]
     first = np.ones(order.size, dtype=bool)
     np.any(words[1:] != words[:-1], axis=1, out=first[1:])
-    try:
-        names = [key.decode("utf-8")
-                 for key in words[first].view(f"S{width}").ravel().tolist()]
-    except UnicodeDecodeError:
+    names = [key.decode("utf-8", "surrogateescape")
+             for key in words[first].view(f"S{width}").ravel().tolist()]
+    if _textio.id_fault(*names) is not None:
         return False
     code = np.fromiter((index.setdefault(name, len(index)) for name in names),
                        np.int64, len(names))
@@ -611,15 +551,17 @@ def _block_ids(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, index: dict,
 _SEPARATORS = np.frombuffer(b"      \n", dtype=np.uint8)
 
 
-def _parse_block(block: bytes, index: dict):
+def _parse_block(lines: list[bytes], index: dict):
     """The (7, lines) columns of a block of link lines in canonical form,
     ids coded in ``index``; None if any line is not canonical.
 
-    A canonical line has 7 non-empty fields separated by single spaces and
-    integer fields of the form -?[0-9]{1,18}, and the block holds no
-    carriage return or NUL: every file ``save_network`` writes, within 18
-    digits. Such a block is checked and converted by byte passes.
+    A canonical line has 7 non-empty fields separated by single spaces,
+    integer fields of the form -?[0-9]{1,18} and ids that keep the id rule,
+    and ends at LF or CRLF; the block holds no NUL: every file
+    ``save_network`` writes, within 18 digits. Such a block is checked and
+    converted by byte passes.
     """
+    block = _textio.join_lines(lines)
     if b"\r" in block or b"\0" in block:
         return None
     if not block.endswith(b"\n"):  # the file's last line
@@ -645,38 +587,33 @@ def _parse_block(block: bytes, index: dict):
     return columns
 
 
-def _parse_line(path, lineno: int, line: str):
-    """Fields of one link line; raises on its first fault, naming its location."""
-    _check_utf8(path, lineno, line)
-    if not line:
-        raise ValueError(f"{path}:{lineno}: blank line in link section")
-    parts = line.split(" ")
-    if len(parts) != 7:
-        raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-    if not parts[1] or not parts[2]:
-        raise ValueError(f"{path}:{lineno}: empty user id")
-    try:
-        day, *times = [int(part) for part in parts[:1] + parts[3:]]
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: non-integer field") from exc
-    if not all(-1 << 63 <= v < 1 << 63 for v in [day, *times]):
-        raise ValueError(f"{path}:{lineno}: integer field out of range")
-    return day, parts[1], parts[2], *times
-
-
-def _parse_lines(path, block: bytes, lineno: int, index: dict):
+def _parse_lines(path, lines: list[bytes], lineno: int, index: dict):
     """The (7, lines) columns of a block read one line at a time, ids coded
-    in ``index``, and the number of the line after it.
-
-    Lines end as a text-mode read ends them, at a carriage return too, and
-    fields are read with Python's ``int``: the reference for the canonical
-    pass, and the reader of every other block.
+    in ``index``, and the number of the line after it; raises on the first
+    fault, naming its location. Lines are split as a text-mode read splits
+    them, at a lone CR too, and fields read with Python's ``int``: the
+    reference for the canonical pass, and the reader of every other block.
     """
     rows = []
-    for line in io.StringIO(block.decode("utf-8", "surrogateescape"), newline=""):
-        day, host, nbr, *times = _parse_line(path, lineno, line.rstrip("\n"))
-        rows.append((day, index.setdefault(host, len(index)),
-                     index.setdefault(nbr, len(index)), *times))
+    text = _textio.join_lines(lines).decode("utf-8", "surrogateescape")
+    for line in io.StringIO(text, newline=""):
+        line = line.rstrip("\n")
+        _textio.check_utf8(path, lineno, line)
+        if not line:
+            raise ValueError(f"{path}:{lineno}: blank line in link section")
+        parts = line.split(" ")
+        if len(parts) != 7:
+            raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
+        if (fault := _textio.id_fault(parts[1], parts[2])) is not None:
+            raise ValueError(f"{path}:{lineno}: {fault}")
+        try:
+            day, *times = [int(part) for part in parts[:1] + parts[3:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-integer field") from exc
+        if not all(-1 << 63 <= v < 1 << 63 for v in [day, *times]):
+            raise ValueError(f"{path}:{lineno}: integer field out of range")
+        rows.append((day, index.setdefault(parts[1], len(index)),
+                     index.setdefault(parts[2], len(index)), *times))
         lineno += 1
     return np.array(rows, dtype=np.int64).T, lineno
 
@@ -689,15 +626,14 @@ def load_network(path: str | Path) -> DynamicContactNetwork:
     a line-by-line read meets them, then self-links, interval invariants
     and days outside [0, horizon).
 
-    The link lines are read in blocks of ``_ROW_BLOCK``. A block in
-    canonical form is converted by byte passes; any other block is read one
-    line at a time.
+    A block of link lines in canonical form is converted by byte passes;
+    any other block is read one line at a time.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8", "surrogateescape").rstrip("\n")
-        if "\r" in header:  # a text-mode read ends the line there
-            header = header[:header.index("\r") + 1]
-        _check_utf8(path, 1, header)
+        # the first line as a text-mode read splits it, at a lone CR too
+        text = _textio.join_lines([fh.readline()]).decode("utf-8", "surrogateescape")
+        header = next(io.StringIO(text, newline=""), "").rstrip("\n")
+        _textio.check_utf8(path, 1, header)
         m = _HEADER_RE.match(header)
         if m is None:
             raise ValueError(f"{path}:1: not a network file: bad header {header!r}")
@@ -707,17 +643,8 @@ def load_network(path: str | Path) -> DynamicContactNetwork:
                              f"unsupported (expected {NETWORK_FORMAT_VERSION})")
         if horizon < 1:
             raise ValueError(f"{path}:1: horizon must be at least 1")
-        index: dict[str, int] = {}
-        blocks = []
-        lineno = 2
-        while lines := list(islice(fh, _ROW_BLOCK)):
-            block = b"".join(lines)
-            part = _parse_block(block, index)
-            if part is None:
-                part, lineno = _parse_lines(path, block, lineno, index)
-            else:
-                lineno += len(lines)
-            blocks.append(part)
+        blocks, users, recode = _textio.read_blocks(fh, _parse_block,
+                                                    partial(_parse_lines, path))
 
     columns = np.concatenate(blocks or [np.empty((7, 0), dtype=np.int64)], axis=1)
     del blocks  # copied: not held through the checks below
@@ -725,6 +652,5 @@ def load_network(path: str | Path) -> DynamicContactNetwork:
     if fault is not None:
         raise ValueError(f"{path}:{fault[0] + 2}: {fault[1]}")
 
-    users, recode = _sorted_codes(index)
     columns[1:3] = recode[columns[1:3]]
     return DynamicContactNetwork._from_arrays(users, horizon, *columns)

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exposure import check_positive
 from .trace import MINUTES_PER_DAY, Updates
 
 _STREAM_LAYOUT = 0
 _STREAM_USER = 1
+
+UPDATE_INTERVAL_MIN = 15.0
+POSITION_JITTER_M = 3.0
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,7 @@ class SynthConfig:
     updates_per_visit: tuple[int, int] = (3, 8)
     visits_per_active_day: tuple[int, int] = (1, 3)
     active_day_probability: float = 0.11
-    update_interval_min: float = 15.0
     zipf_exponent: float = 1.0
-    position_jitter_m: float = 3.0
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -56,12 +56,8 @@ class SynthConfig:
             lo, hi = getattr(self, name)
             if lo < 1 or hi < lo:
                 raise ValueError(f"invalid range for {name}")
-        check_positive("update_interval_min", self.update_interval_min)
         if not math.isfinite(self.zipf_exponent):
             raise ValueError(f"zipf_exponent must be finite, got {self.zipf_exponent!r}")
-        if not (math.isfinite(self.position_jitter_m) and self.position_jitter_m >= 0):
-            raise ValueError("position_jitter_m must be non-negative and finite, "
-                             f"got {self.position_jitter_m!r}")
         if len(self.area_m) != 2 or not all(math.isfinite(side) and side > 40.0
                                             for side in self.area_m):
             raise ValueError("area_m must be (width, height), each finite and over "
@@ -124,7 +120,7 @@ def generate_trace(cfg: SynthConfig) -> Updates:
     # Generator.choice(n, p=w)'s own search, without its per-call checks
     cdf = np.cumsum(loc_weights)
     cdf /= cdf[-1]
-    interval = cfg.update_interval_min
+    interval = UPDATE_INTERVAL_MIN
     v_lo, v_hi = cfg.visits_per_active_day
     u_lo, u_hi = cfg.updates_per_visit
     id_width = max(4, len(str(max(cfg.n_users - 1, 0))))
@@ -149,7 +145,7 @@ def generate_trace(cfg: SynthConfig) -> Updates:
                     + rng.uniform(-2.0, 2.0, n_upd)
                 times = np.maximum.accumulate(np.maximum(times, 0.0).round())
                 ts.append(times.astype(np.int64))
-                xy.append(loc_xy[loc] + _jitter(rng, n_upd, cfg.position_jitter_m))
+                xy.append(loc_xy[loc] + _jitter(rng, n_upd, POSITION_JITTER_M))
                 owner.append(user)
                 sizes.append(n_upd)
 

@@ -10,12 +10,16 @@ the visit but never move the anchor.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
+
+from . import _textio
 
 MINUTES_PER_DAY = 1440
 
@@ -97,27 +101,6 @@ def _project_equirectangular(lat: np.ndarray, lon: np.ndarray):
             EARTH_RADIUS_M * (np.radians(lat) - lat0))
 
 
-# Trace parsing, network I/O and the daily CSV writer read or write this
-# many lines at a time, so that temporaries stay small whatever the size of
-# the file.
-_ROW_BLOCK = 1 << 13
-
-
-def _is_utf8(text: str) -> bool:
-    """Whether text read with errors="surrogateescape" held only UTF-8:
-    other bytes become lone surrogates, which do not encode."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
-def _check_utf8(path, lineno: int, line: str) -> None:
-    if not _is_utf8(line):
-        raise ValueError(f"{path}:{lineno}: bytes that are not UTF-8")
-
-
 def parse_trace(source: str | Path | TextIO) -> ParsedTrace:
     """Parse a trace CSV into updates sorted by (user, time).
 
@@ -125,55 +108,33 @@ def parse_trace(source: str | Path | TextIO) -> ParsedTrace:
     metres, or ``user_id,t_min,lat,lon`` for geographic degrees, which are
     converted to planar metres about the trace centroid; under the latter,
     rows with |lat| > 90 or |lon| > 180 are skipped. Rows with the wrong
-    field count, non-numeric or non-finite values, or an empty user id or
-    one that contains whitespace are counted by reason and skipped too. A
-    missing or other header raises, as do bytes that are not UTF-8 in a
-    trace given by path.
+    field count, non-numeric or non-finite values, or a user id that,
+    stripped, is empty, contains whitespace or (in a text stream) is not
+    UTF-8 are counted by reason and skipped too. A missing or other header
+    raises, as do bytes that are not UTF-8 in a trace given by path.
 
-    Rows are read in blocks of ``_ROW_BLOCK`` lines. A block whose rows are
-    all well formed is converted a column at a time; any other block is
-    read one row at a time, which counts each skipped row's reason.
+    A block of rows that are all well formed is converted a column at a
+    time; any other block is read one row at a time, which counts each
+    skipped row's reason.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", errors="surrogateescape",
-                  newline="") as fh:
-            return _parse_trace(fh, source)
-    return _parse_trace(source, None)
-
-
-def _parse_trace(source: TextIO, path) -> ParsedTrace:
-    """``parse_trace`` of an open trace; ``path`` names it in UTF-8 faults,
-    and is None for a text stream, which is not checked."""
-    header_line = source.readline()
-    if path is not None:
-        _check_utf8(path, 1, header_line)
-    if not header_line:
-        raise ValueError("empty trace: missing header")
-    header = tuple(part.strip() for part in header_line.strip().split(","))
-    if header not in (TRACE_HEADER, TRACE_HEADER_LATLON):
-        raise ValueError(f"unparseable trace header {header_line.strip()!r}; "
-                         f"expected {','.join(TRACE_HEADER)!r} or "
-                         f"{','.join(TRACE_HEADER_LATLON)!r}")
-    latlon = header == TRACE_HEADER_LATLON
-
-    index: dict[str, int] = {}  # a code per user id, in the order met
-    blocks = []
-    reasons: dict[str, int] = {}
-    lineno = 2
-    while lines := list(islice(source, _ROW_BLOCK)):
-        block = _parse_block(lines, latlon, index)
-        if block is None:
-            block = _parse_lines(lines, latlon, index, reasons, path, lineno)
-        blocks.append(block)
-        lineno += len(lines)
-
-    users, recode = _sorted_codes(index)
-    # each id was split out of a whole block of rows, and would keep that
-    # block's memory from being returned while the trace lives; copies made
-    # once the originals are dropped do not (no id holds whitespace)
-    joined = "\n".join(users)
-    del index, users
-    users = joined.split("\n") if joined else []
+    path = source if isinstance(source, (str, Path)) else None
+    with (nullcontext(source) if path is None else open(
+            path, "r", encoding="utf-8", errors="surrogateescape", newline="")) as fh:
+        header_line = fh.readline()
+        if path is not None:
+            _textio.check_utf8(path, 1, header_line)
+        if not header_line:
+            raise ValueError("empty trace: missing header")
+        header = tuple(part.strip() for part in header_line.strip().split(","))
+        if header not in (TRACE_HEADER, TRACE_HEADER_LATLON):
+            raise ValueError(f"unparseable trace header {header_line.strip()!r}; "
+                             f"expected {','.join(TRACE_HEADER)!r} or "
+                             f"{','.join(TRACE_HEADER_LATLON)!r}")
+        latlon = header == TRACE_HEADER_LATLON
+        reasons: dict[str, int] = {}
+        blocks, users, recode = _textio.read_blocks(
+            fh, partial(_parse_block, latlon),
+            partial(_parse_lines, latlon, reasons, path))
     code, t, x, y = ([np.concatenate(col) for col in zip(*blocks)]
                      or [np.empty(0, dtype=np.int64)] + [np.empty(0)] * 3)
     if latlon and code.size:
@@ -181,14 +142,7 @@ def _parse_trace(source: TextIO, path) -> ParsedTrace:
     return ParsedTrace(Updates(users, recode[code], t, x, y), reasons)
 
 
-def _sorted_codes(index: dict[str, int]):
-    """The ids of a code index, sorted, and each code's position among them."""
-    users = sorted(index)
-    rank = {user: i for i, user in enumerate(users)}
-    return users, np.fromiter(map(rank.__getitem__, index), np.int64, len(index))
-
-
-def _parse_block(lines: list[str], latlon: bool, index: dict):
+def _parse_block(latlon: bool, lines: list[str], index: dict):
     """(user code, t, x, y) columns of a block of rows, ids coded in
     ``index``; None if any row would be skipped, or any id is padded or
     holds bytes that are not UTF-8 (only an id can hold them and convert).
@@ -201,7 +155,7 @@ def _parse_block(lines: list[str], latlon: bool, index: dict):
     fields = ",".join(lines).split(",")
     ids = fields[0::4]
     distinct = set(ids)
-    if any(user.split() != [user] or not _is_utf8(user) for user in distinct):
+    if _textio.id_fault(*distinct) is not None:
         return None
     try:
         t, x, y = [np.fromiter(map(float, fields[k::4]), np.float64, len(lines))
@@ -217,15 +171,16 @@ def _parse_block(lines: list[str], latlon: bool, index: dict):
     return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)), t, x, y
 
 
-def _parse_lines(lines: list[str], latlon: bool, index: dict, reasons: dict,
-                 path, lineno: int):
+def _parse_lines(latlon: bool, reasons: dict, path, lines: list[str], start: int,
+                 index: dict):
     """(user code, t, x, y) columns of a block read one row at a time, ids
-    coded in ``index``; each skipped row's reason is counted in ``reasons``."""
+    coded in ``index``, and the number of the line after it; each skipped
+    row's reason is counted in ``reasons``."""
     ids: list[str] = []
     values: list[float] = []  # t, x, y of each kept row in turn
-    for lineno, line in enumerate(lines, start=lineno):
+    for lineno, line in enumerate(lines, start=start):
         if path is not None:
-            _check_utf8(path, lineno, line)
+            _textio.check_utf8(path, lineno, line)
         line = line.strip()
         if not line:
             continue
@@ -234,28 +189,26 @@ def _parse_lines(lines: list[str], latlon: bool, index: dict, reasons: dict,
         if len(parts) != 4:
             reason = "wrong field count"
         else:
-            words = parts[0].split()
+            user = parts[0].strip()
             try:
                 row = float(parts[1]), float(parts[2]), float(parts[3])
             except ValueError:
                 reason = "non-numeric value"
             else:
-                if not words:
-                    reason = "empty user id"
-                elif len(words) > 1:
-                    reason = "user id contains whitespace"
-                elif not all(map(math.isfinite, row)):
+                if not all(map(math.isfinite, row)):
                     reason = "non-finite value"
                 elif latlon and not (abs(row[1]) <= 90.0 and abs(row[2]) <= 180.0):
                     reason = "lat/lon out of range"
+                reason = _textio.id_fault(user) or reason
         if reason is None:
-            ids.append(words[0])
+            ids.append(user)
             values.extend(row)
         else:
             reasons[reason] = reasons.get(reason, 0) + 1
     code = np.fromiter((index.setdefault(user, len(index)) for user in ids),
                        np.int64, len(ids))
-    return code, *np.array(values, dtype=np.float64).reshape(-1, 3).T
+    t, x, y = np.array(values, dtype=np.float64).reshape(-1, 3).T
+    return (code, t, x, y), start + len(lines)
 
 
 def write_trace_csv(updates: Updates, path: str | Path) -> None:

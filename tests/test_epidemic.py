@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from linkrows import from_tuples
-from spdt import epidemic
+from spdt import _textio, epidemic
 from spdt.epidemic import (
     INFECTED,
     NEW_INFECTIONS,
@@ -336,7 +336,7 @@ def test_daily_csv_bytes_match_line_formatter(tmp_path, runs, days, block):
     counts = rng.integers(0, 10 ** rng.integers(1, 13, size=(runs, days, 3)))
     counts[0, 0] = [0, 9, 10]
     path = tmp_path / "daily.csv"
-    with mock.patch.object(epidemic, "_ROW_BLOCK", block):
+    with mock.patch.object(_textio, "BLOCK_LINES", block):
         write_daily_csv(counts, path)
     want = "run,day,I_n,I_r,I_p\n" + "".join(
         f"{r},{d},{i_n},{i_r},{i_p}\n"

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import spdt.epidemic as epi
 from linkrows import edge_set, from_tuples, to_tuples
-from spdt import network
+from spdt import _textio, network
 from spdt.epidemic import SimulationConfig, run_simulation
 from spdt.metrics import DEFAULT_EDGE_THRESHOLD, daily_network_metrics, static_graph
 from spdt.network import (
@@ -140,9 +140,14 @@ def ref_save(net, path):
     write_text(path, ref_text(net))
 
 
+def line_body(line):
+    """A text-mode line without its end: "\r\n" or "\n" (a lone "\r" stays)."""
+    return line[:-2] if line.endswith("\r\n") else line.rstrip("\n")
+
+
 def ref_load(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n")
+        header = line_body(fh.readline())
         m = re.match(r"^spdt-net v(\d+) horizon=(\d+)$", header)
         if m is None:
             raise ValueError(f"{path}:1: not a network file: bad header {header!r}")
@@ -154,7 +159,7 @@ def ref_load(path):
             raise ValueError(f"{path}:1: horizon must be at least 1")
         links = []
         for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+            line = line_body(line)
             if not line:
                 raise ValueError(f"{path}:{lineno}: blank line in link section")
             parts = line.split(" ")
@@ -162,6 +167,8 @@ def ref_load(path):
                 raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
             if not parts[1] or not parts[2]:
                 raise ValueError(f"{path}:{lineno}: empty user id")
+            if any(ch.isspace() for ch in parts[1] + parts[2]):
+                raise ValueError(f"{path}:{lineno}: user id contains whitespace")
             try:
                 day = int(parts[0])
                 t_s, t_l, t_s_n, t_l_n = map(int, parts[3:7])
@@ -317,8 +324,8 @@ def test_extract_edge_cases_match_reference(visits, updates, n_links):
 
 # --- save and load ---------------------------------------------------------
 
-# a non-ASCII id, one longer than an 8-byte word, and ids holding a tab (not
-# saveable, but loadable) and NULs (saveable, read line by line)
+# a non-ASCII id, one longer than an 8-byte word, an id holding a tab (neither
+# saveable nor loadable) and ids holding NULs (saveable, read line by line)
 IDS = ["a", "b", "u10", "u9", "x_1", "\u00e9t\u00e9", "user_0123456789", "t\tb", "n\x00l",
        "u9\x00"]
 INT64 = 2**63
@@ -357,17 +364,20 @@ def test_save_and_load_match_line_references(tmp_path_factory, net, block):
     d = tmp_path_factory.mktemp("io")
     # a network file of any ids, as another writer may make it
     write_text(d / "any.spdt", ref_text(net))
-    with mock.patch.object(network, "_ROW_BLOCK", block):
+    with mock.patch.object(_textio, "BLOCK_LINES", block):
         saved = outcome(save_network, net, d / "new.spdt")
         assert saved == outcome(ref_save, net, d / "ref.spdt")
         if saved[0] == "ok":
             assert (d / "new.spdt").read_bytes() == (d / "ref.spdt").read_bytes()
-        assert load_network(d / "any.spdt") == ref_load(d / "any.spdt") == net
+        loaded = outcome(load_network, d / "any.spdt")
+        assert loaded == outcome(ref_load, d / "any.spdt")
+        # a file loads exactly when its ids can be saved
+        assert loaded == ("ok", net) if saved[0] == "ok" else loaded[0] == "error"
 
 
 def tier_calls(path, block):
     """The network at path, and how many blocks were read line by line."""
-    with mock.patch.object(network, "_ROW_BLOCK", block), mock.patch.object(
+    with mock.patch.object(_textio, "BLOCK_LINES", block), mock.patch.object(
             network, "_parse_lines", wraps=network._parse_lines) as per_line:
         return load_network(path), per_line.call_count
 
@@ -384,21 +394,40 @@ def test_canonical_file_never_read_line_by_line(tmp_path, block):
     net = from_tuples(links, 2)
     save_network(net, tmp_path / "net.spdt")
     assert tier_calls(tmp_path / "net.spdt", block) == (net, 0)
-    # a tab is only a byte of an id
-    write_text(tmp_path / "tab.spdt", "spdt-net v1 horizon=1\n0 t\tb a 0 10 5 8\n")
-    assert tier_calls(tmp_path / "tab.spdt", block)[1] == 0
+    # a copy with CRLF line ends, the header's too, loads equal by byte passes
+    crlf = tmp_path / "crlf.spdt"
+    crlf.write_bytes((tmp_path / "net.spdt").read_bytes().replace(b"\n", b"\r\n"))
+    assert tier_calls(crlf, block) == (net, 0)
+    # and so do CRLF lines among LF ones
+    write_text(tmp_path / "mixed.spdt", "spdt-net v1 horizon=1\r\n0 a b 0 10 5 8\n"
+               "0 a b 0 10 5 8\r\n0 b a 0 10 5 8\r\n")
+    assert tier_calls(tmp_path / "mixed.spdt", block) == (
+        ref_load(tmp_path / "mixed.spdt"), 0)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 13])
+@pytest.mark.parametrize("user", ["t\tb", "n\u00a0b", "\u3000x", "x\x0b", "x\x1c"])
+@pytest.mark.parametrize("first", [
+    "0 a b 0 10 5 8",   # the bad lines' block is tried by the block pass first;
+    "0 a b 0 10 5 +8",  # this line sends its block to the per-line reader
+])
+def test_id_with_whitespace_names_its_line(tmp_path, user, first, block):
+    path = tmp_path / "net.spdt"
+    write_text(path, f"spdt-net v1 horizon=1\n{first}\n0 b a 0 10 5 8\n"
+                     f"0 b {user} 0 10 5 8\n0 {user} a 0 10 5 8\n")
+    want = ("error", f"{path}:4: user id contains whitespace")
+    assert outcome(tier_calls, path, block) == outcome(ref_load, path) == want
 
 
 @pytest.mark.parametrize("line", [
     "0 n\x00l a 0 10 5 8",                   # a NUL in an id
     "0 a b 0 10 5 9223372036854775807",      # 19 digits
-    "0 a b 0 10 5 8\r",                      # CRLF
     "0 a b 0 10 5 +8",
 ])
 def test_other_lines_read_line_by_line(tmp_path, line):
     path = tmp_path / "net.spdt"
     write_text(path, f"spdt-net v1 horizon=1\n0 a b 0 10 5 8\n{line}\n0 b a 0 10 5 8\n")
-    with mock.patch.object(network, "_ROW_BLOCK", 1):
+    with mock.patch.object(_textio, "BLOCK_LINES", 1):
         assert outcome(load_network, path) == outcome(ref_load, path)
     assert tier_calls(path, 1)[1] == 1
 
@@ -412,7 +441,8 @@ LINE_FAULTS = [
     "0 a  0 10 5 8",           # empty neighbour id
     "0 a b 0 10 5 x",          # non-integer field
     "0 a b 0 1.5 5 8",
-    "0 a b 0 10 5 8\r",        # a carriage return ends a line too
+    "0 a b 0 10 5 8\r",        # CRLF ends a line, as a lone carriage return does
+    "\r",                      # so this is a blank line
     "0 a\rb 0 10 5 8",
     "0 a\rx b 0 10 5 8",
     "0 a b 0 10 5 8 ",         # trailing space: an eighth, empty field
@@ -443,7 +473,7 @@ LINK_FAULTS = [
 def test_each_line_fault_matches_line_reference(tmp_path, fault, block):
     path = tmp_path / "net.spdt"
     write_text(path, f"spdt-net v1 horizon=1\n0 a b 0 10 5 8\n{fault}\n0 b a 0 10 5 8\n")
-    with mock.patch.object(network, "_ROW_BLOCK", block):
+    with mock.patch.object(_textio, "BLOCK_LINES", block):
         assert outcome(load_network, path) == outcome(ref_load, path)
 
 
@@ -456,7 +486,7 @@ def test_load_errors_match_line_reference(tmp_path_factory, net, data, block):
     for fault in faults:
         lines.insert(data.draw(st.integers(1, len(lines))), fault)
     write_text(path, "\n".join(lines) + data.draw(st.sampled_from(["\n", ""])))
-    with mock.patch.object(network, "_ROW_BLOCK", block):
+    with mock.patch.object(_textio, "BLOCK_LINES", block):
         got = outcome(load_network, path)
     want = outcome(ref_load, path)
     if want[0] == "error" and not want[1].startswith(f"{path}:"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdt import trace
+from spdt import _textio
 from spdt.cli import main
 from spdt.trace import ParsedTrace, parse_trace, segment_all, write_trace_csv
 from tracerows import (
@@ -187,7 +187,7 @@ def assert_same_trace(got, want):
 @example("user_id,t_min,x_m,y_m\na,0,0,0\n,1,0,0\n", 1 << 13)
 def test_parse_matches_per_row_oracle(text, block):
     want = parse_rows(io.StringIO(text, newline=""))
-    with mock.patch.object(trace, "_ROW_BLOCK", block):
+    with mock.patch.object(_textio, "BLOCK_LINES", block):
         assert_same_trace(parse_trace(io.StringIO(text, newline="")), want)
 
 
@@ -200,7 +200,7 @@ def test_parse_by_path_matches_per_row_oracle(tmp_path):
     want = parse_rows(io.StringIO(text, newline=""))
     assert want.skipped == 1 and len(want.updates) == 3001
     for block in (7, 1 << 13):
-        with mock.patch.object(trace, "_ROW_BLOCK", block):
+        with mock.patch.object(_textio, "BLOCK_LINES", block):
             assert_same_trace(parse_trace(path), want)
 
 
