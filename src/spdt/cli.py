@@ -139,11 +139,7 @@ def _cmd_densify(args) -> int:
 
 def _cmd_make_ldt_lst(args) -> int:
     check_positive("--delta", args.delta)  # before the load
-    ldt, lst = make_ldt_lst(
-        load_network(args.net),
-        indirect_window_min=args.delta,
-        keep_departure=args.keep_departure,
-    )
+    ldt, lst = make_ldt_lst(load_network(args.net), indirect_window_min=args.delta)
     save_network(ldt, args.out_ldt)
     save_network(lst, args.out_lst)
     print(f"wrote LDT {ldt!r} to {args.out_ldt} and LST {lst!r} to {args.out_lst}")
@@ -259,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-ldt", required=True)
     p.add_argument("--out-lst", required=True)
     p.add_argument("--delta", type=float, default=DEFAULT_INDIRECT_WINDOW_MIN)
-    p.add_argument("--keep-departure", action="store_true",
-                   help="keep the neighbour departure instead of the duration")
     p.set_defaults(func=_cmd_make_ldt_lst)
 
     p = sub.add_parser("simulate", help="run the stochastic SIR process",

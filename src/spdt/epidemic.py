@@ -58,6 +58,7 @@ from .exposure import (
     DEFAULT_PROXIMITY_VOLUME,
     DEFAULT_PULMONARY_RATE,
     DEFAULT_SIGMA,
+    REMOVAL_TIME_RANGE,
     check_positive,
     infection_probability,
 )
@@ -85,32 +86,25 @@ class SimulationConfig:
     """Parameters of one Monte-Carlo simulation batch.
 
     ``r_t`` is the median particle removal time in minutes; per evaluated
-    link the removal time is drawn from ``b_range`` with that median and the
-    removal rate is its reciprocal. The infectious period in days is drawn
-    uniformly over the integer range ``tau_range``; a one-value range such as
-    (3, 3) pins it, and then nothing is drawn.
+    link the removal time is drawn from ``REMOVAL_TIME_RANGE`` with that
+    median and the removal rate is its reciprocal. The infectious period in
+    days is drawn uniformly over the integer range ``tau_range``; a one-value
+    range such as (3, 3) pins it, and then nothing is drawn.
     """
 
     seeds: int = 500
     horizon_days: int = 32
     r_t: float = 60.0
-    b_range: tuple[float, float] = (7.5, 300.0)
     sigma: float = DEFAULT_SIGMA
     tau_range: tuple[int, int] = (3, 5)
     rng_seed: int = 0
     runs: int = 1
 
     def __post_init__(self):
-        if len(self.b_range) != 2:
-            raise ValueError(f"invalid removal-time bounds b_range={self.b_range!r}")
-        lo, hi = self.b_range
-        check_positive("b_range", lo)
-        check_positive("b_range", hi)
-        if not lo <= hi:
-            raise ValueError(f"invalid removal-time bounds b_range={self.b_range!r}")
+        lo, hi = REMOVAL_TIME_RANGE
         if not lo <= self.r_t <= hi:
             raise ValueError(f"median removal time r_t={self.r_t!r} outside "
-                             f"b_range={self.b_range!r}")
+                             f"[{lo}, {hi}]")
         if self.seeds < 0:
             raise ValueError("seeds must be non-negative")
         if self.horizon_days < 1:
@@ -273,7 +267,7 @@ def _step_block(
         link, key = link[susceptible], key[susceptible]
         if link.size:
             per_run = np.bincount(key // n_users, minlength=n_runs)
-            b = _removal_times(cfg.r_t, cfg.b_range, per_run_draws(
+            b = _removal_times(cfg.r_t, REMOVAL_TIME_RANGE, per_run_draws(
                 per_run, _STREAM_REMOVAL, lambda rng, k: rng.random((2, k))))
             # one take of whole rows: far quicker than fancy indexing of rows
             doses = link_doses(

@@ -27,6 +27,9 @@ DEFAULT_GENERATION_RATE = 18.24  # PFU/min (0.304 PFU/s)
 DEFAULT_PROXIMITY_VOLUME = 2512.0  # m^3
 DEFAULT_PULMONARY_RATE = 0.0075  # m^3/min (7.5 L/min)
 DEFAULT_SIGMA = 0.33  # per PFU
+# bounds of a link's particle removal time, in minutes; the median r_t lies
+# within them
+REMOVAL_TIME_RANGE = (7.5, 300.0)
 
 
 def check_positive(name: str, value: float) -> None:

@@ -426,34 +426,27 @@ def densify(net: DynamicContactNetwork,
 def make_ldt_lst(
     net: DynamicContactNetwork,
     indirect_window_min: float = DEFAULT_INDIRECT_WINDOW_MIN,
-    keep_departure: bool = False,
 ) -> tuple[DynamicContactNetwork, DynamicContactNetwork]:
     """Density-controlled pair: indirect-only links become direct-bearing.
 
     Every indirect-only link has its neighbour arrival moved to the host
-    arrival. By default the presence duration is preserved (the departure is
-    shifted by the same amount, re-capped at the indirect window); with
-    ``keep_departure`` the original departure is kept instead. The same-time
+    arrival, with its presence duration kept: the departure is shifted by
+    the same amount, re-capped at the indirect window. The same-time
     projection of the result then has identical users and per-day link
     counts, because every surviving link carries a direct segment.
 
     Links that cannot carry a direct segment under the rewrite (zero-stay
-    host visits, and zero-duration indirect presences in the default mode)
-    carry no exposure and are dropped from both outputs.
+    host visits and zero-duration indirect presences) carry no exposure and
+    are dropped from both outputs.
     """
     check_positive("indirect_window_min", indirect_window_min)
     delta = int(round(indirect_window_min))
     day, host, nbr, t_s, t_l, t_s_n, t_l_n = net._base
-    keep = t_l > t_s
-
-    indirect = keep & (t_s_n >= t_l)
-    if keep_departure:
-        t_s_n = np.where(indirect, t_s, t_s_n)
-    else:
-        duration = t_l_n - t_s_n
-        keep &= ~indirect | (duration > 0)
-        t_l_n = np.where(indirect, np.minimum(t_s + duration, t_l + delta), t_l_n)
-        t_s_n = np.where(indirect, t_s, t_s_n)
+    indirect = t_s_n >= t_l
+    duration = t_l_n - t_s_n
+    keep = (t_l > t_s) & (~indirect | (duration > 0))
+    t_l_n = np.where(indirect, np.minimum(t_s + duration, t_l + delta), t_l_n)
+    t_s_n = np.where(indirect, t_s, t_s_n)
 
     ldt = DynamicContactNetwork._from_arrays(
         net.users, net.horizon, day[keep], host[keep], nbr[keep],

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _textio
 from .epidemic import (
     PREVALENCE,
     SimulationConfig,
@@ -82,7 +83,6 @@ class ExperimentPlan:
     horizon_days: int = 14
     rng_seed: int = 0
     densify_seed: int = DEFAULT_DENSIFY_SEED
-    b_range: tuple[float, float] = SimulationConfig.b_range
 
     def __post_init__(self):
         unknown = set(self.variants) - set(VARIANTS)
@@ -159,7 +159,6 @@ _PLAN_OPTIONS = {
     "horizon_days": ("horizon_days", int),
     "rng_seed": ("rng_seed", int),
     "densify_seed": ("densify_seed", int),
-    "b_range": ("b_range", _listed(float)),
 }
 
 
@@ -183,8 +182,9 @@ def parse_keys(entries: dict[str, str], options: dict) -> dict:
 def read_config_file(path) -> dict[str, str]:
     """Parse a `key = value` config file; '#' starts a comment."""
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            _textio.check_utf8(path, lineno, line)
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -255,7 +255,6 @@ def cell_config(plan: ExperimentPlan, variant: str, r_t: float, sigma: float,
         seeds=plan.seeds,
         horizon_days=plan.horizon_days,
         r_t=r_t,
-        b_range=plan.b_range,
         sigma=sigma,
         tau_range=parse_tau_spec(tau_spec),
         runs=plan.runs,

@@ -212,7 +212,21 @@ def _parse_lines(latlon: bool, reasons: dict, path, lines: list[str], start: int
 
 
 def write_trace_csv(updates: Updates, path: str | Path) -> None:
-    """Write updates in the trace CSV format (`user_id,t_min,x_m,y_m`)."""
+    """Write updates in the trace CSV format (`user_id,t_min,x_m,y_m`).
+
+    A row that parse_trace would skip raises before the file is opened: a
+    user id that breaks the id rule or holds a comma, or a t, x or y that is
+    not finite.
+    """
+    used = [updates.users[u] for u in np.unique(updates.user).tolist()]
+    if _textio.id_fault(*used) is not None or any("," in user for user in used):
+        user = next(u for u in used if _textio.id_fault(u) or "," in u)
+        raise ValueError(f"user id {user!r} not representable in trace CSV")
+    finite = np.isfinite(updates.t) & np.isfinite(updates.x) & np.isfinite(updates.y)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"row {row} (user {updates.users[updates.user[row]]!r}): "
+                         f"t, x or y is not finite")
     rows = zip(*(col.tolist() for col in (updates.user, updates.t, updates.x, updates.y)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")

@@ -84,7 +84,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(r_t=500.0)
         with pytest.raises(ValueError):
-            SimulationConfig(b_range=(0.0, 10.0), r_t=5.0)
+            SimulationConfig(r_t=5.0)
         with pytest.raises(ValueError):
             SimulationConfig(tau_range=(0, 3))
         with pytest.raises(ValueError):
@@ -95,7 +95,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, kwargs", [
         ("sigma", {"sigma": float("inf")}),
         ("sigma", {"sigma": float("nan")}),
-        ("b_range", {"b_range": (7.5, float("inf"))}),
         ("r_t", {"r_t": float("inf")}),
     ])
     def test_rejects_non_finite(self, field, kwargs):

@@ -33,6 +33,7 @@ from spdt.exposure import (
     DEFAULT_GENERATION_RATE,
     DEFAULT_PROXIMITY_VOLUME,
     DEFAULT_PULMONARY_RATE,
+    REMOVAL_TIME_RANGE,
 )
 from spdt.network import (
     BuilderConfig,
@@ -64,7 +65,7 @@ def _reference_tau(cfg, rng, n):
 
 def _reference_removal_times(cfg, rng, n):
     # a fair coin picks the half-range, then a uniform draw within it
-    lo, hi = cfg.b_range
+    lo, hi = REMOVAL_TIME_RANGE
     side = rng.random(n) < 0.5
     u = rng.random(n)
     return np.where(side, lo + u * (cfg.r_t - lo), cfg.r_t + u * (hi - cfg.r_t))

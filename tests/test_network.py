@@ -288,11 +288,6 @@ class TestMakeLdtLst:
         assert the_link(ldt)[2:6] == (0, 30, 0, 50)
         assert the_link(lst)[5] == 30
 
-    def test_keep_departure_mode(self):
-        net = from_tuples([("a", "b", 0, 30, 100, 150, 0)], horizon=1)
-        ldt, _ = make_ldt_lst(net, keep_departure=True)
-        assert the_link(ldt)[4:6] == (0, 150)
-
     def test_mixed_link_unchanged(self):
         net = from_tuples([("a", "b", 0, 30, 10, 100, 0)], horizon=1)
         ldt, _ = make_ldt_lst(net)

@@ -674,6 +674,5 @@ def test_scheduled_network_matches_materialised(tmp_path_factory, net, seed):
     for a, b in ((dense, flat), (project_spst(dense), project_spst(flat))):
         assert project_spst(a) == project_spst(b)
         assert make_ldt_lst(a) == make_ldt_lst(b)
-        assert make_ldt_lst(a, 30.0, keep_departure=True) == make_ldt_lst(
-            b, 30.0, keep_departure=True)
+        assert make_ldt_lst(a, 30.0) == make_ldt_lst(b, 30.0)
         assert densify(a, rng_seed=seed + 1) == densify(b, rng_seed=seed + 1)

@@ -123,7 +123,7 @@ class TestPlan:
             ExperimentPlan.from_mapping({key: "-1"})
 
     @pytest.mark.parametrize("key, value", [
-        ("b_range", "7.5, inf"), ("sigma", "0.33, inf"), ("sigma", "nan"),
+        ("sigma", "0.33, inf"), ("sigma", "nan"),
         ("runs", "0"), ("seeds", "-1"), ("tau", "3-5, 0"),
         ("r_t", "5"),
     ])
@@ -138,13 +138,12 @@ class TestPlan:
         valid = str(info.value).partition("valid: ")[2]
         assert valid == str(sorted([
             "variants", "r_t", "sigma", "tau", "runs", "seeds", "horizon_days",
-            "rng_seed", "densify_seed", "b_range"]))
+            "rng_seed", "densify_seed"]))
 
     def test_defaults_follow_simulation_config(self):
         plan, cfg = ExperimentPlan(), SimulationConfig()
         assert plan.sigma_values == (cfg.sigma,)
         assert [parse_tau_spec(t) for t in plan.tau_values] == [cfg.tau_range]
-        assert plan.b_range == cfg.b_range
 
     def test_distinct_grid_values_accepted(self):
         plan = ExperimentPlan(r_t_values=(10.0, 10.001), sigma_values=(0.33, 0.330001))
@@ -428,11 +427,11 @@ class TestCli:
               "--active-day-prob", "0.45"])
         plan_file = tmp_path / "plan.cfg"
         plan_file.write_text("variants = SDT\nr_t = 10\nruns = 2\nseeds = 5\n"
-                             "horizon_days = 4\nb_range = 7.5, inf\n")
+                             "horizon_days = 4\nsigma = inf\n")
         out = tmp_path / "run"
         assert main(["sweep", "--trace", str(trace), "--out-dir", str(out),
                      "--config", str(plan_file)]) == 2
-        assert "b_range" in capsys.readouterr().err
+        assert "sigma" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("entry, named", [
@@ -541,7 +540,7 @@ class TestCli:
         ("simulate", [], "runs = x\n", "runs"),
         ("simulate", [], "tau = 3-y\n", "tau"),
         ("sweep", [], "runs = x\n", "runs"),
-        ("sweep", [], "b_range = 7.5\n", "b_range"),
+        ("sweep", [], "r_t = 10, x\n", "r_t"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, flags,
                                      config, named):
@@ -553,6 +552,30 @@ class TestCli:
                 "sweep": ["--trace", missing, "--out-dir", missing]}[command]
         assert main([command, *args, "--config", str(cfg), *flags]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "simulate", "sweep"])
+    def test_config_bytes_not_utf8_name_their_line(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# a run\nseeds = 5\nrng_seed = 1\xff\n")
+        out = tmp_path / "out"
+        args = {"synth": ["--out", str(out)],
+                "simulate": ["--net", str(out), "--out-daily", str(out),
+                             "--out-summary", str(out)],
+                "sweep": ["--trace", str(out), "--out-dir", str(out)]}[command]
+        assert main([command, *args, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"spdt: error: {cfg}:3: bytes that are not UTF-8\n")
+        assert not out.exists()
+
+    def test_sweep_plan_has_no_b_range_key(self, tmp_path, capsys):
+        # the removal-time bounds are the model constant REMOVAL_TIME_RANGE
+        plan_file = tmp_path / "plan.cfg"
+        plan_file.write_text("variants = SDT\nr_t = 10\nb_range = 7.5, 300\n")
+        out = tmp_path / "run"
+        assert main(["sweep", "--trace", str(tmp_path / "missing.csv"),
+                     "--out-dir", str(out), "--config", str(plan_file)]) == 2
+        assert "unknown keys ['b_range']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("r_t", ["10,abc", "abc", "10,,60"])
     def test_metrics_bad_r_t_named_before_the_load(self, tmp_path, capsys, r_t):
@@ -604,6 +627,18 @@ class TestCli:
             out, err = capsys.readouterr()
             assert "--delta must be positive and finite" in err and out == ""
             assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.spdt"]
+
+    def test_make_ldt_lst_has_one_rewrite(self, tmp_path, capsys):
+        # LDT keeps each indirect presence's duration; there is no other mode
+        net = tmp_path / "ok.spdt"
+        net.write_text("spdt-net v1 horizon=1\n0 a b 0 30 100 150\n")
+        with pytest.raises(SystemExit) as info:
+            main(["make-ldt-lst", "--net", str(net), "--out-ldt",
+                  str(tmp_path / "ldt.spdt"), "--out-lst", str(tmp_path / "lst.spdt"),
+                  "--keep-departure"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --keep-departure" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.spdt"]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

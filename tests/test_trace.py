@@ -97,6 +97,43 @@ class TestParseTrace:
         parsed = parse_trace(path)
         assert update_rows(parsed.updates) == updates and parsed.skipped == 0
 
+    @pytest.mark.parametrize("user", ["a b", "a\tb", "a\u00a0b", "a,b", "", "a\udcff"])
+    def test_write_refuses_an_id_parse_would_skip(self, tmp_path, user):
+        updates = columns([LocationUpdate("ok", 0.0, 0.0, 0.0),
+                           LocationUpdate(user, 1.0, 0.0, 0.0)])[0]
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match=r"^user id .* not representable"):
+            write_trace_csv(updates, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field", ["t", "x", "y"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_refuses_a_non_finite_value(self, tmp_path, field, value):
+        rows = [LocationUpdate("a", 0.0, 0.0, 0.0), LocationUpdate("b", 1.0, 2.0, 3.0)]
+        rows[1] = rows[1]._replace(**{field: value})
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match=r"^row 1 \(user 'b'\): .* not finite"):
+            write_trace_csv(columns(rows)[0], path)
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.text(st.sampled_from(["a", "é", ",", " ", "\t", "\r", "\n", "\u00a0",
+                                 "\u2028", "\udcff", "#", '"']), max_size=3),
+        *[st.floats() | st.sampled_from([0.0, -0.0, 1e300])] * 3), max_size=6))
+    def test_a_written_trace_reads_back_whole(self, tmp_path_factory, rows):
+        # every write either raises or reads back row for row, none skipped
+        updates = columns(LocationUpdate(*row) for row in rows)[0]
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        try:
+            write_trace_csv(updates, path)
+        except ValueError:
+            assert not path.exists()
+            return
+        parsed = parse_trace(path)
+        assert parsed.skipped == 0
+        assert update_rows(parsed.updates) == update_rows(updates)
+
     def test_rows_tied_on_user_and_time_keep_file_order(self):
         rows = parsed_rows(["b,1,0,0", "a,7,3,0", "a,7,1,0", "a,7,2,0"])
         assert [u.x for u in rows] == [3.0, 1.0, 2.0, 0.0]
