@@ -66,7 +66,8 @@ class DynamicContactNetwork:
     its base links of day ``_source[d, h]``, shifted by whole days, and every
     non-empty base cell is its own source. Users are exactly those appearing
     in at least one link. Build one with ``_from_arrays``, which validates
-    and sorts.
+    and sorts; a plain network over another network's base links, valid
+    and sorted already, is built with the constructor.
 
     ``_cells`` indexes the base links, a (horizon, n_users + 1) int64 table
     built once here: host h's base links of day d are rows
@@ -88,14 +89,14 @@ class DynamicContactNetwork:
         for arr in self._base + ((source,) if source is not None else ()):
             arr.setflags(write=False)
         day, host = self._base[:2]
-        # one search per day over a view of that day's hosts: no per-link
-        # temporary is made
-        bounds = np.searchsorted(day, np.arange(self.horizon + 1)).tolist()
+        # each row starts at its day's first link row, which fills an empty
+        # day; a day with links is searched over a view of its hosts, so no
+        # per-link temporary is made
+        bounds = np.searchsorted(day, np.arange(self.horizon + 1))
         users = np.arange(self.n_users + 1)
-        self._cells = np.empty((self.horizon, users.size), dtype=np.int64)
-        for d, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            self._cells[d] = np.searchsorted(host[lo:hi], users)
-            self._cells[d] += lo
+        self._cells = np.repeat(bounds[:-1, None], users.size, axis=1)
+        for d in np.flatnonzero(np.diff(bounds)).tolist():
+            self._cells[d] += np.searchsorted(host[bounds[d]:bounds[d + 1]], users)
 
     @classmethod
     def _from_arrays(cls, users, horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n,
@@ -374,12 +375,13 @@ def project_spst(net: DynamicContactNetwork) -> DynamicContactNetwork:
     the rest are capped at the host departure time. Users left without links
     disappear from the user set.
     """
-    day, host, nbr, t_s, t_l, t_s_n, t_l_n = net._base
+    t_s, t_l, t_s_n = net._base[3:6]
     keep = t_s_n < t_l
     keep &= t_s < t_l
+    # a projection that keeps every link shares the six columns it leaves
+    columns = net._base if keep.all() else [col[keep] for col in net._base]
     return DynamicContactNetwork._from_arrays(
-        net.users, net.horizon, day[keep], host[keep], nbr[keep],
-        t_s[keep], t_l[keep], t_s_n[keep], np.minimum(t_l_n[keep], t_l[keep]),
+        net.users, net.horizon, *columns[:6], np.minimum(columns[6], columns[4]),
         net._source,
     )
 

@@ -214,24 +214,20 @@ def build_variants(
     visits = segment_all(parsed, cfg.radius_m, cfg.visit_gap_min)
     sdt = extract_spdt_links(visits, parsed, cfg)
 
-    nets: dict[str, DynamicContactNetwork] = {}
-    if "SDT" in wanted:
-        nets["SDT"] = sdt
-    if "SST" in wanted:
-        nets["SST"] = project_spst(sdt)
+    nets = {"SDT": sdt}
     if wanted & {"DDT", "DST", "LDT", "LST"}:
-        ddt = densify(sdt, rng_seed=densify_seed)
-        if "DDT" in wanted:
-            nets["DDT"] = ddt
+        nets["DDT"] = ddt = densify(sdt, rng_seed=densify_seed)
         if "DST" in wanted:
             nets["DST"] = project_spst(ddt)
         if wanted & {"LDT", "LST"}:
-            ldt, lst = make_ldt_lst(ddt, cfg.indirect_window_min)
-            if "LDT" in wanted:
-                nets["LDT"] = ldt
-            if "LST" in wanted:
-                nets["LST"] = lst
-    return nets
+            nets["LDT"], nets["LST"] = make_ldt_lst(ddt, cfg.indirect_window_min)
+    if "SST" in wanted:
+        # DDT's base links are SDT's, and a schedule never changes which
+        # users have base links: DST's base links and users are SST's
+        dst = nets.get("DST")
+        nets["SST"] = project_spst(sdt) if dst is None else DynamicContactNetwork(
+            dst.users, cfg.horizon_days, dst._base)
+    return {variant: nets[variant] for variant in VARIANTS if variant in wanted}
 
 
 def cell_seed(plan_seed: int, variant: str, r_t: float, sigma: float,

@@ -577,10 +577,22 @@ def test_densify_calls_no_sort():
 
 # --- (day, host) link index ------------------------------------------------
 
+def ref_cells(net):
+    """The (day, host) index built a day at a time, one search per day."""
+    day, host = net._base[:2]
+    users = np.arange(net.n_users + 1)
+    cells = np.empty((net.horizon, users.size), dtype=np.int64)
+    for d in range(net.horizon):
+        lo, hi = np.searchsorted(day, [d, d + 1])
+        cells[d] = lo + np.searchsorted(host[lo:hi], users)
+    return cells
+
+
 def assert_index_matches_columns(net):
     """``host_links`` against a scan of the public columns: every (day, host)
     cell is its source cell's base rows, shifted to the day, and the per-day
     link counts are those of the columns."""
+    assert np.array_equal(net._cells, ref_cells(net))
     base_day, base_host, *base_rest = net._base
     day, host = net.day, net.host
     rest = [getattr(net, f) for f in ("nbr", "t_s", "t_l", "t_s_n", "t_l_n")]
@@ -617,6 +629,8 @@ def indexed_network(draw):
 @example(from_tuples([("a", "b", 0, 30, 10, 20, 0)], 4), 0)  # past the last day
 @example(from_tuples([("a", "z", 0, 30, 10, 20, 1), ("b", "z", 1440, 1500, 1450,
                                                       1460, 1)], 2), 0)  # z: no host
+@example(from_tuples([("a", "b", 1440, 1470, 1450, 1480, 1), ("c", "a", 5760, 5790, 5765,
+                                                        5800, 4)], 7), 0)  # empty days
 def test_index_matches_column_scan(net, seed):
     assert_index_matches_columns(net)
     assert_index_matches_columns(pickle.loads(pickle.dumps(net)))
@@ -676,3 +690,45 @@ def test_scheduled_network_matches_materialised(tmp_path_factory, net, seed):
         assert make_ldt_lst(a) == make_ldt_lst(b)
         assert make_ldt_lst(a, 30.0) == make_ldt_lst(b, 30.0)
         assert densify(a, rng_seed=seed + 1) == densify(b, rng_seed=seed + 1)
+
+
+# --- the same-time projection against a copy of every column ---------------
+
+def ref_project_spst(net):
+    """The same-time projection with every kept column copied: the reference
+    for the projection that shares the columns it leaves unchanged."""
+    day, host, nbr, t_s, t_l, t_s_n, t_l_n = net._base
+    keep = (t_s_n < t_l) & (t_s < t_l)
+    return DynamicContactNetwork._from_arrays(
+        net.users, net.horizon, day[keep], host[keep], nbr[keep],
+        t_s[keep], t_l[keep], t_s_n[keep], np.minimum(t_l_n[keep], t_l[keep]),
+        net._source,
+    )
+
+
+def assert_same_network(a, b):
+    """Equal, with equal users, schedules, base links and public columns."""
+    assert a == b and a.users == b.users and a.horizon == b.horizon
+    assert (a._source is None) == (b._source is None)
+    assert a._source is None or np.array_equal(a._source, b._source)
+    assert all(map(np.array_equal, a._base, b._base))
+    for f in network._COLUMNS:
+        assert np.array_equal(getattr(a, f), getattr(b, f))
+
+
+@given(st.one_of(indexed_network(), densify_case().map(lambda case: case[0])),
+       st.sampled_from([0, 3]))
+@example(from_tuples([], 3), 0)  # no links
+@example(from_tuples([("a", "b", 0, 30, 10, 20, 0)], 2), 0)  # every link kept
+def test_project_spst_matches_copying_reference(net, seed):
+    dense = densify(net, rng_seed=seed)
+    ldt = make_ldt_lst(dense)[0]
+    for each in (net, dense, make_ldt_lst(net)[0], ldt):
+        assert_same_network(project_spst(each), ref_project_spst(each))
+    # every LDT link has a direct segment, so its projection keeps them all
+    assert project_spst(ldt).n_links == ldt.n_links
+    # a schedule keeps the base links: the plain network over the densified
+    # network's projection's base links is the plain network's projection
+    dst = project_spst(dense)
+    assert_same_network(DynamicContactNetwork(dst.users, dst.horizon, dst._base),
+                        project_spst(net))

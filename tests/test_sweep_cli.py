@@ -21,9 +21,11 @@ from spdt.metrics import (
 )
 from spdt.network import (
     BuilderConfig,
+    densify,
     extract_spdt_links,
     load_network,
     make_ldt_lst,
+    project_spst,
     save_network,
 )
 from spdt.sweep import (
@@ -171,11 +173,45 @@ def test_read_config_file(tmp_path):
         read_config_file(twice)
 
 
+@pytest.fixture(scope="module")
+def builder_chain(small_trace):
+    """Each variant of the small trace from its own builder call."""
+    cfg = BuilderConfig(horizon_days=4)
+    parsed = parse_trace(small_trace)
+    sdt = extract_spdt_links(segment_all(parsed, cfg.radius_m, cfg.visit_gap_min),
+                             parsed, cfg)
+    ddt = densify(sdt)
+    ldt, lst = make_ldt_lst(ddt)
+    return {"SDT": sdt, "SST": project_spst(sdt), "DDT": ddt,
+            "DST": project_spst(ddt), "LDT": ldt, "LST": lst}
+
+
 class TestBuildVariants:
+    @pytest.mark.parametrize("wanted", [
+        ("SST",), ("DST",), ("SST", "DST"), ("LDT",), ("LST",), ("DDT", "LST"),
+        sweep.VARIANTS,
+    ])
+    def test_each_request_matches_builder_chain(self, small_trace, builder_chain,
+                                                wanted):
+        # the trace drops links from SST and densifies some hosts
+        assert builder_chain["SST"].n_links < builder_chain["SDT"].n_links
+        assert builder_chain["DDT"]._source is not None
+        nets = build_variants(small_trace, 4, wanted)
+        assert list(nets) == [v for v in sweep.VARIANTS if v in wanted]
+        for variant, net in nets.items():
+            want = builder_chain[variant]
+            assert net == want and net.users == want.users
+            for f in ("day", "host", "nbr", "t_s", "t_l", "t_s_n", "t_l_n"):
+                assert np.array_equal(getattr(net, f), getattr(want, f))
+
     def test_all_variants_consistent(self, small_trace):
         nets = build_variants(small_trace, 4, ("SDT", "SST", "DDT", "DST",
                                                "LDT", "LST"))
         assert set(nets) == {"SDT", "SST", "DDT", "DST", "LDT", "LST"}
+        # one projection: DST's base links are SST's arrays, and LST holds
+        # LDT's six columns that the projection leaves unchanged
+        assert all(a is b for a, b in zip(nets["DST"]._base, nets["SST"]._base))
+        assert all(a is b for a, b in zip(nets["LST"]._base[:6], nets["LDT"]._base[:6]))
         assert set(nets["SST"].users) <= set(nets["SDT"].users)
         assert nets["LDT"].users == nets["LST"].users
         assert np.array_equal(nets["LDT"].day_link_counts(),
