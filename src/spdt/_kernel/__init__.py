@@ -34,11 +34,7 @@ def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p, impl=None):
     normally leave it unset.
     """
     arrs = [np.asarray(x) for x in (t_s, t_l, t_s_n, t_l_n, r)]
-    if arrs[0].ndim != 1:
+    if arrs[0].ndim != 1 or any(arr.shape != arrs[0].shape for arr in arrs):
         raise ValueError("link arrays must be one-dimensional and equal length")
-    n = arrs[0].shape[0]
-    for arr in arrs[1:]:
-        if arr.shape != (n,):
-            raise ValueError("link arrays must be one-dimensional and equal length")
     backend = impl if impl is not None else _exposure_np
     return backend.batch_link_exposure(*arrs, float(g), float(V), float(p))

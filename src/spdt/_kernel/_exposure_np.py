@@ -14,17 +14,25 @@ _BLOCK = 1 << 13
 
 
 def _phi(w):
-    # (1 - e^-w)/w with phi(0) = 1; expm1 keeps small-w values exact
-    return np.divide(-np.expm1(-w), w, out=np.ones_like(w), where=w > 0.0)
+    # (1 - e^-w)/w with phi(0) = 1; expm1 keeps small-w values exact, and
+    # expm1(-w)/(-w) rounds as -expm1(-w)/w does
+    m = np.negative(w)
+    phi = np.expm1(m)
+    pos = w > 0.0
+    np.divide(phi, m, out=phi, where=pos)
+    phi[~pos] = 1.0
+    return phi
 
 
-def _psi(w):
-    # (w - 1 + e^-w)/w = 1 - phi(w); direct subtraction loses all digits as
-    # w -> 0, hence the series branch
-    out = w * (0.5 - w * (1.0 / 6.0 - w * (1.0 / 24.0 - w / 120.0)))
-    big = w >= _PSI_SERIES_CUTOFF
-    ratio = np.divide(np.expm1(-w), w, out=np.zeros_like(w), where=big)
-    return np.add(1.0, ratio, out=out, where=big)
+def _psi(w, phi=None):
+    # (w - 1 + e^-w)/w = 1 - phi(w), from the caller's phi(w) if given; the
+    # subtraction loses all digits as w -> 0, hence the series branch
+    psi = np.subtract(1.0, _phi(w) if phi is None else phi)
+    small = np.flatnonzero(~(w >= _PSI_SERIES_CUTOFF))
+    if small.size:
+        x = w[small]
+        psi[small] = x * (0.5 - x * (1.0 / 6.0 - x * (1.0 / 24.0 - x / 120.0)))
+    return psi
 
 
 def link_geometry(t_s, t_l, t_s_n, t_l_n):
@@ -65,15 +73,21 @@ def _class_doses(out, d_len, lead, i_len, stay, gap, r, g, V, p):
     if k.size:
         rk, length = r[k], d_len[k].astype(np.float64, copy=False)
         w = rk * length
-        u = rk * lead[k]
-        out[k] = (g * p) / (rk * V) * length * (_psi(w) + _phi(w) * (-np.expm1(-u)))
+        phi = _phi(w)
+        term = _psi(w, phi)
+        term += np.multiply(phi, -np.expm1(-(rk * lead[k])), out=phi)
+        out[k] = (g * p) / (rk * V) * length * term
     # exponential decay after the host left
     k = np.flatnonzero(i_len > 0)
     if k.size:
         rk = r[k]
         length, s = (x[k].astype(np.float64, copy=False) for x in (i_len, stay))
-        out[k] += ((g * p) / (rk * V) * rk * s * _phi(rk * s) * np.exp(-rk * gap[k])
-                   * length * _phi(rk * length))
+        dose = (g * p) / (rk * V) * rk * s
+        dose *= _phi(np.multiply(rk, s, out=s))
+        dose *= np.exp(-rk * gap[k])
+        dose *= length
+        dose *= _phi(np.multiply(rk, length, out=length))
+        out[k] += dose
 
 
 def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p):

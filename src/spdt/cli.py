@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -180,11 +181,8 @@ def _cmd_metrics(args) -> int:
     write_histogram_csv(degree_distribution(graph),
                         f"{prefix}degree_hist.csv")
     coeffs, mean_clust = clustering_distribution(graph)
-    binned: dict[float, int] = {}
-    for value in coeffs.values():
-        key = round(value, 2)
-        binned[key] = binned.get(key, 0) + 1
-    write_histogram_csv(binned, f"{prefix}clustering_hist.csv")
+    write_histogram_csv(Counter(round(value, 2) for value in coeffs.values()),
+                        f"{prefix}clustering_hist.csv")
     print(f"static graph at r_t={r_t_values[0]:g}: {graph.n_nodes} nodes, "
           f"{graph.n_edges} edges, mean clustering {mean_clust:.4f}")
 

@@ -58,8 +58,9 @@ def _masked_psi(w):
 
 
 def test_branch_free_helpers_match_masked_reference():
-    # phi and psi evaluate both branches with `where=` instead of gathering
-    # and scattering each branch; every element must come out bit for bit
+    # phi takes its w = 0 branch by `where=` and psi its series branch on the
+    # gathered small w; every element must come out bit for bit as the
+    # masked form gives it
     w = np.concatenate([[0.0, 1e-300, 1e-12, 0.00999, 0.01, 0.01000001, 1.0,
                          50.0, 700.0, 1e4],
                         np.random.default_rng(5).exponential(0.05, 5000)])

@@ -9,6 +9,7 @@ compared with ``==``, not approximately.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -116,6 +117,9 @@ def ref_daily(net, r_t_values, threshold, nodes):
 USERS = [f"u{i}" for i in (0, 1, 2, 3, 10, 11, 12)]
 # more than eight users, so that bitset rows span several bytes
 DENSE_USERS = [f"v{i}" for i in range(21)]
+# more than 128 users, so that bitset rows span three 64-bit words, the last
+# one partial
+WIDE_USERS = [f"w{i}" for i in range(130)]
 
 
 @st.composite
@@ -150,18 +154,19 @@ def network_case(draw):
     return net, universe, threshold, r_t_values
 
 
-def dense_network(rng):
-    """Up to 300 links among 21 users, so most days close many triangles."""
+def dense_network(rng, users=DENSE_USERS, max_links=300):
+    """Up to max_links links among few users, so most days close many
+    triangles."""
     horizon = int(rng.integers(1, 4))
-    n = int(rng.integers(20, 300))
-    ends = np.array([rng.choice(len(DENSE_USERS), size=2, replace=False)
+    n = int(rng.integers(20, max_links))
+    ends = np.array([rng.choice(len(users), size=2, replace=False)
                      for _ in range(n)])
     t_s = rng.integers(0, 400, n)
     t_l = t_s + rng.integers(0, 240, n)
     t_s_n = t_s + rng.integers(-60, 240, n).clip(-t_s)
     t_l_n = np.maximum(t_s_n, t_s + 1) + rng.integers(0, 240, n)
     days = rng.integers(0, horizon, n)
-    links = [(DENSE_USERS[a], DENSE_USERS[b], *row)
+    links = [(users[a], users[b], *row)
              for (a, b), row in zip(ends.tolist(),
                                     zip(t_s, t_l, t_s_n, t_l_n, days))]
     return from_tuples(links, horizon=horizon)
@@ -220,16 +225,21 @@ def test_constructor_matches_set_reference(edges):
     assert_graphs_equal(graph, ref)
 
 
-def test_block_edges_do_not_change_results(monkeypatch):
-    # blocks far smaller than the inputs: kernel blocks of 7 links, and bitset
-    # rows (3 bytes for 21 users) gathered 5 edges at a time
+@pytest.mark.parametrize("users, max_links, min_edges", [
+    (DENSE_USERS, 300, 50),
+    (WIDE_USERS, 6000, 1000),
+], ids=["one-word-rows", "three-word-rows"])
+def test_block_edges_do_not_change_results(monkeypatch, users, max_links, min_edges):
+    # blocks far smaller than the inputs: kernel blocks of 7 links, and 16
+    # bytes of bitset rows gathered at once: two one-word rows (21 users), or
+    # less than one three-word row (130 users), which gathers one edge at a time
     monkeypatch.setattr(_exposure_np, "_BLOCK", 7)
     monkeypatch.setattr(metrics, "_CHUNK_BYTES", 16)
-    net = dense_network(np.random.default_rng(5))
+    net = dense_network(np.random.default_rng(5), users, max_links)
     assert net.n_links > 100
     for r_t in (10.0, 60.0):
         graph = static_graph(net, r_t=r_t)
-        assert graph.n_edges > 50
+        assert graph.n_edges > min_edges
         ref = SetGraph(net.users, ref_edge_set(
             net, np.ones(net.n_links, dtype=bool), r_t, metrics.DEFAULT_EDGE_THRESHOLD))
         assert_graphs_equal(graph, ref)
