@@ -18,7 +18,6 @@ import io
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +64,10 @@ class DynamicContactNetwork:
     n_users) day table, None for the identity: host h's links on day d are
     its base links of day ``_source[d, h]``, shifted by whole days, and every
     non-empty base cell is its own source. Users are exactly those appearing
-    in at least one link. Build one with ``_from_arrays``, which validates
-    and sorts; a plain network over another network's base links, valid
-    and sorted already, is built with the constructor.
+    in at least one link. Build one with ``_from_arrays``, which validates,
+    and sorts only rows out of order; a plain network over another
+    network's base links, valid and sorted already, is built with the
+    constructor.
 
     ``_cells`` indexes the base links, a (horizon, n_users + 1) int64 table
     built once here: host h's base links of day d are rows
@@ -101,7 +101,8 @@ class DynamicContactNetwork:
     @classmethod
     def _from_arrays(cls, users, horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n,
                      source=None):
-        """Build from base arrays and a schedule: re-derive the users, validate, sort."""
+        """Build from base arrays and a schedule: re-derive the users, validate,
+        and sort the rows only when they are out of canonical order."""
         users = list(users)
         present = np.zeros(len(users), dtype=bool)
         present[host] = True
@@ -270,8 +271,11 @@ def extract_spdt_links(
 
     The updates are sorted by (grid cell, time) on a grid of radius-sized
     cells. Each visit's candidates are the updates of the 3x3 cells around
-    its anchor within its time window: nine contiguous ranges of that order.
-    The ranges are expanded and filtered in blocks of at most
+    its anchor within its time window: nine contiguous ranges of that order,
+    found for every visit and cell in one batched search. The visits are
+    stably sorted by (day, host, rounded start), so the links leave in
+    canonical order and are not sorted again unless two visits tie on all
+    three. The ranges are expanded and filtered in blocks of at most
     ``_PAIR_BLOCK`` pairs, and each (visit, neighbour) group is reduced to
     its first and last update time.
     """
@@ -288,15 +292,19 @@ def extract_spdt_links(
     rounded_start = np.rint(visits.t_start)
     kept = np.flatnonzero((rounded_start >= 0)
                           & (rounded_start < cfg.horizon_days * MINUTES_PER_DAY))
+    # a kept visit's end and window end must be int64 minutes; the first
+    # such visit of the input is named
+    late = kept[~(np.rint(visits.t_end[kept]) + round(delta) < 2.0**63)]
+    if late.size:
+        user, end = users[visits.user[late[0]]], float(visits.t_end[late[0]])
+        raise ValueError(f"visit of user {user!r} ends at {end!r} min, past the "
+                         f"int64 minutes of a link time")
+    # visits stably in (day, host, start) order: links leave in canonical order
+    start = rounded_start[kept]
+    kept = kept[np.lexsort((start, visits.user[kept], start // MINUTES_PER_DAY))]
     host, v_x, v_y, v_t0, v_t1 = (col[kept] for col in (
         visits.user, visits.anchor_x, visits.anchor_y, visits.t_start, visits.t_end))
     code, t, x, y = updates.user, updates.t, updates.x, updates.y
-    # a kept visit's end and window end must be int64 minutes
-    late = np.flatnonzero(~(np.rint(v_t1) + round(delta) < 2.0**63))
-    if late.size:
-        i = late[0]
-        raise ValueError(f"visit of user {users[host[i]]!r} ends at {float(v_t1[i])!r} "
-                         f"min, past the int64 minutes of a link time")
 
     # sort key: (cell rank, time rank), both dense, so the key fits in int64
     xs, col = _dense_rank(np.floor(x / cfg.radius_m).astype(np.int64))
@@ -315,23 +323,22 @@ def extract_spdt_links(
     rank_lo = np.searchsorted(times, v_t0, side="left")
     rank_hi = np.searchsorted(times, v_t1 + delta, side="right")
 
-    # candidate ranges [lo, hi) of the 3x3 cells around each anchor; a
-    # candidate's time is times[rank] for a rank in [rank_lo, rank_hi), so
-    # the ranges already hold only updates in [t_start, t_end + delta]
-    vcol = np.floor(v_x / cfg.radius_m).astype(np.int64)
-    vrow = np.floor(v_y / cfg.radius_m).astype(np.int64)
-    lo = np.zeros((host.size, 9), dtype=np.int64)
-    hi = np.zeros((host.size, 9), dtype=np.int64)
-    for k, (dx, dy) in enumerate(product((-1, 0, 1), repeat=2)):
-        c, r = _find(xs, vcol + dx), _find(ys, vrow + dy)
-        near = _find(cells, np.where((c >= 0) & (r >= 0), c * ys.size + r, -1))
-        ok = near >= 0
-        lo[ok, k] = np.searchsorted(key, near[ok] * times.size + rank_lo[ok])
-        hi[ok, k] = np.searchsorted(key, near[ok] * times.size + rank_hi[ok])
+    # candidate ranges [lo, hi) of the 3x3 cells around each anchor, dx
+    # major, found in one search; a candidate's time is times[rank] for a
+    # rank in [rank_lo, rank_hi), so the ranges already hold only updates
+    # in [t_start, t_end + delta]
+    step = np.array([-1, 0, 1])
+    c = _find(xs, np.floor(v_x / cfg.radius_m).astype(np.int64)[:, None] + step)
+    r = _find(ys, np.floor(v_y / cfg.radius_m).astype(np.int64)[:, None] + step)
+    near = np.where((c[:, :, None] >= 0) & (r[:, None] >= 0),
+                    c[:, :, None] * ys.size + r[:, None], -1)
+    near = _find(cells, near.reshape(-1, 9))
+    # an absent cell (-1) searches at or below key 0, so its range is [0, 0)
+    lo, hi = np.searchsorted(key, near * times.size + np.stack((rank_lo, rank_hi))[..., None])
     counts = hi - lo
     per_visit = np.cumsum(counts.sum(axis=1))
 
-    blocks = []
+    parts = [[] for _ in _COLUMNS]
     a = 0
     while a < host.size:
         # visits [a, b) hold at most _PAIR_BLOCK candidates, or one visit
@@ -359,11 +366,13 @@ def extract_spdt_links(
                 # link invariants after rounding; violating candidates carry
                 # no exposure window
                 keep = (first < w_end) & (t_l_n > t_s)
-                blocks.append(tuple(col[keep] for col in (
-                    day_v[vis], host[vis], nbr, t_s, t_l, first, t_l_n)))
+                for part, col in zip(parts, (day_v[vis], host[vis], nbr, t_s, t_l,
+                                             first, t_l_n)):
+                    part.append(col[keep])
         a = b
 
-    columns = [np.concatenate(col) for col in zip(*blocks)] or [empty] * 7
+    # a column at a time: its blocks are freed before the next is joined
+    columns = [np.concatenate(parts.pop(0) or [empty]) for _ in _COLUMNS]
     return DynamicContactNetwork._from_arrays(users, cfg.horizon_days, *columns)
 
 

@@ -143,6 +143,14 @@ class TestExtractRules:
         net = extract_spdt_links(segment_all(updates, max_gap_min=1e301), updates, CFG)
         assert to_tuples(net) == [("a", "c", 0, int(end), 10, 10, 0)]
 
+    def test_first_late_visit_of_the_input_named(self):
+        # the visits are put in (day, host, start) order after the check, so
+        # a's visit on day 1 is named, not b's on day 0
+        updates, visits = columns([LocationUpdate("c", 10.0, 1.0, 0.0)], [
+            Visit("a", 0.0, 0.0, 1445.0, 1e300), Visit("b", 0.0, 0.0, 5.0, 1e300)])
+        with pytest.raises(ValueError, match=r"user 'a'.* ends at 1e\+300 min"):
+            extract_spdt_links(visits, updates, CFG)
+
     def test_visits_and_updates_share_their_user_ids(self):
         updates, _ = columns([LocationUpdate("v", 10.0, 5.0, 0.0)])
         _, visits = columns([], [Visit("h", 0.0, 0.0, 0.0, 30.0)])

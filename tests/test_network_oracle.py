@@ -276,12 +276,15 @@ def test_extract_matches_per_visit_reference(case, block):
     assert got == ref_extract(visits, updates, cfg)
 
 
-def test_extract_matches_reference_on_synthetic_trace():
+def synthetic_trace():
     parsed = ParsedTrace(updates=generate_trace(SynthConfig(
         n_users=150, days=3, rng_seed=4, n_locations=10, area_m=(700.0, 700.0),
         active_day_probability=0.5)))
-    visits = segment_all(parsed)
-    cfg = BuilderConfig(horizon_days=2)
+    return parsed, segment_all(parsed), BuilderConfig(horizon_days=2)
+
+
+def test_extract_matches_reference_on_synthetic_trace():
+    parsed, visits, cfg = synthetic_trace()
     want = ref_extract(visit_rows(visits), update_rows(parsed.updates), cfg)
     assert want.n_links > 1000
     for block in (64, 1 << 16):
@@ -289,7 +292,25 @@ def test_extract_matches_reference_on_synthetic_trace():
             assert extract_spdt_links(visits, parsed, cfg) == want
 
 
+def test_extract_sorts_visits_not_links():
+    # the visits are sorted once; the links leave in canonical order, so
+    # _from_arrays never sorts them
+    parsed, visits, cfg = synthetic_trace()
+    start = np.rint(visits.t_start)
+    n_kept = np.count_nonzero((start >= 0) & (start < cfg.horizon_days * MINUTES_PER_DAY))
+    spy = mock.Mock(wraps=np.lexsort)
+    with mock.patch.object(np, "lexsort", spy):
+        net = extract_spdt_links(visits, parsed, cfg)
+    assert net.n_links > 5 * n_kept
+    (keys,), _ = spy.call_args
+    assert spy.call_count == 1 and [len(key) for key in keys] == [n_kept] * 3
+
+
 HOST = Visit("h", 0.0, 0.0, 0.0, 30.0)
+# two visits of one host whose starts round to the same minute, far apart:
+# the first's only neighbour sorts after the second's, so their links leave
+# out of order and _from_arrays sorts them
+INTERLEAVED = [Visit("h", 0.0, 0.0, 10.5, 20.0), Visit("h", 500.0, 0.0, 9.5, 20.0)]
 
 
 @pytest.mark.parametrize("visits, updates, n_links", [
@@ -313,13 +334,24 @@ HOST = Visit("h", 0.0, 0.0, 0.0, 30.0)
     # two visits of one host whose starts round to the same minute
     ([Visit("h", 0.0, 0.0, 10.5, 20.0), Visit("h", 0.0, 0.0, 9.5, 40.0)],
      [LocationUpdate("v", 12.0, 0.0, 0.0), LocationUpdate("h", 12.0, 0.0, 0.0)], 2),
+    (INTERLEAVED,
+     [LocationUpdate("w", 12.0, 0.0, 0.0), LocationUpdate("v", 12.0, 500.0, 0.0)], 2),
 ])
 def test_extract_edge_cases_match_reference(visits, updates, n_links):
     cfg = BuilderConfig(horizon_days=2)
     want = ref_extract(visits, updates, cfg)
     assert want.n_links == n_links
     update_cols, visit_cols = columns(updates, visits)
-    assert extract_spdt_links(visit_cols, update_cols, cfg) == want
+    in_order, seen = network._in_order, []
+
+    def spy(*keys):
+        seen.append(in_order(*keys))
+        return seen[-1]
+
+    with mock.patch.object(network, "_in_order", spy):
+        assert extract_spdt_links(visit_cols, update_cols, cfg) == want
+    # only the interleaved links take the fallback sort
+    assert seen == ([visits is not INTERLEAVED] if n_links else [])
 
 
 # --- save and load ---------------------------------------------------------
