@@ -201,7 +201,7 @@ def _base_geometry(net: DynamicContactNetwork) -> np.ndarray:
     span leaves the int64 geometry exact; at or above it, one of those three
     lengths exceeds int32 anyway.
     """
-    _, _, _, *times = net._base
+    times = [getattr(net._base, f) for f in ("t_s", "t_l", "t_s_n", "t_l_n")]
     n = times[0].size
     geometry = np.empty((n, 5), dtype=np.int32)
     top = np.iinfo(np.int32).max
@@ -261,8 +261,7 @@ def _step_block(
         run, host = np.nonzero((status == INFECTED) & (day_infected <= day))
         first, count = (col[host] for col in net.host_links(day))
         link = _ranges(first, count)
-        nbr = net._base[2]
-        key = np.repeat(run * n_users, count) + nbr[link]
+        key = np.repeat(run * n_users, count) + net._base.nbr[link]
         susceptible = status.ravel()[key] == SUSCEPTIBLE
         link, key = link[susceptible], key[susceptible]
         if link.size:

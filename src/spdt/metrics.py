@@ -144,7 +144,7 @@ def _strong_links(net: DynamicContactNetwork, r_t: float, threshold: float
     """Mask of the base links whose dose at ``r_t`` reaches the threshold; a
     base link's repeats join the same users with the same dose, since doses
     depend only on differences of whole minutes."""
-    times = net._base[3:]
+    times = [getattr(net._base, f) for f in ("t_s", "t_l", "t_s_n", "t_l_n")]
     return batch_link_exposure(*times, np.broadcast_to(1.0 / r_t, times[0].shape),
                                DEFAULT_GENERATION_RATE, DEFAULT_PROXIMITY_VOLUME,
                                DEFAULT_PULMONARY_RATE) >= threshold
@@ -166,7 +166,7 @@ def static_graph(
     check_positive("threshold", threshold)
     nodes, node_of = _graph_nodes(net, universe)
     strong = _strong_links(net, r_t, threshold)
-    host, nbr = (node_of[col[strong]] for col in net._base[1:3])
+    host, nbr = (node_of[col[strong]] for col in (net._base_keys()[1], net._base.nbr))
     return StaticGraph(nodes, host, nbr)
 
 
@@ -211,7 +211,7 @@ def daily_network_metrics(
         check_positive("r_t", r_t)
     check_positive("threshold", threshold)
     nodes, node_of = _graph_nodes(net, universe)
-    host, nbr = (node_of[col] for col in net._base[1:3])
+    host, nbr = (node_of[col] for col in (net._base_keys()[1], net._base.nbr))
     strong_by_r_t = [_strong_links(net, r_t, threshold) for r_t in r_t_values]
     rows = []
     for day in range(net.horizon):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import io
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -40,6 +41,11 @@ DEFAULT_INDIRECT_WINDOW_MIN = 200.0
 DEFAULT_DENSIFY_SEED = 0
 
 
+_COLUMNS = ("day", "host", "nbr", "t_s", "t_l", "t_s_n", "t_l_n")
+# a base link's columns: its day and host are in the network's index
+_Base = namedtuple("_Base", _COLUMNS[2:])
+
+
 @dataclass(frozen=True)
 class BuilderConfig:
     """Construction rules: co-location radius, indirect window, visit gap."""
@@ -59,63 +65,47 @@ class BuilderConfig:
 class DynamicContactNetwork:
     """Immutable day-indexed collection of directed links plus the user universe.
 
-    ``_base`` holds the base links, the seven _COLUMNS in canonical order
-    (day, host, t_s, neighbour, t_s_n, t_l_n). ``_source`` is a (horizon,
-    n_users) day table, None for the identity: host h's links on day d are
-    its base links of day ``_source[d, h]``, shifted by whole days, and every
-    non-empty base cell is its own source. Users are exactly those appearing
-    in at least one link. Build one with ``_from_arrays``, which validates,
-    and sorts only rows out of order; a plain network over another
-    network's base links, valid and sorted already, is built with the
-    constructor.
-
-    ``_cells`` indexes the base links, a (horizon, n_users + 1) int64 table
-    built once here: host h's base links of day d are rows
-    [_cells[d, h], _cells[d, h + 1]), and the last column ends the day.
-    The public columns are the links in canonical order, gathered anew on
-    each read of a scheduled network.
+    ``_base`` holds the base links' five _Base columns (nbr, t_s, t_l, t_s_n,
+    t_l_n) in canonical order, by (day, host, t_s, nbr, t_s_n, t_l_n). Their
+    day and host are only in ``_cells``, a (horizon, n_users + 1) int64 index:
+    host h's base links of day d are rows [_cells[d, h], _cells[d, h + 1]),
+    and the last column ends the day. ``_source`` is a (horizon, n_users) day
+    table, None for the identity: host h's links on day d are its base links
+    of day ``_source[d, h]``, shifted by whole days, and every non-empty base
+    cell is its own source. Users are exactly those in at least one link.
+    ``_from_arrays`` validates, sorts only rows out of order and builds the
+    index; a network over another's base links and index is built with the
+    constructor. The public columns are the links in canonical order, read
+    through the index and gathered anew on each read of a scheduled network.
     """
 
     __slots__ = ("users", "horizon", "_base", "_source", "_cells")
 
     def __reduce__(self):
-        # the base columns and the table are read-only: pickled as they are
-        return DynamicContactNetwork, (self.users, self.horizon, self._base, self._source)
+        # the base columns and the tables are read-only: pickled as they are
+        return DynamicContactNetwork, (self.users, self.horizon, self._base, self._cells,
+                                       self._source)
 
-    def __init__(self, users, horizon, base, source=None):
+    def __init__(self, users, horizon, base, cells, source=None):
         self.users: tuple[str, ...] = tuple(users)
         self.horizon: int = int(horizon)
-        self._base, self._source = tuple(base), source
-        for arr in self._base + ((source,) if source is not None else ()):
+        self._base, self._cells, self._source = _Base(*base), cells, source
+        for arr in self._base + ((cells,) if source is None else (cells, source)):
             arr.setflags(write=False)
-        day, host = self._base[:2]
-        # each row starts at its day's first link row, which fills an empty
-        # day; a day with links is searched over a view of its hosts, so no
-        # per-link temporary is made
-        bounds = np.searchsorted(day, np.arange(self.horizon + 1))
-        users = np.arange(self.n_users + 1)
-        self._cells = np.repeat(bounds[:-1, None], users.size, axis=1)
-        for d in np.flatnonzero(np.diff(bounds)).tolist():
-            self._cells[d] += np.searchsorted(host[bounds[d]:bounds[d + 1]], users)
 
     @classmethod
     def _from_arrays(cls, users, horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n,
                      source=None):
         """Build from base arrays and a schedule: re-derive the users, validate,
-        and sort the rows only when they are out of canonical order."""
-        users = list(users)
+        sort only rows out of canonical order, and index them by (day, host)."""
         present = np.zeros(len(users), dtype=bool)
-        present[host] = True
-        present[nbr] = True
-        used = np.flatnonzero(present)
-        if used.size != len(users):
-            remap = np.full(len(users), -1, dtype=np.int64)
-            remap[used] = np.arange(used.size)
-            host = remap[host]
-            nbr = remap[nbr]
-            users = [users[i] for i in used]
+        present[host] = present[nbr] = True
+        if not present.all():
+            remap = np.cumsum(present) - 1  # each used user's new code
+            host, nbr = remap[host], remap[nbr]
+            users = [user for user, used in zip(users, present.tolist()) if used]
             if source is not None:
-                source = source[:, used]
+                source = source[:, present]
 
         columns = (day, host, nbr, t_s, t_l, t_s_n, t_l_n)
         if host.size:
@@ -126,8 +116,18 @@ class DynamicContactNetwork:
             if not _in_order(day, host, t_s, nbr, t_s_n, t_l_n):
                 order = np.lexsort((t_l_n, t_s_n, nbr, t_s, host, day))
                 columns = [col[order] for col in columns]
-        return cls(users, horizon, [col.astype(np.int64, copy=False) for col in columns],
-                   source)
+        # five owned columns: no view keeps a larger block alive. Each index
+        # row starts at its day's first link row, which fills an empty day; a
+        # day with links is searched over a view of its hosts, so no per-link
+        # temporary is made
+        day, host = columns[:2]
+        base = [np.require(col, np.int64, "O") for col in columns[2:]]
+        bounds = np.searchsorted(day, np.arange(horizon + 1))
+        hosts = np.arange(len(users) + 1)
+        cells = np.repeat(bounds[:-1, None], hosts.size, axis=1)
+        for d in np.flatnonzero(np.diff(bounds)).tolist():
+            cells[d] += np.searchsorted(host[bounds[d]:bounds[d + 1]], hosts)
+        return cls(users, horizon, base, cells, source)
 
     def host_links(self, days) -> tuple[np.ndarray, np.ndarray]:
         """First base row and link count of each host's links on ``days``,
@@ -137,23 +137,32 @@ class DynamicContactNetwork:
         first = self._cells[src, hosts]
         return first, self._cells[src, hosts + 1] - first
 
-    def _column(self, k: int, days=None) -> np.ndarray:
-        """Column k of _COLUMNS over the links of ``days``, by default all."""
-        if days is None:
-            if self._source is None:
-                return self._base[k]
-            days = np.arange(self.horizon)
+    def _base_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Day and host of each base link, read from the index: the public
+        columns of the plain network over the base links."""
+        plain = DynamicContactNetwork(self.users, self.horizon, self._base, self._cells)
+        return plain.day, plain.host
+
+    def _column(self, name: str, days=None) -> np.ndarray:
+        """Public column ``name`` over the links of ``days``, by default all."""
+        if days is None and self._source is None and name in _Base._fields:
+            return getattr(self._base, name)
+        days = np.arange(self.horizon) if days is None else np.asarray(days)
         first, count = self.host_links(days)
-        rows = _ranges(first.ravel(), count.ravel())
-        # each link moves by the whole days between its day and its base link's
-        col = np.repeat(days, count.sum(axis=1)) - self._base[0][rows]
-        col *= _PER_DAY[k]
-        col += self._base[k][rows]
+        if name in ("day", "host"):
+            day, host = np.indices(count.shape).reshape(2, -1)
+            col = np.repeat(days[day] if name == "day" else host, count.ravel())
+        else:
+            col = getattr(self._base, name)[_ranges(first.ravel(), count.ravel())]
+            if name != "nbr" and self._source is not None:
+                # each link moves by the whole days from its base link's day
+                shift = (days[:, None] - self._source[days]) * MINUTES_PER_DAY
+                col += np.repeat(shift.ravel(), count.ravel())
         col.setflags(write=False)
         return col
 
     day, host, nbr, t_s, t_l, t_s_n, t_l_n = (
-        property(lambda self, k=k: self._column(k)) for k in range(7))
+        property(lambda self, name=name: self._column(name)) for name in _COLUMNS)
 
     @property
     def n_links(self) -> int:
@@ -167,8 +176,8 @@ class DynamicContactNetwork:
         return self.host_links(np.arange(self.horizon))[1].sum(axis=1)
 
     def __eq__(self, other) -> bool:
-        """Equal users, horizon and public columns. Equal base links and
-        schedules make equal columns, so those are compared first; the
+        """Equal users, horizon and public columns. Equal base links, indexes
+        and schedules make equal columns, so those are compared first; the
         columns are gathered only when they differ."""
         if not isinstance(other, DynamicContactNetwork):
             return NotImplemented
@@ -176,18 +185,14 @@ class DynamicContactNetwork:
             return False
         same_source = (self._source is None) == (other._source is None) and (
             self._source is None or np.array_equal(self._source, other._source))
-        if same_source and all(map(np.array_equal, self._base, other._base)):
+        if same_source and np.array_equal(self._cells, other._cells) and all(
+                map(np.array_equal, self._base, other._base)):
             return True
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _COLUMNS)
 
     def __repr__(self) -> str:
         return (f"DynamicContactNetwork(users={self.n_users}, links={self.n_links}, "
                 f"horizon={self.horizon})")
-
-
-_COLUMNS = ("day", "host", "nbr", "t_s", "t_l", "t_s_n", "t_l_n")
-# each column's change when a link moves by one day
-_PER_DAY = (1, 0, 0) + (MINUTES_PER_DAY,) * 4
 
 
 def _in_order(*keys: np.ndarray) -> bool:
@@ -384,13 +389,19 @@ def project_spst(net: DynamicContactNetwork) -> DynamicContactNetwork:
     the rest are capped at the host departure time. Users left without links
     disappear from the user set.
     """
-    t_s, t_l, t_s_n = net._base[3:6]
+    nbr, t_s, t_l, t_s_n, t_l_n = net._base
     keep = t_s_n < t_l
     keep &= t_s < t_l
-    # a projection that keeps every link shares the six columns it leaves
-    columns = net._base if keep.all() else [col[keep] for col in net._base]
+    t_l_n = np.minimum(t_l_n, t_l)
+    # t_l_n is the last sort key: a projection that keeps every link and swaps
+    # no rows tied on t_s, nbr and t_s_n shares the index and four columns
+    if keep.all() and not np.logical_and.reduce(
+            [t_l_n[1:] < t_l_n[:-1]] + [k[1:] == k[:-1] for k in (t_s, nbr, t_s_n)]).any():
+        return DynamicContactNetwork(net.users, net.horizon, net._base._replace(t_l_n=t_l_n),
+                                     net._cells, net._source)
     return DynamicContactNetwork._from_arrays(
-        net.users, net.horizon, *columns[:6], np.minimum(columns[6], columns[4]),
+        net.users, net.horizon,
+        *(col[keep] for col in (*net._base_keys(), nbr, t_s, t_l, t_s_n, t_l_n)),
         net._source,
     )
 
@@ -431,7 +442,7 @@ def densify(net: DynamicContactNetwork,
         source[missing, h] = days[rng.integers(days.size, size=missing.size)]
     if net._source is not None:
         source = np.take_along_axis(net._source, source, axis=0)
-    return DynamicContactNetwork(net.users, net.horizon, net._base, source)
+    return DynamicContactNetwork(net.users, net.horizon, net._base, net._cells, source)
 
 
 def make_ldt_lst(
@@ -452,7 +463,8 @@ def make_ldt_lst(
     """
     check_positive("indirect_window_min", indirect_window_min)
     delta = int(round(indirect_window_min))
-    day, host, nbr, t_s, t_l, t_s_n, t_l_n = net._base
+    day, host = net._base_keys()
+    nbr, t_s, t_l, t_s_n, t_l_n = net._base
     indirect = t_s_n >= t_l
     duration = t_l_n - t_s_n
     keep = (t_l > t_s) & (~indirect | (duration > 0))
@@ -481,11 +493,10 @@ def save_network(net: DynamicContactNetwork, path: str | Path) -> None:
     ids = _textio.id_text(net.users)
     formats = [_textio.int_text, ids, ids] + [_textio.int_text] * 4
     if net._source is None:
-        parts = [net._base]
+        parts = [(*net._base_keys(), *net._base)]
     else:
         # a day at a time: a scheduled network's repeats are never all made at once
-        parts = ([net._column(k, [d]) for k in range(len(_COLUMNS))]
-                 for d in range(net.horizon))
+        parts = ([net._column(name, [d]) for name in _COLUMNS] for d in range(net.horizon))
     with open(path, "wb") as fh:
         fh.write(f"spdt-net v{NETWORK_FORMAT_VERSION} horizon={net.horizon}\n".encode())
         for columns in parts:

@@ -223,10 +223,10 @@ def build_variants(
             nets["LDT"], nets["LST"] = make_ldt_lst(ddt, cfg.indirect_window_min)
     if "SST" in wanted:
         # DDT's base links are SDT's, and a schedule never changes which
-        # users have base links: DST's base links and users are SST's
+        # users have base links: DST's base links, index and users are SST's
         dst = nets.get("DST")
         nets["SST"] = project_spst(sdt) if dst is None else DynamicContactNetwork(
-            dst.users, cfg.horizon_days, dst._base)
+            dst.users, cfg.horizon_days, dst._base, dst._cells)
     return {variant: nets[variant] for variant in VARIANTS if variant in wanted}
 
 

@@ -197,11 +197,29 @@ class TestNetworkContainer:
         # equal base links and schedules are equal without a column read
         copy = DynamicContactNetwork(dense.users, dense.horizon,
                                      [col.copy() for col in dense._base],
-                                     dense._source.copy())
+                                     dense._cells.copy(), dense._source.copy())
         with mock.patch.object(DynamicContactNetwork, "_column",
                                side_effect=AssertionError("a column was read")):
             assert copy == dense and dense == copy and net == net
         assert net != dense
+
+    def test_equality_compares_indexes(self):
+        # the same five base columns and schedule, with the links in other
+        # (day, host) cells: the index alone tells the networks apart
+        net = from_tuples([("a", "c", 0, 30, 10, 20, 0),
+                           ("b", "c", 0, 30, 10, 20, 0)], horizon=2)
+        other_day = from_tuples([("a", "c", 0, 30, 10, 20, 1),
+                                 ("b", "c", 0, 30, 10, 20, 1)], horizon=2)
+        both_a = DynamicContactNetwork(net.users, net.horizon, net._base,
+                                       np.array([[0, 2, 2, 2], [2, 2, 2, 2]]))
+        for other in (other_day, both_a):
+            assert all(map(np.array_equal, net._base, other._base))
+            assert not np.array_equal(net._cells, other._cells)
+            assert net != other and other != net
+        dense = densify(net)
+        moved = DynamicContactNetwork(dense.users, dense.horizon, dense._base,
+                                      both_a._cells, dense._source)
+        assert dense != moved and moved != dense
 
     def test_day_slices_cover_links(self):
         links = [("a", "b", 0, 10, 5, 8, 0),

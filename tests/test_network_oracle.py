@@ -16,8 +16,10 @@ the variant builders.
 """
 
 import math
+import multiprocessing
 import pickle
 import re
+from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -609,12 +611,12 @@ def test_densify_calls_no_sort():
 
 # --- (day, host) link index ------------------------------------------------
 
-def ref_cells(net):
-    """The (day, host) index built a day at a time, one search per day."""
-    day, host = net._base[:2]
-    users = np.arange(net.n_users + 1)
-    cells = np.empty((net.horizon, users.size), dtype=np.int64)
-    for d in range(net.horizon):
+def ref_cells(day, host, horizon, n_users):
+    """The (day, host) index of links sorted by (day, host), built a day at a
+    time, one search per day."""
+    users = np.arange(n_users + 1)
+    cells = np.empty((horizon, users.size), dtype=np.int64)
+    for d in range(horizon):
         lo, hi = np.searchsorted(day, [d, d + 1])
         cells[d] = lo + np.searchsorted(host[lo:hi], users)
     return cells
@@ -623,11 +625,16 @@ def ref_cells(net):
 def assert_index_matches_columns(net):
     """``host_links`` against a scan of the public columns: every (day, host)
     cell is its source cell's base rows, shifted to the day, and the per-day
-    link counts are those of the columns."""
-    assert np.array_equal(net._cells, ref_cells(net))
-    base_day, base_host, *base_rest = net._base
+    link counts are those of the columns. The index is the day-at-a-time
+    index of the base links' days and hosts, which it alone records."""
+    base_day, base_host = net._base_keys()
+    assert np.array_equal(net._cells, ref_cells(base_day, base_host, net.horizon,
+                                                 net.n_users))
+    fields = ("nbr", "t_s", "t_l", "t_s_n", "t_l_n")
+    assert net._base._fields == fields
+    base_rest = [getattr(net._base, f) for f in fields]
     day, host = net.day, net.host
-    rest = [getattr(net, f) for f in ("nbr", "t_s", "t_l", "t_s_n", "t_l_n")]
+    rest = [getattr(net, f) for f in fields]
     for d in range(net.horizon):
         first, count = net.host_links(d)
         assert first.shape == count.shape == (net.n_users,)
@@ -672,6 +679,56 @@ def test_index_matches_column_scan(net, seed):
     assert_index_matches_columns(pickle.loads(pickle.dumps(dense)))
     assert_index_matches_columns(project_spst(dense))
     assert_index_matches_columns(densify(project_spst(dense), rng_seed=seed + 1))
+
+
+@given(st.integers(1, 4).flatmap(lambda days: st.tuples(
+    st.lists(link(days), max_size=25), st.just(days))))
+def test_index_records_each_links_day_and_host(case):
+    # the index is the only record of a base link's day and host: the public
+    # columns, read through it, are the links in canonical order
+    links, horizon = case
+    net = from_tuples(links, horizon)
+    code = {user: i for i, user in enumerate(net.users)}
+    want = sorted(links, key=lambda ln: (ln[6], code[ln[0]], ln[2], code[ln[1]],
+                                         ln[4], ln[5]))
+    got = to_tuples(net)
+    assert [ln[:2] + ln[6:] for ln in got] == [ln[:2] + ln[6:] for ln in want]
+    assert sorted(got) == sorted(links)
+    day = np.array([ln[6] for ln in want], dtype=np.int64)
+    host = np.array([code[ln[0]] for ln in want], dtype=np.int64)
+    assert np.array_equal(net._cells, ref_cells(day, host, horizon, net.n_users))
+
+
+def held_bytes(net):
+    """Bytes of the distinct arrays that hold a network's base columns."""
+    owners = {}
+    for col in net._base:
+        while isinstance(col.base, np.ndarray):
+            col = col.base
+        owners[id(col)] = col.nbytes
+    return sum(owners.values())
+
+
+def test_base_links_take_five_int64_columns(tmp_path):
+    # a base link's day and host live in the index: 40 B a base link, for
+    # networks extracted, projected, densified, rewritten, loaded and built
+    # from a block of seven columns
+    parsed, visits, cfg = synthetic_trace()
+    sdt = extract_spdt_links(visits, parsed, cfg)
+    dense = densify(sdt)
+    assert dense._source is not None
+    save_network(sdt, tmp_path / "sdt.spdt")
+    save_network(dense, tmp_path / "ddt.spdt")
+    nets = [sdt, project_spst(sdt), dense, project_spst(dense), *make_ldt_lst(dense),
+            load_network(tmp_path / "sdt.spdt"), load_network(tmp_path / "ddt.spdt"),
+            pickle.loads(pickle.dumps(dense)),
+            from_tuples([("a", "b", 0, 30, 10, 20, 0), ("b", "a", 0, 30, 10, 20, 0)], 1)]
+    for net in nets:
+        n = int(net._cells[-1, -1])
+        assert n > 1
+        assert [col.dtype for col in net._base] == [np.dtype(np.int64)] * 5
+        assert all(col.shape == (n,) for col in net._base)
+        assert held_bytes(net) == 40 * n
 
 
 # --- scheduled against materialised networks -------------------------------
@@ -724,12 +781,29 @@ def test_scheduled_network_matches_materialised(tmp_path_factory, net, seed):
         assert densify(a, rng_seed=seed + 1) == densify(b, rng_seed=seed + 1)
 
 
+def test_densified_network_pickles_into_a_forkserver_worker():
+    # an argument reaches a forkserver worker pickled, through __reduce__;
+    # a fork pool would inherit the network instead
+    parsed, visits, cfg = synthetic_trace()
+    dense = densify(extract_spdt_links(visits, parsed, cfg))
+    assert dense._source is not None
+    sim = SimulationConfig(seeds=5, horizon_days=dense.horizon, r_t=35.0, sigma=500.0,
+                           rng_seed=3, runs=4)
+    want = run_simulation(dense, sim, workers=1)
+    assert want[:, :, 0].sum() > 0
+    with ProcessPoolExecutor(max_workers=1,
+                             mp_context=multiprocessing.get_context("forkserver")) as pool:
+        got = pool.submit(run_simulation, dense, sim, 1).result()
+    assert np.array_equal(got, want)
+
+
 # --- the same-time projection against a copy of every column ---------------
 
 def ref_project_spst(net):
     """The same-time projection with every kept column copied: the reference
     for the projection that shares the columns it leaves unchanged."""
-    day, host, nbr, t_s, t_l, t_s_n, t_l_n = net._base
+    day, host = net._base_keys()
+    nbr, t_s, t_l, t_s_n, t_l_n = net._base
     keep = (t_s_n < t_l) & (t_s < t_l)
     return DynamicContactNetwork._from_arrays(
         net.users, net.horizon, day[keep], host[keep], nbr[keep],
@@ -739,11 +813,14 @@ def ref_project_spst(net):
 
 
 def assert_same_network(a, b):
-    """Equal, with equal users, schedules, base links and public columns."""
+    """Equal, with equal users, schedules, base links, indexes and public
+    columns."""
     assert a == b and a.users == b.users and a.horizon == b.horizon
     assert (a._source is None) == (b._source is None)
     assert a._source is None or np.array_equal(a._source, b._source)
+    assert len(a._base) == len(b._base) == 5
     assert all(map(np.array_equal, a._base, b._base))
+    assert np.array_equal(a._cells, b._cells)
     for f in network._COLUMNS:
         assert np.array_equal(getattr(a, f), getattr(b, f))
 
@@ -752,6 +829,8 @@ def assert_same_network(a, b):
        st.sampled_from([0, 3]))
 @example(from_tuples([], 3), 0)  # no links
 @example(from_tuples([("a", "b", 0, 30, 10, 20, 0)], 2), 0)  # every link kept
+# every link kept, but capping t_l_n at t_l swaps the two rows
+@example(from_tuples([("a", "b", 0, 10, 5, 8, 0), ("a", "b", 0, 6, 5, 9, 0)], 1), 0)
 def test_project_spst_matches_copying_reference(net, seed):
     dense = densify(net, rng_seed=seed)
     ldt = make_ldt_lst(dense)[0]
@@ -762,5 +841,5 @@ def test_project_spst_matches_copying_reference(net, seed):
     # a schedule keeps the base links: the plain network over the densified
     # network's projection's base links is the plain network's projection
     dst = project_spst(dense)
-    assert_same_network(DynamicContactNetwork(dst.users, dst.horizon, dst._base),
-                        project_spst(net))
+    assert_same_network(DynamicContactNetwork(dst.users, dst.horizon, dst._base,
+                                              dst._cells), project_spst(net))

@@ -208,10 +208,17 @@ class TestBuildVariants:
         nets = build_variants(small_trace, 4, ("SDT", "SST", "DDT", "DST",
                                                "LDT", "LST"))
         assert set(nets) == {"SDT", "SST", "DDT", "DST", "LDT", "LST"}
-        # one projection: DST's base links are SST's arrays, and LST holds
-        # LDT's six columns that the projection leaves unchanged
-        assert all(a is b for a, b in zip(nets["DST"]._base, nets["SST"]._base))
-        assert all(a is b for a, b in zip(nets["LST"]._base[:6], nets["LDT"]._base[:6]))
+        # DDT holds SDT's base links and index; one projection: SST holds
+        # DST's five columns and index, and LST holds LDT's index and the
+        # four columns that the projection leaves unchanged
+        for a, b in (("DDT", "SDT"), ("SST", "DST"), ("LST", "LDT")):
+            assert nets[a]._cells is nets[b]._cells
+        for a, b in zip(nets["DDT"]._base, nets["SDT"]._base):
+            assert a is b
+        for a, b in zip(nets["SST"]._base, nets["DST"]._base):
+            assert a is b
+        for f in ("nbr", "t_s", "t_l", "t_s_n"):
+            assert getattr(nets["LST"]._base, f) is getattr(nets["LDT"]._base, f)
         assert set(nets["SST"].users) <= set(nets["SDT"].users)
         assert nets["LDT"].users == nets["LST"].users
         assert np.array_equal(nets["LDT"].day_link_counts(),
