@@ -5,7 +5,8 @@ np.uint64)`` gives, for a whole array of keys in one vectorised pass, and
 ``generator`` builds one from one key's words that draws exactly what
 ``np.random.default_rng(np.random.SeedSequence(key))`` draws. Importing this
 module loads numpy.random (about 2 MB of resident memory), so the simulator
-imports it only when it runs; the metrics commands never load it.
+and the trace generator import it only when they run; the metrics commands
+never load it.
 """
 
 import numpy as np

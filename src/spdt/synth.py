@@ -5,8 +5,10 @@ so a few hubs attract most visits and induce heterogeneous contact degrees.
 Each user is active on a random subset of days; on an active day they make a
 few non-overlapping visits, reporting positions on a roughly 15-minute
 cadence with small spatial jitter around the location point. Update times
-are whole minutes. Generation is deterministic under the configured seed
-(per-user substreams, so it could be parallelised without changing output).
+are whole minutes. Generation is deterministic under the configured seed:
+each user draws from their own substream, one visit at a time (update
+count, then the visit's uniforms, then its position offsets), and the
+times, locations and positions are then computed once for the whole trace.
 """
 
 from __future__ import annotations
@@ -103,56 +105,59 @@ def location_layout(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
     return xy, weights
 
 
-def _jitter(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    """Gaussian planar jitter clipped to stay well inside the visit radius."""
-    off = rng.normal(0.0, scale, size=(n, 2))
-    norm = np.hypot(off[:, 0], off[:, 1])
-    cap = 3.0 * scale
-    too_far = norm > cap
-    if too_far.any():
-        off[too_far] *= (cap / norm[too_far])[:, None]
-    return off
-
-
 def generate_trace(cfg: SynthConfig) -> Updates:
     """Generate updates for every user with at least one."""
+    # _rng loads numpy.random, which the metrics commands never need
+    from ._rng import generator, mix
     loc_xy, loc_weights = location_layout(cfg)
     # Generator.choice(n, p=w)'s own search, without its per-call checks
     cdf = np.cumsum(loc_weights)
     cdf /= cdf[-1]
     interval = UPDATE_INTERVAL_MIN
-    v_lo, v_hi = cfg.visits_per_active_day
-    u_lo, u_hi = cfg.updates_per_visit
+    (v_lo, v_hi), (u_lo, u_hi) = cfg.visits_per_active_day, cfg.updates_per_visit
     id_width = max(4, len(str(max(cfg.n_users - 1, 0))))
 
-    owner, sizes = [], []  # each visit's user and update count
-    ts, xy = [np.empty(0)], [np.empty((0, 2))]
-    for user in range(cfg.n_users):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.rng_seed, _STREAM_USER, user))
-        )
+    # each visit's (user, day, k, n_visits, n_upd), its 2 + n_upd uniforms
+    # (start slack, location, one time jitter per update) and its offsets
+    visits, draws, offsets = [], [np.empty(0)], [np.empty((0, 2))]
+    seeds = mix(cfg.rng_seed, _STREAM_USER, np.arange(cfg.n_users))
+    for user, words in enumerate(seeds):
+        rng = generator(words)
         active = rng.random(cfg.days) < cfg.active_day_probability
         for day in np.flatnonzero(active).tolist():
             n_visits = int(rng.integers(v_lo, v_hi + 1))
-            slot = MINUTES_PER_DAY / n_visits
             for k in range(n_visits):
                 n_upd = int(rng.integers(u_lo, u_hi + 1))
-                duration = (n_upd - 1) * interval
-                slack = max(slot - duration - interval, 1.0)
-                start = day * MINUTES_PER_DAY + k * slot + rng.uniform(0.0, slack)
-                loc = int(cdf.searchsorted(rng.random(), side="right"))
-                times = start + np.arange(n_upd) * interval \
-                    + rng.uniform(-2.0, 2.0, n_upd)
-                times = np.maximum.accumulate(np.maximum(times, 0.0).round())
-                ts.append(times.astype(np.int64))
-                xy.append(loc_xy[loc] + _jitter(rng, n_upd, POSITION_JITTER_M))
-                owner.append(user)
-                sizes.append(n_upd)
+                visits.append((user, day, k, n_visits, n_upd))
+                draws.append(rng.random(2 + n_upd))
+                offsets.append(rng.normal(0.0, POSITION_JITTER_M, size=(n_upd, 2)))
 
-    present, user = np.unique(np.repeat(np.array(owner, dtype=np.int64), sizes),
-                              return_inverse=True)
+    owner, day, k, n_visits, n_upd = np.array(visits, dtype=np.int64).reshape(-1, 5).T
+    d, off = np.concatenate(draws), np.concatenate(offsets)
+    del visits, draws, offsets  # ~100 B of array header a visit, freed before the tail
+    visit = np.repeat(np.arange(n_upd.size), n_upd)
+    first = np.cumsum(n_upd) - n_upd  # each visit's first update
+    row = np.arange(visit.size)
+    head = first + 2 * np.arange(n_upd.size)  # each visit's first uniform
+    # uniform(lo, hi) draws lo + (hi - lo) * d: these are its exact bits
+    slot = MINUTES_PER_DAY / n_visits
+    slack = np.maximum(slot - (n_upd - 1) * interval - interval, 1.0)
+    start = day * MINUTES_PER_DAY + k * slot + (0.0 + slack * d[head])
+    loc = cdf.searchsorted(d[head + 1], side="right")
+    times = start[visit] + (row - first[visit]) * interval \
+        + (-2.0 + 4.0 * d[row + 2 * visit + 2])
+    t = np.maximum(times, 0.0).round().astype(np.int64)
+    # each visit's running maximum: lifting visit i by i * (max t + 1) keeps
+    # every visit's times above all of the visits before it
+    lift = visit * (t.max(initial=0) + 1)
+    t = np.maximum.accumulate(t + lift) - lift
+
+    norm = np.hypot(*off.T)
+    too_far = norm > 3.0 * POSITION_JITTER_M  # well inside the visit radius
+    off[too_far] *= (3.0 * POSITION_JITTER_M / norm[too_far])[:, None]
+    x, y = (loc_xy[loc[visit]] + off).T
+    present, user = np.unique(owner[visit], return_inverse=True)
     users = [f"u{u:0{id_width}d}" for u in present.tolist()]
-    t, (x, y) = np.concatenate(ts), np.concatenate(xy).T
     # each user's rows in (t, x, y) order, as a sort of those tuples gives
     order = np.lexsort((y, x, t, user))
     return Updates(users, user[order], t[order], x[order], y[order])
