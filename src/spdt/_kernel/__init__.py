@@ -30,11 +30,18 @@ def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p, impl=None):
     """Inhaled dose per link (PFU) from its four times; equal-length arrays
     in, float64 array out.
 
+    The removal rate ``r`` is an equal-length array or one number for every
+    link. A number is used as a float: it is not gathered per link, and the
+    doses equal, bit for bit, those of that rate repeated in an array.
     ``impl`` overrides the backend (used by the benchmarks); callers
     normally leave it unset.
     """
     arrs = [np.asarray(x) for x in (t_s, t_l, t_s_n, t_l_n, r)]
-    if arrs[0].ndim != 1 or any(arr.shape != arrs[0].shape for arr in arrs):
+    if arrs[4].ndim == 0:
+        arrs[4] = float(arrs[4])
+    elif arrs[4].shape != arrs[0].shape:
+        raise ValueError("the rate must be a number or an array as long as the times")
+    if arrs[0].ndim != 1 or any(arr.shape != arrs[0].shape for arr in arrs[1:4]):
         raise ValueError("link arrays must be one-dimensional and equal length")
     backend = impl if impl is not None else _exposure_np
     return backend.batch_link_exposure(*arrs, float(g), float(V), float(p))

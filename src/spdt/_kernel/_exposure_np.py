@@ -15,9 +15,12 @@ _BLOCK = 1 << 13
 
 def _phi(w):
     # (1 - e^-w)/w with phi(0) = 1; expm1 keeps small-w values exact, and
-    # expm1(-w)/(-w) rounds as -expm1(-w)/w does
+    # expm1(-w)/(-w) rounds as -expm1(-w)/w does. One reduction rules out
+    # w <= 0 and NaN, which skips the mask: the same bits where w > 0
     m = np.negative(w)
     phi = np.expm1(m)
+    if w.min() > 0.0:
+        return np.divide(phi, m, out=phi)
     pos = w > 0.0
     np.divide(phi, m, out=phi, where=pos)
     phi[~pos] = 1.0
@@ -56,22 +59,30 @@ def link_doses(d_len, lead, i_len, stay, gap, r, g, V, p):
     Block by block into a zeroed output: the direct term only where
     ``d_len > 0`` and the indirect term only where ``i_len > 0``. A link
     without a segment has an exact +0.0 term, so skipping it changes no bit
-    of the sum. Integer geometry is converted to float64 exactly.
+    of the sum. Integer geometry is converted to float64 exactly. ``r`` is
+    one rate per link or a float shared by all; a shared rate gives the
+    same bits as that rate repeated.
     """
     n = d_len.shape[0]
     out = np.zeros(n)
     for a in range(0, n, _BLOCK):
         b = a + _BLOCK
         _class_doses(out[a:b], d_len[a:b], lead[a:b], i_len[a:b], stay[a:b],
-                     gap[a:b], r[a:b], g, V, p)
+                     gap[a:b], _rates(r, slice(a, b)), g, V, p)
     return out
+
+
+def _rates(r, rows):
+    # a float shared by all links is used as it is: it is not gathered, and
+    # g p / (r V) is one scalar, rounded as each link's copy would be
+    return r if np.ndim(r) == 0 else r[rows]
 
 
 def _class_doses(out, d_len, lead, i_len, stay, gap, r, g, V, p):
     # concentration rising toward g/(rV) while the host is present
     k = np.flatnonzero(d_len > 0)
     if k.size:
-        rk, length = r[k], d_len[k].astype(np.float64, copy=False)
+        rk, length = _rates(r, k), d_len[k].astype(np.float64, copy=False)
         w = rk * length
         phi = _phi(w)
         term = _psi(w, phi)
@@ -80,7 +91,7 @@ def _class_doses(out, d_len, lead, i_len, stay, gap, r, g, V, p):
     # exponential decay after the host left
     k = np.flatnonzero(i_len > 0)
     if k.size:
-        rk = r[k]
+        rk = _rates(r, k)
         length, s = (x[k].astype(np.float64, copy=False) for x in (i_len, stay))
         dose = (g * p) / (rk * V) * rk * s
         dose *= _phi(np.multiply(rk, s, out=s))
@@ -91,7 +102,8 @@ def _class_doses(out, d_len, lead, i_len, stay, gap, r, g, V, p):
 
 
 def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p):
-    """Inhaled dose (PFU) per link; all time/rate arguments are equal-length arrays.
+    """Inhaled dose (PFU) per link; the times are equal-length arrays and
+    ``r`` is one more, or a float shared by all links.
 
     Each block is converted to float64 on its own, so integer times (exact in
     float64) need no full-length float copy.
@@ -101,5 +113,5 @@ def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p):
     for a in range(0, n, _BLOCK):
         b = a + _BLOCK
         times = (np.asarray(x[a:b], dtype=np.float64) for x in (t_s, t_l, t_s_n, t_l_n))
-        out[a:b] = link_doses(*link_geometry(*times), r[a:b], g, V, p)
+        out[a:b] = link_doses(*link_geometry(*times), _rates(r, slice(a, b)), g, V, p)
     return out

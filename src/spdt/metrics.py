@@ -12,8 +12,9 @@ is mapped to its node position once, the strong links are taken straight
 from the dose array, and undirected edges are deduplicated as sorted codes
 ``lo * n + hi``, from which the sorted arcs and degrees follow. Triangles
 are counted on a bitset adjacency of ``n * ceil(n / 64)`` 64-bit words
-(about 0.5 MB for 2,000 users): per edge, the ``np.bitwise_count`` of the
-AND of its two ends' rows is its number of common neighbours. Coefficients
+(about 0.5 MB for 2,000 users), stored as ``ceil(n / 64)`` word columns:
+per edge, the ``np.bitwise_count`` of the AND of its two ends' words,
+summed over the columns, is its number of common neighbours. Coefficients
 divide integer counts in float64, so they equal the exact ratios, and means
 are summed in node order. Doses are evaluated once per r_t over a network's
 base links; a daily graph takes the strong base links of the day's
@@ -66,7 +67,8 @@ def run_summaries(counts: np.ndarray
     return outbreak_size(counts), effective, initial
 
 
-# bytes of bitset rows gathered at once when counting common neighbours
+# bytes of one bitset column's words gathered at once per edge end when
+# counting common neighbours
 _CHUNK_BYTES = 1 << 18
 
 
@@ -101,26 +103,31 @@ class StaticGraph:
     def _clustering(self) -> np.ndarray:
         """Local clustering per node, zero below degree two.
 
-        The bit count of the AND of an edge's two rows of a bitset adjacency
-        (``ceil(n/64)`` 64-bit words per node) is its common neighbours, the
-        triangles on it; credited to both ends, they sum to 2 T(v) per node.
+        The bitset adjacency is stored as ``ceil(n/64)`` columns of n 64-bit
+        words, column c holding each node's neighbours 64c to 64c + 63. An
+        edge's common neighbours, the triangles on it, are the bit counts of
+        the AND of its two ends' words, added one column at a time; credited
+        to both ends, they sum to 2 T(v) per node.
         """
         n = len(self.nodes)
         coeffs = np.zeros(n)
         if self._codes.size == 0:
             return coeffs
         width = -(-n // 64)
-        word = np.repeat(np.arange(n) * width, self._degree) + (self._indices >> 6)
+        word = (self._indices >> 6) * n + np.repeat(np.arange(n), self._degree)
         bit = np.left_shift(np.uint64(1), (self._indices & 63).astype(np.uint64))
-        # arcs are sorted, so the bits of each word arrive as one run
+        # arcs are sorted by (source, target), so the bits of each word
+        # arrive as one run
         starts = np.flatnonzero(np.diff(word, prepend=-1))
-        rows = np.zeros((n, width), dtype=np.uint64)
-        rows.reshape(-1)[word[starts]] = np.bitwise_or.reduceat(bit, starts)
+        cols = np.zeros((width, n), dtype=np.uint64)
+        cols.reshape(-1)[word[starts]] = np.bitwise_or.reduceat(bit, starts)
         lo, hi = np.divmod(self._codes, n)
-        step = max(1, _CHUNK_BYTES // (8 * width))
-        common = np.concatenate([
-            np.bitwise_count(rows[lo[a:a + step]] & rows[hi[a:a + step]]).sum(axis=1)
-            for a in range(0, lo.size, step)])
+        common = np.zeros(lo.size, dtype=np.int64)
+        step = max(1, _CHUNK_BYTES // 8)
+        for a in range(0, lo.size, step):
+            u, v, total = lo[a:a + step], hi[a:a + step], common[a:a + step]
+            for col in cols:
+                total += np.bitwise_count(col[u] & col[v])
         closed = np.bincount(lo, common, n) + np.bincount(hi, common, n)
         d = self._degree
         hub = d >= 2
@@ -135,7 +142,8 @@ def _graph_nodes(net: DynamicContactNetwork, universe
     index = {u: i for i, u in enumerate(nodes)}
     missing = [u for u in net.users if u not in index]
     if missing:
-        raise ValueError(f"universe misses {len(missing)} users present in the network")
+        raise ValueError(f"universe misses {len(missing)} users present in the "
+                         f"network, the first {missing[0]!r}")
     return nodes, np.array([index[u] for u in net.users], dtype=np.int64)
 
 
@@ -145,9 +153,9 @@ def _strong_links(net: DynamicContactNetwork, r_t: float, threshold: float
     base link's repeats join the same users with the same dose, since doses
     depend only on differences of whole minutes."""
     times = [getattr(net._base, f) for f in ("t_s", "t_l", "t_s_n", "t_l_n")]
-    return batch_link_exposure(*times, np.broadcast_to(1.0 / r_t, times[0].shape),
-                               DEFAULT_GENERATION_RATE, DEFAULT_PROXIMITY_VOLUME,
-                               DEFAULT_PULMONARY_RATE) >= threshold
+    doses = batch_link_exposure(*times, 1.0 / r_t, DEFAULT_GENERATION_RATE,
+                                DEFAULT_PROXIMITY_VOLUME, DEFAULT_PULMONARY_RATE)
+    return doses >= threshold
 
 
 def static_graph(
@@ -165,8 +173,12 @@ def static_graph(
     check_positive("r_t", r_t)
     check_positive("threshold", threshold)
     nodes, node_of = _graph_nodes(net, universe)
-    strong = _strong_links(net, r_t, threshold)
-    host, nbr = (node_of[col[strong]] for col in (net._base_keys()[1], net._base.nbr))
+    strong = np.flatnonzero(_strong_links(net, r_t, threshold))
+    # the index's cell ends, day by day, never decrease: the first end past a
+    # base row is the end of its (day, host) cell
+    cell = np.searchsorted(net._cells[:, 1:].ravel(), strong, side="right")
+    host, nbr = node_of[cell % net.n_users], node_of[net._base.nbr[strong]]
+    del strong, cell  # freed before the graph's own temporaries
     return StaticGraph(nodes, host, nbr)
 
 

@@ -6,8 +6,11 @@ The trend criteria run the desk-scale profile (2,000 users, 14 days,
 """
 
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 from scipy.integrate import quad
 
 from linkrows import edge_set, to_tuples
+from spdt import epidemic
 from spdt._kernel import batch_link_exposure
 from spdt.epidemic import (
     INFECTED,
@@ -307,7 +311,7 @@ def test_criterion_6_reconstruction_sign_pattern(desk):
 # criterion 7: epidemic invariants and bit-identical outputs
 
 
-def test_criterion_7_epidemic_invariants(tmp_path):
+def _criterion_7_case():
     cfg_trace = SynthConfig(n_users=250, days=6, rng_seed=17, n_locations=15,
                             area_m=(900.0, 900.0), active_day_probability=0.4)
     parsed = ParsedTrace(updates=generate_trace(cfg_trace))
@@ -315,6 +319,11 @@ def test_criterion_7_epidemic_invariants(tmp_path):
                              BuilderConfig(horizon_days=6))
     cfg = SimulationConfig(seeds=25, horizon_days=6, r_t=60.0, rng_seed=11,
                            runs=6)
+    return net, cfg
+
+
+def test_criterion_7_epidemic_invariants(tmp_path):
+    net, cfg = _criterion_7_case()
 
     # state-level invariants, stepped manually
     order = {SUSCEPTIBLE: 0, INFECTED: 1, RECOVERED: 2}
@@ -342,6 +351,23 @@ def test_criterion_7_epidemic_invariants(tmp_path):
     blobs = [p.read_bytes() for p in paths]
     assert all(b == blobs[0] for b in blobs[1:])
     _report(7, "epidemic invariants and bit-identical outputs")
+
+
+def test_criterion_7_worker_count_under_forkserver(monkeypatch):
+    # Python 3.14 starts pool workers by forkserver, which sends each worker
+    # the scheduled network and its geometry by pickle instead of inheriting
+    # them; the counts must still not depend on the worker count
+    net, cfg = _criterion_7_case()
+    dense = densify(net)
+    assert dense._source is not None
+    busiest = int(dense.day_link_counts().max())
+    monkeypatch.setattr(epidemic, "_BLOCK_PAIRS", 2 * busiest)
+    assert epidemic._block_runs(dense) == 2  # three blocks: the pool runs
+    monkeypatch.setattr(epidemic, "ProcessPoolExecutor", partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("forkserver")))
+    want = run_simulation(dense, cfg, workers=1)
+    assert want[:, :, NEW_INFECTIONS].sum() > 0
+    assert np.array_equal(run_simulation(dense, cfg, workers=2), want)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from linkrows import edge_set, from_tuples
+from spdt.cli import main
 from spdt.metrics import (
     StaticGraph,
     clustering_distribution,
@@ -20,7 +21,7 @@ from spdt.metrics import (
     write_histogram_csv,
     write_summary_csv,
 )
-from spdt.network import BuilderConfig, extract_spdt_links, project_spst
+from spdt.network import BuilderConfig, extract_spdt_links, project_spst, save_network
 from spdt.synth import SynthConfig, generate_trace
 from spdt.trace import ParsedTrace, segment_all
 
@@ -175,8 +176,18 @@ class TestExposureThresholdGraph:
         assert edge_set(hi) <= edge_set(lo)
 
     def test_universe_must_cover_network_users(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"misses 2 users .*, the first 'c'$"):
             static_graph(self._net(), universe=["a", "b"])
+
+    def test_cli_names_the_user_the_universe_misses(self, tmp_path, capsys):
+        net, small = tmp_path / "net.spdt", tmp_path / "small.spdt"
+        save_network(self._net(), net)
+        save_network(from_tuples([("a", "b", 0, 120, 10, 110, 0)], horizon=1), small)
+        assert main(["metrics", "--net", str(net), "--universe-net", str(small),
+                     "--out-prefix", str(tmp_path / "m_")]) == 2
+        assert capsys.readouterr().err == (
+            "spdt: error: universe misses 2 users present in the network, "
+            "the first 'c'\n")
 
     @pytest.mark.parametrize("bad", [-5.0, 0.0, 0, float("nan"), float("inf"),
                                      float("-inf")])

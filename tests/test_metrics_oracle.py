@@ -21,6 +21,7 @@ from spdt.exposure import (
     DEFAULT_PULMONARY_RATE,
 )
 from spdt import metrics
+from spdt.network import densify
 from spdt.metrics import (
     DailyMetricsRow,
     StaticGraph,
@@ -145,6 +146,9 @@ def network_case(draw):
             host, nbr = nbr, host
         links.append((host, nbr, *times, day))
     net = from_tuples(links, horizon=horizon)
+    # a scheduled network: its graphs read base links through the schedule
+    if draw(st.booleans()):
+        net = densify(net, draw(st.integers(0, 2**32 - 1)))
     extra = draw(st.lists(st.sampled_from([f"x{i}" for i in range(5)] + USERS),
                           max_size=6))
     universe = tuple(net.users) + tuple(extra) if draw(st.booleans()) else None
@@ -231,8 +235,8 @@ def test_constructor_matches_set_reference(edges):
 ], ids=["one-word-rows", "three-word-rows"])
 def test_block_edges_do_not_change_results(monkeypatch, users, max_links, min_edges):
     # blocks far smaller than the inputs: kernel blocks of 7 links, and 16
-    # bytes of bitset rows gathered at once: two one-word rows (21 users), or
-    # less than one three-word row (130 users), which gathers one edge at a time
+    # bytes of each bitset column gathered at once, so two edges at a time
+    # over one word column (21 users) or three (130 users)
     monkeypatch.setattr(_exposure_np, "_BLOCK", 7)
     monkeypatch.setattr(metrics, "_CHUNK_BYTES", 16)
     net = dense_network(np.random.default_rng(5), users, max_links)
