@@ -74,51 +74,53 @@ def read_blocks(lines, block_pass, line_reader, lineno: int = 2):
 
 
 def int_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decimal text of integers as ``str`` writes them: an (n, width) byte
-    matrix with each value right-aligned, and the mask of its used bytes."""
+    """Decimal text of integers as ``str`` writes them: a (width, n) byte
+    matrix, one row per digit or sign, with each value right-aligned in its
+    column, and the mask of its used bytes."""
     values = np.asarray(values, dtype=np.int64)
     neg = values < 0
     magnitude = values.astype(np.uint64)
     np.negative(magnitude, out=magnitude, where=neg)  # exact for -2**63 too
     width = len(str(int(magnitude.max(initial=0)))) + 1  # digits and a sign
-    text = np.empty((values.size, width), dtype=np.uint8)
-    used = np.empty((values.size, width), dtype=bool)
-    used[:, -1] = True
+    text = np.empty((width, values.size), dtype=np.uint8)
+    used = np.empty((width, values.size), dtype=bool)
+    used[-1] = True
     for j in range(width - 1, 0, -1):
         quotient = magnitude // 10
-        text[:, j] = magnitude - quotient * 10
+        text[j] = magnitude - quotient * 10
         magnitude = quotient
         # a digit is used while higher digits remain
-        used[:, j - 1] = magnitude != 0
+        used[j - 1] = magnitude != 0
     text += ord("0")
     if neg.any():
-        rows = np.flatnonzero(neg)
-        sign = np.argmax(used[rows], axis=1) - 1
-        text[rows, sign] = ord("-")
-        used[rows, sign] = True
+        cols = np.flatnonzero(neg)
+        sign = np.argmax(used[:, cols], axis=0) - 1
+        text[sign, cols] = ord("-")
+        used[sign, cols] = True
     return text, used
 
 
 def id_text(users):
     """The formatter of id codes over ``users``: like ``int_text``, but each
-    id's UTF-8 bytes are left-aligned."""
+    id's UTF-8 bytes are top-aligned in its column."""
     encoded = [user.encode("utf-8") for user in users]
     size = np.fromiter(map(len, encoded), np.int64, len(encoded))
-    used = np.arange(size.max(initial=0)) < size[:, None]
+    used = np.arange(size.max(initial=0))[:, None] < size
     text = np.zeros(used.shape, dtype=np.uint8)
-    text[used] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    return lambda codes: (text[codes], used[codes])
+    text.T[used.T] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return lambda codes: (text.take(codes, axis=1), used.take(codes, axis=1))
 
 
 def write_blocks(fh, columns, formats, sep: str) -> None:
     """Write a line per row of equal-length columns, a block at a time: each
-    column's formatter, such as ``int_text``, gives its field as a byte
-    matrix and a used mask; a line joins its fields by ``sep`` and ends by
-    LF."""
+    column's formatter, such as ``int_text``, gives its field as a (width,
+    lines) byte matrix and a used mask. The fields and their separators are
+    stacked as rows, and a line is a column of the stack read top to bottom:
+    its fields joined by ``sep`` and ended by LF."""
     for i in range(0, len(columns[0]), BLOCK_LINES):
         fields = [fmt(col[i:i + BLOCK_LINES]) for fmt, col in zip(formats, columns)]
-        end = np.full((fields[0][0].shape[0], 1), ord(sep), dtype=np.uint8)
-        text = np.hstack([part for field, _ in fields for part in (field, end)])
-        used = np.hstack([part for _, mask in fields for part in (mask, end > 0)])
-        text[:, -1] = ord("\n")
-        fh.write(text[used])
+        end = np.full((1, fields[0][0].shape[1]), ord(sep), dtype=np.uint8)
+        text = np.concatenate([part for field, _ in fields for part in (field, end)])
+        used = np.concatenate([part for _, mask in fields for part in (mask, end > 0)])
+        text[-1] = ord("\n")
+        fh.write(text.T[used.T])

@@ -223,7 +223,10 @@ def daily_network_metrics(
         check_positive("r_t", r_t)
     check_positive("threshold", threshold)
     nodes, node_of = _graph_nodes(net, universe)
-    host, nbr = (node_of[col] for col in (net._base_keys()[1], net._base.nbr))
+    # each base link's host, repeated over its (day, host) cell of the index
+    host = np.repeat(np.tile(np.arange(net.n_users), net.horizon),
+                     np.diff(net._cells, axis=1).ravel())
+    host, nbr = node_of[host], node_of[net._base.nbr]
     strong_by_r_t = [_strong_links(net, r_t, threshold) for r_t in r_t_values]
     rows = []
     for day in range(net.horizon):

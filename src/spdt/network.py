@@ -227,6 +227,8 @@ def _first_fault(horizon, day, host, nbr, t_s, t_l, t_s_n, t_l_n):
 # candidate (visit, update) pairs, so that temporaries stay small whatever
 # the size of the trace.
 _PAIR_BLOCK = 1 << 16
+# a block's link keys are below 2**_KEY_BITS, so they sort as int64
+_KEY_BITS = 63
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -281,8 +283,10 @@ def extract_spdt_links(
     stably sorted by (day, host, rounded start), so the links leave in
     canonical order and are not sorted again unless two visits tie on all
     three. The ranges are expanded and filtered in blocks of at most
-    ``_PAIR_BLOCK`` pairs, and each (visit, neighbour) group is reduced to
-    its first and last update time.
+    ``_PAIR_BLOCK`` pairs. A block's hits are grouped by one in-place sort
+    of int64 keys of (visit, neighbour, update time rank), so each
+    (visit, neighbour) group's first and last update times are read off its
+    first and last key.
     """
     if isinstance(updates, ParsedTrace):
         updates = updates.updates
@@ -318,7 +322,7 @@ def extract_spdt_links(
     times, rank = _dense_rank(t)
     key = cell * times.size + rank
     order = np.argsort(key, kind="stable")
-    key, code, t, x, y = key[order], code[order], t[order], x[order], y[order]
+    key, code, rank, x, y = key[order], code[order], rank[order], x[order], y[order]
 
     # per visit: rounded host bounds, day, and the time window in ranks
     t_s_v = rounded_start[kept].astype(np.int64)
@@ -343,12 +347,16 @@ def extract_spdt_links(
     counts = hi - lo
     per_visit = np.cumsum(counts.sum(axis=1))
 
+    # a block's link keys ((vis - a) * users + nbr) * times.size + time rank
+    # stay below 2**63; a one-visit block fits while users * times.size does
+    max_visits = max(1, (1 << _KEY_BITS) // max(1, len(users) * times.size))
     parts = [[] for _ in _COLUMNS]
     a = 0
     while a < host.size:
         # visits [a, b) hold at most _PAIR_BLOCK candidates, or one visit
         done = per_visit[a - 1] if a else 0
         b = max(int(np.searchsorted(per_visit, done + _PAIR_BLOCK, side="right")), a + 1)
+        b = min(b, a + max_visits)
         c = counts[a:b].ravel()
         if c.any():
             vis = np.repeat(np.arange(a, b), counts[a:b].sum(axis=1))
@@ -356,16 +364,20 @@ def extract_spdt_links(
             dx = x[pos] - v_x[vis]
             dy = y[pos] - v_y[vis]
             hit = (dx * dx + dy * dy <= radius2) & (code[pos] != host[vis])
-            # one group per (visit, neighbour), ordered by visit, then neighbour
+            # one sort of the hits' link keys groups them by (visit,
+            # neighbour), in that order, and each group by time: its first
+            # and last keys hold its earliest and latest update
             pos = pos[hit]
-            group = vis[hit] * len(users) + code[pos]
-            by_group = np.argsort(group, kind="stable")
-            group, tc = group[by_group], t[pos[by_group]]
-            starts = np.flatnonzero(_run_starts(group))
-            if starts.size:
-                first = np.rint(np.minimum.reduceat(tc, starts)).astype(np.int64)
-                last = np.rint(np.maximum.reduceat(tc, starts)).astype(np.int64)
-                vis, nbr = np.divmod(group[starts], len(users))
+            link_key = ((vis[hit] - a) * len(users) + code[pos]) * times.size + rank[pos]
+            link_key.sort()
+            group = link_key // times.size
+            head = _run_starts(group)
+            if head.size:
+                tail = np.append(head[1:], True)
+                first = np.rint(times[link_key[head] % times.size]).astype(np.int64)
+                last = np.rint(times[link_key[tail] % times.size]).astype(np.int64)
+                vis, nbr = np.divmod(group[head], len(users))
+                vis += a
                 t_s, t_l, w_end = t_s_v[vis], t_l_v[vis], window_end[vis]
                 t_l_n = np.minimum(last, w_end)
                 # link invariants after rounding; violating candidates carry
@@ -416,8 +428,11 @@ def densify(net: DynamicContactNetwork,
 
     For every host, each day without links receives a time-shifted copy of
     that host's links from one of their active days, drawn uniformly from a
-    per-host stream so the result is independent of iteration order. Links on
-    originally active days are untouched.
+    per-host stream so the result is independent of iteration order. The
+    stream is ``default_rng(SeedSequence((rng_seed, _user_hash(user))))``;
+    the seeds of every host that misses a day are mixed in one pass, and
+    each host's draws are taken from a generator over its mixed words.
+    Links on originally active days are untouched.
 
     Nothing is copied: the result is the network's own base links with a
     (day, host) table of source days, the identity where the host has links.
@@ -432,14 +447,26 @@ def densify(net: DynamicContactNetwork,
     partial = np.flatnonzero((n_active > 0) & (n_active < horizon))
     if not partial.size:
         return net
+    from . import _rng  # loads numpy.random
+
+    hashes = np.fromiter((_user_hash(net.users[h]) for h in partial.tolist()),
+                         np.uint64, partial.size)
+    low, high = hashes & 0xFFFFFFFF, hashes >> 32
+    # SeedSequence keys a hash below 2**32 by one word, any other by two
+    one_word = high == 0
+    words = np.empty((partial.size, 4), dtype=np.uint64)
+    words[one_word] = _rng.mix(rng_seed, low[one_word])
+    words[~one_word] = _rng.mix(rng_seed, low[~one_word], high[~one_word])
+    # each host's active and missing days, host by host, in day order
+    n_days = n_active[partial]
+    _, days = np.nonzero(active[:, partial].T)
+    host, missing = np.nonzero(~active[:, partial].T)
+    # one source day per missing day, drawn in day order
+    draws = np.concatenate([
+        _rng.generator(seed_words).integers(n, size=horizon - n)
+        for seed_words, n in zip(words, n_days.tolist())])
     source = np.repeat(np.arange(horizon)[:, None], n_users, axis=1)
-    for h in partial.tolist():
-        days = np.flatnonzero(active[:, h])
-        missing = np.flatnonzero(~active[:, h])
-        rng = np.random.default_rng(np.random.SeedSequence(
-            (rng_seed, _user_hash(net.users[h]))))
-        # one source day per missing day, drawn in day order
-        source[missing, h] = days[rng.integers(days.size, size=missing.size)]
+    source[missing, partial[host]] = days[(np.cumsum(n_days) - n_days)[host] + draws]
     if net._source is not None:
         source = np.take_along_axis(net._source, source, axis=0)
     return DynamicContactNetwork(net.users, net.horizon, net._base, net._cells, source)

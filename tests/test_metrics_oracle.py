@@ -8,6 +8,8 @@ edge sets, degree histograms, per-node coefficients and every daily row
 compared with ``==``, not approximately.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +23,7 @@ from spdt.exposure import (
     DEFAULT_PULMONARY_RATE,
 )
 from spdt import metrics
-from spdt.network import densify
+from spdt.network import DynamicContactNetwork, densify
 from spdt.metrics import (
     DailyMetricsRow,
     StaticGraph,
@@ -249,3 +251,14 @@ def test_block_edges_do_not_change_results(monkeypatch, users, max_links, min_ed
         assert_graphs_equal(graph, ref)
     assert daily_network_metrics(net, [10.0, 60.0]) == ref_daily(
         net, [10.0, 60.0], metrics.DEFAULT_EDGE_THRESHOLD, net.users)
+
+
+def test_daily_metrics_read_hosts_from_the_index():
+    # each base link's host is read off the index's row counts; the day and
+    # host columns of _base_keys are never built
+    net = dense_network(np.random.default_rng(5))
+    for net in (net, densify(net)):
+        want = ref_daily(net, [10.0, 60.0], metrics.DEFAULT_EDGE_THRESHOLD, net.users)
+        with mock.patch.object(DynamicContactNetwork, "_base_keys",
+                               side_effect=AssertionError("_base_keys called")):
+            assert daily_network_metrics(net, [10.0, 60.0]) == want

@@ -308,6 +308,69 @@ def test_extract_sorts_visits_not_links():
     assert spy.call_count == 1 and [len(key) for key in keys] == [n_kept] * 3
 
 
+@st.composite
+def crowded_case(draw):
+    """Few visits, each with neighbours that report many times: at tied
+    times, at the window's edges and at one spot, so groups of one
+    (visit, neighbour) hold many updates of one cell and one time."""
+    delta = draw(st.sampled_from([200.0, 7.25]))
+    cfg = BuilderConfig(radius_m=RADIUS, indirect_window_min=delta, horizon_days=2)
+    visits = draw(st.lists(visit(USERS), min_size=1, max_size=4))
+    updates = []
+    for v in visits:
+        times = [v.t_start - 0.5, v.t_start, v.t_start + 0.5, v.t_end, v.t_end + delta]
+        spots = [(0.0, 0.0), (0.25, 0.0), (RADIUS / 4, -RADIUS / 4), (RADIUS, 0.0)]
+        for user in draw(st.lists(st.sampled_from(USERS), min_size=1, max_size=3)):
+            for _ in range(draw(st.integers(5, 25))):
+                dx, dy = draw(st.sampled_from(spots))
+                updates.append(LocationUpdate(user, draw(st.sampled_from(times)),
+                                              v.anchor_x + dx, v.anchor_y + dy))
+    return visits, draw(st.permutations(updates)), cfg
+
+
+@settings(max_examples=100)
+@given(crowded_case(), st.sampled_from([1, 3, 7, 1 << 16]))
+def test_extract_crowded_groups_match_per_visit_reference(case, block):
+    visits, updates, cfg = case
+    update_cols, visit_cols = columns(updates, visits)
+    with mock.patch.object(network, "_PAIR_BLOCK", block):
+        got = extract_spdt_links(visit_cols, update_cols, cfg)
+    assert got == ref_extract(visits, updates, cfg)
+
+
+def test_extract_groups_links_by_one_sort():
+    # the only argsort orders the updates; the (visit, neighbour) groups are
+    # found by sorting their keys, with no argsort or reduceat over candidates
+    parsed, visits, cfg = synthetic_trace()
+    argsort = mock.Mock(wraps=np.argsort)
+    minimum, maximum = mock.Mock(wraps=np.minimum), mock.Mock(wraps=np.maximum)
+    with mock.patch.multiple(np, argsort=argsort, minimum=minimum, maximum=maximum):
+        net = extract_spdt_links(visits, parsed, cfg)
+    assert net.n_links > 1000
+    assert [call.args[0].size for call in argsort.call_args_list] == [len(parsed.updates)]
+    assert not minimum.reduceat.called and not maximum.reduceat.called
+
+
+@pytest.mark.parametrize("spare_bits", [0, 2])
+def test_extract_blocks_keep_link_keys_in_range(spare_bits):
+    # a block's link keys are below (visits * users * time ranks); with the
+    # key range cut to just over one or four visits' worth, blocks are split
+    # by that cap alone and the links do not change
+    parsed, visits, cfg = synthetic_trace()
+    want = extract_spdt_links(visits, parsed, cfg)
+    span = len(parsed.updates.users) * np.unique(parsed.updates.t).size
+    bits = span.bit_length() + spare_bits
+    cap = (1 << bits) // span
+    assert cap == 1 << spare_bits
+    ranges = mock.Mock(wraps=network._ranges)
+    with mock.patch.object(network, "_KEY_BITS", bits), \
+            mock.patch.object(network, "_ranges", ranges):
+        assert extract_spdt_links(visits, parsed, cfg) == want
+    # each block's candidate ranges are its visits' nine cells
+    block_visits = [call.args[0].size // 9 for call in ranges.call_args_list]
+    assert max(block_visits) == cap
+
+
 HOST = Visit("h", 0.0, 0.0, 0.0, 30.0)
 # two visits of one host whose starts round to the same minute, far apart:
 # the first's only neighbour sorts after the second's, so their links leave
@@ -607,6 +670,31 @@ def test_densify_calls_no_sort():
         dense = densify(net)
     assert dense == ref_densify(net, network.DEFAULT_DENSIFY_SEED)
     assert list(dense.day_link_counts()) == [3, 3, 3, 3]
+
+
+# one-, two- and three-word seeds: a zero word past the key's end is the
+# zero padding of SeedSequence's four-word pool, so only a three-word seed
+# tells a one-word hash from the same hash with a zero high word
+@pytest.mark.parametrize("seed", [0, 2**40 + 3, 2**64 + 7])
+@pytest.mark.parametrize("hashes", [[0], [1], [2**32 - 1], [2**32], [2**64 - 1],
+                                    [0, 2**32, 1, 2**64 - 1, 2**32 - 1]])
+def test_densify_seeds_one_and_two_word_hashes(seed, hashes):
+    # SeedSequence keys a user hash below 2**32 by one word and any other by
+    # two; drawn ids all hash past 2**32, so the hashes are set here, the same
+    # for every host or different across them. Each link starts d minutes
+    # into its day d, so every source day gives different copies
+    net = from_tuples([(host, "z", t, t + 10, t + 5, t + 20, d)
+                       for k, host in enumerate(HOSTS) for d in range(k, 6, k + 1)
+                       for t in [d * (MINUTES_PER_DAY + 1)]], 6)
+    code = {user: i for i, user in enumerate(net.users)}
+
+    def user_hash(user):
+        return hashes[code[user] % len(hashes)]
+
+    with mock.patch.object(network, "_user_hash", user_hash):
+        dense = densify(net, rng_seed=seed)
+        assert dense._source is not None
+        assert dense == ref_densify(net, seed)
 
 
 # --- (day, host) link index ------------------------------------------------

@@ -4,12 +4,17 @@ character that ``str.isspace`` matches, and is UTF-8.
 ``save_network`` writes exactly the ids the rule keeps, ``load_network``
 reads each back equal, and a trace row is kept exactly when its stripped id
 keeps it, whether a block is converted at once or read line by line.
+
+``write_blocks`` writes the lines that joining ``str`` of each field writes,
+for int64 and id columns, whatever the block size.
 """
 
+import io
 import sys
 from unittest import mock
 
 import pytest
+import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -70,3 +75,41 @@ def test_one_id_rule(tmp_path_factory, block, user):
             assert len(parsed.updates) == 2 + kept
             if kept:
                 assert user.strip() in parsed.updates.users
+
+
+INT64_EDGES = [-2**63, -2**63 + 1, -10**18, -10, -9, -1, 0, 1, 9, 10, 10**18, 2**63 - 1]
+INT64 = st.one_of(st.sampled_from(INT64_EDGES), st.integers(-1000, 1000),
+                  st.integers(-2**63, 2**63 - 1))
+WORD = st.text(st.sampled_from(OTHERS[:3] + OTHERS[4:]), min_size=1, max_size=10)
+
+
+@st.composite
+def text_rows(draw):
+    """Rows of int64 fields and codes of ids, and the ids."""
+    users = draw(st.lists(WORD, min_size=1, max_size=6, unique=True))
+    kinds = draw(st.lists(st.sampled_from(["int", "id"]), min_size=1, max_size=5))
+    field = {"int": INT64, "id": st.integers(0, len(users) - 1)}
+    rows = draw(st.lists(st.tuples(*(field[kind] for kind in kinds)), max_size=20))
+    return users, kinds, rows
+
+
+def written(users, kinds, rows, sep):
+    formats = {"int": _textio.int_text, "id": _textio.id_text(users)}
+    columns = np.array(rows, dtype=np.int64).reshape(-1, len(kinds)).T
+    fh = io.BytesIO()
+    _textio.write_blocks(fh, columns, [formats[kind] for kind in kinds], sep)
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("block", [1, 3, _textio.BLOCK_LINES])
+@given(case=text_rows(), sep=st.sampled_from([" ", ","]))
+@example(case=(["a"], ["int"] * 3, [(-2**63, 0, 2**63 - 1), (0, -1, 1)]), sep=" ")
+@example(case=(["a", "\u00e9t\u00e9", "user_0123456789"], ["id", "int", "id"],
+               [(0, -5, 1), (2, 10**17, 0), (1, 0, 2)]), sep=",")
+def test_write_blocks_matches_str_join(block, case, sep):
+    users, kinds, rows = case
+    with mock.patch.object(_textio, "BLOCK_LINES", block):
+        got = written(users, kinds, rows, sep)
+    want = "".join(sep.join(users[v] if kind == "id" else str(v)
+                            for kind, v in zip(kinds, row)) + "\n" for row in rows)
+    assert got == want.encode("utf-8")
