@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _exposure_np
-from ._exposure_np import link_doses, link_geometry
+from ._exposure_np import _rates, link_doses, link_geometry
 
 KERNEL_BACKEND: str = _exposure_np.NAME
 
@@ -34,14 +34,23 @@ def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p, impl=None):
     link. A number is used as a float: it is not gathered per link, and the
     doses equal, bit for bit, those of that rate repeated in an array.
     ``impl`` overrides the backend (used by the benchmarks); callers
-    normally leave it unset.
+    normally leave it unset. The backend runs ``_BLOCK`` links at a time,
+    each block converted to float64 on its own, so integer times (exact in
+    float64) need no full-length float copy.
     """
-    arrs = [np.asarray(x) for x in (t_s, t_l, t_s_n, t_l_n, r)]
-    if arrs[4].ndim == 0:
-        arrs[4] = float(arrs[4])
-    elif arrs[4].shape != arrs[0].shape:
+    *times, r = (np.asarray(x) for x in (t_s, t_l, t_s_n, t_l_n, r))
+    if r.ndim == 0:
+        r = float(r)
+    elif r.shape != times[0].shape:
         raise ValueError("the rate must be a number or an array as long as the times")
-    if arrs[0].ndim != 1 or any(arr.shape != arrs[0].shape for arr in arrs[1:4]):
+    if times[0].ndim != 1 or any(arr.shape != times[0].shape for arr in times[1:]):
         raise ValueError("link arrays must be one-dimensional and equal length")
     backend = impl if impl is not None else _exposure_np
-    return backend.batch_link_exposure(*arrs, float(g), float(V), float(p))
+    g, V, p = float(g), float(V), float(p)
+    out = np.empty(times[0].shape[0])
+    for a in range(0, out.size, backend._BLOCK):
+        b = a + backend._BLOCK
+        block = (np.asarray(x[a:b], dtype=np.float64) for x in times)
+        out[a:b] = backend.link_doses(*backend.link_geometry(*block),
+                                      _rates(r, slice(a, b)), g, V, p)
+    return out

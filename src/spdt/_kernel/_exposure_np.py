@@ -100,18 +100,3 @@ def _class_doses(out, d_len, lead, i_len, stay, gap, r, g, V, p):
         dose *= _phi(np.multiply(rk, length, out=length))
         out[k] += dose
 
-
-def batch_link_exposure(t_s, t_l, t_s_n, t_l_n, r, g, V, p):
-    """Inhaled dose (PFU) per link; the times are equal-length arrays and
-    ``r`` is one more, or a float shared by all links.
-
-    Each block is converted to float64 on its own, so integer times (exact in
-    float64) need no full-length float copy.
-    """
-    n = t_s.shape[0]
-    out = np.empty(n)
-    for a in range(0, n, _BLOCK):
-        b = a + _BLOCK
-        times = (np.asarray(x[a:b], dtype=np.float64) for x in (t_s, t_l, t_s_n, t_l_n))
-        out[a:b] = link_doses(*link_geometry(*times), _rates(r, slice(a, b)), g, V, p)
-    return out

@@ -76,7 +76,7 @@ class DynamicContactNetwork:
     ``_from_arrays`` validates, sorts only rows out of order and builds the
     index; a network over another's base links and index is built with the
     constructor. The public columns are the links in canonical order, read
-    through the index and gathered anew on each read of a scheduled network.
+    through the index and gathered anew on each read.
     """
 
     __slots__ = ("users", "horizon", "_base", "_source", "_cells")
@@ -138,15 +138,15 @@ class DynamicContactNetwork:
         return first, self._cells[src, hosts + 1] - first
 
     def _base_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Day and host of each base link, read from the index: the public
-        columns of the plain network over the base links."""
-        plain = DynamicContactNetwork(self.users, self.horizon, self._base, self._cells)
-        return plain.day, plain.host
+        """Day and host of each base link, repeated over its (day, host) cell
+        of the index."""
+        count = np.diff(self._cells, axis=1)
+        day = np.repeat(np.arange(self.horizon), count.sum(axis=1))
+        host = np.repeat(np.tile(np.arange(self.n_users), self.horizon), count.ravel())
+        return day, host
 
     def _column(self, name: str, days=None) -> np.ndarray:
         """Public column ``name`` over the links of ``days``, by default all."""
-        if days is None and self._source is None and name in _Base._fields:
-            return getattr(self._base, name)
         days = np.arange(self.horizon) if days is None else np.asarray(days)
         first, count = self.host_links(days)
         if name in ("day", "host"):
@@ -505,7 +505,7 @@ def make_ldt_lst(
     return ldt, project_spst(ldt)
 
 
-_HEADER_RE = re.compile(r"^spdt-net v(\d+) horizon=(\d+)$")
+_HEADER_RE = re.compile(r"^spdt-net v([0-9]+) horizon=([0-9]+)$")
 
 
 def save_network(net: DynamicContactNetwork, path: str | Path) -> None:

@@ -409,16 +409,19 @@ def run_plan(plan: ExperimentPlan, trace_path, out_dir) -> dict:
 def _load_group_means(run_dir: Path) -> dict[tuple[str, str, str], dict[float, float]]:
     """Mean outbreak by (variant, sigma, tau) group, keyed by r_t inside.
 
-    Raises naming ``path:line`` unless the file starts with the header
-    run_plan writes and every row has its eight fields, r_t and
+    Raises naming ``path:line`` unless the file is UTF-8, starts with the
+    header run_plan writes and every row has its eight fields, r_t and
     outbreak_size numeric.
     """
     path = run_dir / "summary.csv"
     sums: dict[tuple, list[float]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline() != _SUMMARY_HEADER:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        header = fh.readline()
+        _textio.check_utf8(path, 1, header)
+        if header != _SUMMARY_HEADER:
             raise ValueError(f"{path}:1: header is not {_SUMMARY_HEADER.strip()!r}")
         for lineno, line in enumerate(fh, start=2):
+            _textio.check_utf8(path, lineno, line)
             try:
                 variant, r_t, sigma, tau, _, size, _, _ = line.rstrip("\n").split(",")
                 sums.setdefault(((variant, sigma, tau), float(r_t)), []).append(

@@ -10,12 +10,10 @@ the visit but never move the anchor.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -101,34 +99,31 @@ def _project_equirectangular(lat: np.ndarray, lon: np.ndarray):
             EARTH_RADIUS_M * (np.radians(lat) - lat0))
 
 
-def parse_trace(source: str | Path | TextIO) -> ParsedTrace:
-    """Parse a trace CSV into updates sorted by (user, time).
+def parse_trace(path: str | Path) -> ParsedTrace:
+    """Parse a trace CSV file into updates sorted by (user, time).
 
     The header names the coordinates: ``user_id,t_min,x_m,y_m`` for planar
     metres, or ``user_id,t_min,lat,lon`` for geographic degrees, which are
     converted to planar metres about the trace centroid; under the latter,
     rows with |lat| > 90 or |lon| > 180 are skipped. Rows with the wrong
     field count, non-numeric or non-finite values, or a user id that,
-    stripped, is empty, contains whitespace or (in a text stream) is not
-    UTF-8 are counted by reason and skipped too. A missing or other header
-    raises, as do bytes that are not UTF-8 in a trace given by path.
+    stripped, is empty or contains whitespace are counted by reason and
+    skipped too. A missing or other header and bytes that are not UTF-8
+    raise, naming ``path:line``.
 
     A block of rows that are all well formed is converted a column at a
     time; any other block is read one row at a time, which counts each
     skipped row's reason.
     """
-    path = source if isinstance(source, (str, Path)) else None
-    with (nullcontext(source) if path is None else open(
-            path, "r", encoding="utf-8", errors="surrogateescape", newline="")) as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         header_line = fh.readline()
-        if path is not None:
-            _textio.check_utf8(path, 1, header_line)
+        _textio.check_utf8(path, 1, header_line)
         if not header_line:
-            raise ValueError("empty trace: missing header")
+            raise ValueError(f"{path}:1: empty trace: missing header")
         header = tuple(part.strip() for part in header_line.strip().split(","))
         if header not in (TRACE_HEADER, TRACE_HEADER_LATLON):
-            raise ValueError(f"unparseable trace header {header_line.strip()!r}; "
-                             f"expected {','.join(TRACE_HEADER)!r} or "
+            raise ValueError(f"{path}:1: unparseable trace header {header_line.strip()!r};"
+                             f" expected {','.join(TRACE_HEADER)!r} or "
                              f"{','.join(TRACE_HEADER_LATLON)!r}")
         latlon = header == TRACE_HEADER_LATLON
         reasons: dict[str, int] = {}
@@ -179,8 +174,7 @@ def _parse_lines(latlon: bool, reasons: dict, path, lines: list[str], start: int
     ids: list[str] = []
     values: list[float] = []  # t, x, y of each kept row in turn
     for lineno, line in enumerate(lines, start=start):
-        if path is not None:
-            _textio.check_utf8(path, lineno, line)
+        _textio.check_utf8(path, lineno, line)
         line = line.strip()
         if not line:
             continue

@@ -2,6 +2,7 @@
 against the single-pass reference, per-link agreement with quadrature."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -82,6 +83,26 @@ def test_blocks_do_not_change_doses(monkeypatch):
         whole[1000:1007].view(np.int64),
         batch_link_exposure(*(a[1000:1007] for a in args[:5]),
                             *args[5:]).view(np.int64))
+
+
+def test_impl_runs_its_own_functions_a_block_at_a_time():
+    # benchmarks check each backend through impl=: the wrapper must call the
+    # named module's geometry and doses, one call each per block of its size
+    calls = []
+
+    def spy(name, fn):
+        def call(*args):
+            calls.append((name, len(args[0])))
+            return fn(*args)
+        return call
+
+    fake = types.SimpleNamespace(_BLOCK=3, link_geometry=spy("geometry", link_geometry),
+                                 link_doses=spy("doses", link_doses))
+    args = (*(col[:8] for col in random_links(20, seed=2)), *GVP)
+    assert args[0].size == 8
+    got = batch_link_exposure(*args, impl=fake)
+    assert calls == [(name, n) for n in (3, 3, 2) for name in ("geometry", "doses")]
+    assert same_bits(got, batch_link_exposure(*args))
 
 
 KINDS = ("direct", "indirect", "both", "neither")

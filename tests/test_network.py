@@ -401,7 +401,7 @@ class TestPersistence:
     def header_fault(self, tmp_path, header):
         # the malformed body line would name line 2 if it were parsed
         path = tmp_path / "net.spdt"
-        path.write_text(f"{header}\n0 a b\n")
+        path.write_text(f"{header}\n0 a b\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
             load_network(path)
         return str(info.value).replace(f"{path}:", "path:", 1)
@@ -413,6 +413,13 @@ class TestPersistence:
     def test_garbage_header_rejected(self, tmp_path):
         assert self.header_fault(tmp_path, "something else") == (
             "path:1: not a network file: bad header 'something else'")
+
+    @pytest.mark.parametrize("header", ["spdt-net v1 horizon=\u0663",
+                                        "spdt-net v\u0661 horizon=3"])
+    def test_non_ascii_digits_rejected(self, tmp_path, header):
+        # str.isdigit and int() take any Unicode digit; save_network writes 0-9
+        assert self.header_fault(tmp_path, header) == (
+            f"path:1: not a network file: bad header {header!r}")
 
     def test_carriage_return_ends_the_header(self, tmp_path):
         assert self.header_fault(tmp_path, "spdt-net v1 horizon=3\rspdt") == (

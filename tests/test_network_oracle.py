@@ -769,6 +769,21 @@ def test_index_matches_column_scan(net, seed):
     assert_index_matches_columns(densify(project_spst(dense), rng_seed=seed + 1))
 
 
+@given(indexed_network(), st.sampled_from([0, 3]))
+@example(from_tuples([], 3), 0)
+@example(from_tuples([("a", "b", 1440, 1470, 1450, 1480, 1)], 3), 0)
+def test_base_keys_are_the_plain_networks_day_and_host(net, seed):
+    # the plain network over the base links and the index has the base links
+    # as its links: its public day and host columns are their keys
+    dense = densify(net, rng_seed=seed)
+    for variant in (net, dense, *make_ldt_lst(dense)):
+        plain = DynamicContactNetwork(variant.users, variant.horizon, variant._base,
+                                      variant._cells)
+        day, host = variant._base_keys()
+        assert day.dtype == host.dtype == np.int64
+        assert np.array_equal(day, plain.day) and np.array_equal(host, plain.host)
+
+
 @given(st.integers(1, 4).flatmap(lambda days: st.tuples(
     st.lists(link(days), max_size=25), st.just(days))))
 def test_index_records_each_links_day_and_host(case):

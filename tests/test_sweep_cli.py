@@ -760,17 +760,19 @@ class TestCli:
         assert not out.exists()
 
     @staticmethod
-    def _run_dirs(tmp_path, summary: str, listed: bool = True):
+    def _run_dirs(tmp_path, summary: str | bytes, listed: bool = True):
         # two run directories holding the same summary.csv, their manifests
         # listing it with its digest, or listing no outputs
-        digest = hashlib.sha256(summary.encode()).hexdigest()
+        if isinstance(summary, str):
+            summary = summary.encode()
+        digest = hashlib.sha256(summary).hexdigest()
         manifest = {"format": "spdt-run v1", "trace": {"sha256": "0"},
                     "outputs": {"summary.csv": digest} if listed else {}}
         runs = tmp_path / "a", tmp_path / "b"
         for run in runs:
             run.mkdir(parents=True)
             (run / "manifest.json").write_text(json.dumps(manifest) + "\n")
-            (run / "summary.csv").write_text(summary)
+            (run / "summary.csv").write_bytes(summary)
         return runs
 
     def _compare_fails(self, runs, tmp_path, capsys) -> str:
@@ -807,6 +809,18 @@ class TestCli:
         runs = self._run_dirs(tmp_path, summary)
         err = self._compare_fails(runs, tmp_path, capsys)
         assert f"{runs[0] / 'summary.csv'}:{line}:" in err
+
+    @pytest.mark.parametrize("summary, line", [
+        (b"variant,r_t,sigma,tau,run,outbreak_size,R_e,initial_\xff\n", 1),
+        (b"variant,r_t,sigma,tau,run,outbreak_size,R_e,initial_R_t\n"
+         b"SDT,10,0.33,4,0,5,0.0,0.0\nSDT\xff,10,0.33,4,1,5,0.0,0.0\n", 3),
+    ], ids=["header", "row"])
+    def test_compare_names_a_summary_line_not_utf8(self, tmp_path, capsys, summary,
+                                                   line):
+        runs = self._run_dirs(tmp_path, summary)
+        err = self._compare_fails(runs, tmp_path, capsys)
+        assert err == (f"spdt: error: {runs[0] / 'summary.csv'}:{line}: "
+                       f"bytes that are not UTF-8\n")
 
     @pytest.mark.parametrize("case", [
         "metrics of the network", "simulate of the network", "build --horizon",

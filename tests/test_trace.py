@@ -2,7 +2,8 @@
 
 import io
 import math
-
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,8 +25,20 @@ from tracerows import (
 )
 
 
+# every trace is read from a file: the files of this module live here
+_TRACES = tempfile.TemporaryDirectory()
+
+
+def trace_file(text: str) -> Path:
+    """A new file holding the text's UTF-8 bytes, each CR and LF kept."""
+    fd, name = tempfile.mkstemp(suffix=".csv", dir=_TRACES.name)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    return Path(name)
+
+
 def make_trace(rows, header="user_id,t_min,x_m,y_m"):
-    return io.StringIO(header + "\n" + "".join(r + "\n" for r in rows))
+    return trace_file(header + "\n" + "".join(r + "\n" for r in rows))
 
 
 def parsed_rows(rows, header="user_id,t_min,x_m,y_m"):
@@ -39,17 +52,33 @@ def segment(updates, radius_m=20.0, max_gap_min=30.0):
 
 class TestParseTrace:
     def test_empty_file_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            parse_trace(io.StringIO(""))
+        path = trace_file("")
+        with pytest.raises(ValueError, match="header") as info:
+            parse_trace(path)
+        assert str(info.value) == f"{path}:1: empty trace: missing header"
 
     def test_header_only_gives_empty(self):
         parsed = parse_trace(make_trace([]))
         assert len(parsed.updates) == 0 and parsed.skipped == 0
 
     def test_wrong_header_rejected(self):
+        path = make_trace([], header="uid,time,x,y")
         with pytest.raises(ValueError, match="unparseable") as info:
-            parse_trace(make_trace([], header="uid,time,x,y"))
+            parse_trace(path)
+        assert str(info.value).startswith(f"{path}:1: unparseable trace header 'uid,")
         assert "'user_id,t_min,x_m,y_m' or 'user_id,t_min,lat,lon'" in str(info.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty trace: missing header"),
+        ("uid,t,x,y\na,0,0,0\n", "unparseable trace header 'uid,t,x,y'; "),
+    ])
+    def test_cli_names_the_file_of_a_header_fault(self, tmp_path, capsys, text,
+                                                  message):
+        path = trace_file(text)
+        out = tmp_path / "net.spdt"
+        assert main(["build", "--trace", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"spdt: error: {path}:1: {message}")
+        assert not out.exists()
 
     def test_header_picks_the_coordinates(self):
         # the same two rows are 0.001 m apart as metres, ~111 m as degrees
@@ -225,7 +254,7 @@ def assert_same_trace(got, want):
 def test_parse_matches_per_row_oracle(text, block):
     want = parse_rows(io.StringIO(text, newline=""))
     with mock.patch.object(_textio, "BLOCK_LINES", block):
-        assert_same_trace(parse_trace(io.StringIO(text, newline="")), want)
+        assert_same_trace(parse_trace(trace_file(text)), want)
 
 
 def test_parse_by_path_matches_per_row_oracle(tmp_path):
