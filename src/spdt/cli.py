@@ -20,6 +20,7 @@ from .epidemic import SimulationConfig, resolve_workers, run_simulation, write_d
 from .exposure import check_positive
 from .metrics import (
     DEFAULT_EDGE_THRESHOLD,
+    check_r_t,
     clustering_distribution,
     daily_network_metrics,
     degree_distribution,
@@ -165,7 +166,7 @@ def _cmd_metrics(args) -> int:
     try:  # bad values fail before the load
         r_t_values = [float(v) for v in args.r_t.split(",")]
         for r_t in r_t_values:
-            check_positive("r_t", r_t)
+            check_r_t(r_t)
     except ValueError as exc:
         raise ValueError(f"--r-t: {exc}") from None
     check_positive("--threshold", args.threshold)

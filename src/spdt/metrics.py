@@ -147,6 +147,14 @@ def _graph_nodes(net: DynamicContactNetwork, universe
     return nodes, np.array([index[u] for u in net.users], dtype=np.int64)
 
 
+def check_r_t(r_t: float) -> None:
+    """Reject a median removal time that is not positive and finite, or so
+    small that the fixed rate 1 / r_t overflows to inf (every dose NaN)."""
+    check_positive("r_t", r_t)
+    if 1.0 / r_t == float("inf"):
+        raise ValueError(f"r_t must be large enough for 1/r_t to be finite, got {r_t!r}")
+
+
 def _strong_links(net: DynamicContactNetwork, r_t: float, threshold: float
                   ) -> np.ndarray:
     """Mask of the base links whose dose at ``r_t`` reaches the threshold; a
@@ -170,7 +178,7 @@ def static_graph(
     removal time ``r_t``. Pass a ``universe`` superset to compare variants of
     the same trace over a common node set.
     """
-    check_positive("r_t", r_t)
+    check_r_t(r_t)
     check_positive("threshold", threshold)
     nodes, node_of = _graph_nodes(net, universe)
     strong = np.flatnonzero(_strong_links(net, r_t, threshold))
@@ -220,7 +228,7 @@ def daily_network_metrics(
     """One aggregated graph per day per r_t; mean degree and clustering over
     the universe (absent users count as isolated)."""
     for r_t in r_t_values:
-        check_positive("r_t", r_t)
+        check_r_t(r_t)
     check_positive("threshold", threshold)
     nodes, node_of = _graph_nodes(net, universe)
     # each base link's host, repeated over its (day, host) cell of the index

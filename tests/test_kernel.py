@@ -251,3 +251,27 @@ def test_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         batch_link_exposure(np.zeros(3), np.ones(3), np.zeros(3), np.ones(2),
                             np.full(3, 0.1), 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("rate", [0.1, np.full(2, 0.1)])
+def test_integer_times_past_2_53_keep_exact_lengths(rate):
+    # lengths are taken in int64 before any float conversion, so a link far
+    # from time 0 has the dose of the same link at time 0
+    near = np.array([[0, 30, 10, 100], [0, 30, 0, 20]])
+    far = near + 2**60
+    want = batch_link_exposure(*near.T, rate, *GVP)
+    assert want[0] > 0.01
+    assert same_bits(batch_link_exposure(*far.T, rate, *GVP), want)
+    assert same_bits(batch_link_exposure(*far.astype(np.uint64).T, rate, *GVP), want)
+    top = np.array([[2**64 - 100, 2**64 - 70, 2**64 - 90, 2**64 - 1]] * 2, dtype=np.uint64)
+    assert same_bits(batch_link_exposure(*top.T, rate, *GVP),
+                     batch_link_exposure(*(top - top.min()).astype(np.int64).T, rate, *GVP))
+
+
+@pytest.mark.parametrize("link", [(-2**62, 2**62, 0, 1), (0, 2**63 + 5, 10, 20)])
+def test_integer_times_spanning_past_int64_name_the_link(link):
+    ok = (0, 30, 10, 100)
+    dtype = np.uint64 if max(link) >= 2**63 else np.int64
+    times = np.array([ok, ok, link, ok], dtype=dtype).T
+    with pytest.raises(ValueError, match=r"^link 2: .*2\*\*63"):
+        batch_link_exposure(*times, 0.1, *GVP)

@@ -199,6 +199,16 @@ class TestExposureThresholdGraph:
         with pytest.raises(ValueError, match=pattern):
             daily_network_metrics(net, [60.0, bad])
 
+    @pytest.mark.parametrize("bad", [1e-310, 5e-324])
+    def test_rejects_removal_time_whose_rate_overflows(self, bad):
+        # positive and finite, but 1 / r_t is inf and would make every dose NaN
+        net = self._net()
+        pattern = rf"r_t .*1/r_t .*{re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=pattern):
+            static_graph(net, r_t=bad)
+        with pytest.raises(ValueError, match=pattern):
+            daily_network_metrics(net, [60.0, bad])
+
     @pytest.mark.parametrize("bad", [-0.01, 0.0, float("nan"), float("inf")])
     def test_rejects_threshold_not_positive_finite(self, bad):
         net = self._net()

@@ -629,6 +629,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--r-t" in err and "missing.spdt" not in err
 
+    def test_metrics_r_t_whose_rate_overflows_named_before_the_load(self, tmp_path,
+                                                                    capsys):
+        missing = str(tmp_path / "missing.spdt")
+        assert main(["metrics", "--net", missing, "--out-prefix",
+                     str(tmp_path / "m_"), "--r-t", "10,1e-310"]) == 2
+        err = capsys.readouterr().err
+        assert "--r-t: r_t must be large enough for 1/r_t to be finite, got 1e-310" in err
+        assert "missing.spdt" not in err
+
     @pytest.mark.parametrize("flags, named", [
         (["--r-t", "10,0", "--daily"], "--r-t"),
         (["--r-t", "nan"], "--r-t"),
