@@ -1,6 +1,6 @@
-"""The rules of spdt's block text formats: trace CSV, network files and daily
-counts. Files are read and written ``BLOCK_LINES`` lines at a time, so that
-temporaries stay small whatever the size of the file.
+"""The rules of spdt's text formats: trace CSV, network files, daily counts
+and the report tables. Files are read and written ``BLOCK_LINES`` lines at a
+time, so that temporaries stay small whatever the size of the file.
 """
 
 from __future__ import annotations
@@ -46,14 +46,16 @@ def join_lines(lines) -> bytes:
     return block.replace(b"\r\n", b"\n") if b"\r" in block else block
 
 
-def read_blocks(lines, block_pass, line_reader, lineno: int = 2):
+def read_blocks(lines, block_pass, line_reader):
     """The parts of an iterable of lines read a block at a time, the distinct
-    user ids, sorted, and each id code's position among them. A block is
+    user ids, sorted, and each id code's position among them. The lines
+    follow a one-line header, so the first is line 2. A block is
     converted by ``block_pass(lines, index)`` or, if that returns None, by
     ``line_reader(lines, lineno, index)``, which also returns the number of
     the line after it; both code ids in ``index`` in the order met."""
     index: dict[str, int] = {}
     parts = []
+    lineno = 2
     while block := list(islice(lines, BLOCK_LINES)):
         part = block_pass(block, index)
         if part is None:
@@ -124,3 +126,18 @@ def write_blocks(fh, columns, formats, sep: str) -> None:
         used = np.concatenate([part for _, mask in fields for part in (mask, end > 0)])
         text[-1] = ord("\n")
         fh.write(text.T[used.T])
+
+
+def float_field(value: float) -> str:
+    """A float's table field: its repr, empty for NaN."""
+    return "" if np.isnan(value) else repr(float(value))
+
+
+def write_table(path, header: str, lines) -> None:
+    """Write a text table in UTF-8: the header line, then each of ``lines``,
+    every line ended by LF, ``BLOCK_LINES`` lines at a time."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        while block := list(islice(lines, BLOCK_LINES)):
+            fh.write("\n".join(block) + "\n")

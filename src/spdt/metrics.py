@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _textio
 from ._kernel import batch_link_exposure
 from .epidemic import NEW_INFECTIONS, NEW_RECOVERIES, SimulationConfig
 from .exposure import (
@@ -247,32 +248,23 @@ def daily_network_metrics(
     return rows
 
 
-def _fmt(value: float) -> str:
-    return "" if np.isnan(value) else repr(float(value))
-
-
 def write_summary_csv(counts: np.ndarray, path) -> None:
     """Write per-run aggregates as `run,outbreak_size,R_e` rows (empty R_e when
     undefined)."""
     outbreak, effective, _ = run_summaries(counts)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("run,outbreak_size,R_e\n")
-        fh.write("".join([f"{run},{size},{_fmt(r_e)}\n" for run, (size, r_e)
-                          in enumerate(zip(outbreak.tolist(), effective.tolist()))]))
+    _textio.write_table(path, "run,outbreak_size,R_e", (
+        f"{run},{size},{_textio.float_field(r_e)}" for run, (size, r_e)
+        in enumerate(zip(outbreak.tolist(), effective.tolist()))))
 
 
 def write_daily_metrics_csv(rows: Sequence[DailyMetricsRow], variant: str, path) -> None:
     """Write `day,mean_degree,mean_clustering,r_t,variant` rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("day,mean_degree,mean_clustering,r_t,variant\n")
-        for row in rows:
-            fh.write(f"{row.day},{row.mean_degree!r},{row.mean_clustering!r},"
-                     f"{row.r_t!r},{variant}\n")
+    _textio.write_table(path, "day,mean_degree,mean_clustering,r_t,variant", (
+        f"{row.day},{row.mean_degree!r},{row.mean_clustering!r},{row.r_t!r},{variant}"
+        for row in rows))
 
 
 def write_histogram_csv(hist: dict, path) -> None:
     """Write a `value,count` histogram sorted by value."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("value,count\n")
-        for value in sorted(hist):
-            fh.write(f"{value},{hist[value]}\n")
+    _textio.write_table(path, "value,count",
+                        (f"{value},{hist[value]}" for value in sorted(hist)))

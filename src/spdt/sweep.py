@@ -29,7 +29,7 @@ from .epidemic import (
     run_simulation,
     write_daily_csv,
 )
-from .metrics import _fmt, outbreak_size, run_summaries
+from .metrics import outbreak_size, run_summaries
 from .network import (
     DEFAULT_DENSIFY_SEED,
     BuilderConfig,
@@ -45,7 +45,7 @@ VARIANTS = ("SDT", "SST", "DDT", "DST", "LDT", "LST")
 
 MANIFEST_FORMAT = "spdt-run v1"
 # written by run_plan and required by compare
-_SUMMARY_HEADER = "variant,r_t,sigma,tau,run,outbreak_size,R_e,initial_R_t\n"
+_SUMMARY_HEADER = "variant,r_t,sigma,tau,run,outbreak_size,R_e,initial_R_t"
 
 _PAIRS = (("SDT", "SST"), ("DDT", "DST"), ("LDT", "LST"))
 
@@ -290,9 +290,9 @@ def _cell_rows(cell: str, counts: np.ndarray) -> tuple[list[str], list[str], flo
     cell's counts array.
     """
     outbreak, effective, initial = run_summaries(counts)
-    summary = [f"{cell},{run},{size},{_fmt(r_e)},{_fmt(r_0)}"
-               for run, (size, r_e, r_0) in enumerate(zip(
-                   outbreak.tolist(), effective.tolist(), initial.tolist()))]
+    summary = [f"{cell},{run},{size},{_textio.float_field(r_e)},"
+               f"{_textio.float_field(r_0)}" for run, (size, r_e, r_0) in enumerate(
+                   zip(outbreak.tolist(), effective.tolist(), initial.tolist()))]
     # dividing the numpy scalar keeps the `np.float64(...)` repr that the
     # sweep's recorded digests pin
     totals = counts[:, :, PREVALENCE].sum(axis=0)
@@ -355,33 +355,25 @@ def run_plan(plan: ExperimentPlan, trace_path, out_dir) -> dict:
             record["error"] = f"{type(exc).__name__}: {exc}"
         cell_records.append(record)
 
-    summary_path = out / "summary.csv"
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_SUMMARY_HEADER)
-        fh.write("".join(row + "\n" for row in summary_rows))
-    outputs.append(summary_path)
-
-    prevalence_path = out / "prevalence.csv"
-    with open(prevalence_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("variant,r_t,sigma,tau,day,mean_I_p\n")
-        fh.write("".join(row + "\n" for row in prevalence_rows))
-    outputs.append(prevalence_path)
-
-    amp_path = out / "amplification.csv"
-    with open(amp_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("pair,r_t,sigma,tau,spdt_mean_outbreak,spst_mean_outbreak,"
-                 "amplification\n")
-        for (spdt_v, spst_v), r_t, sigma, tau_spec in product(
-                _PAIRS, plan.r_t_values, plan.sigma_values, plan.tau_values):
-            key_d = (spdt_v, r_t, sigma, tau_spec)
-            key_s = (spst_v, r_t, sigma, tau_spec)
-            if key_d not in mean_outbreaks or key_s not in mean_outbreaks:
-                continue
-            md, ms = mean_outbreaks[key_d], mean_outbreaks[key_s]
-            ratio = "" if ms == 0 else repr(md / ms)
-            fh.write(f"{spdt_v}/{spst_v},{r_t:g},{sigma:g},{tau_spec},"
-                     f"{md!r},{ms!r},{ratio}\n")
-    outputs.append(amp_path)
+    amplification = []
+    for (spdt_v, spst_v), r_t, sigma, tau_spec in product(
+            _PAIRS, plan.r_t_values, plan.sigma_values, plan.tau_values):
+        key_d = (spdt_v, r_t, sigma, tau_spec)
+        key_s = (spst_v, r_t, sigma, tau_spec)
+        if key_d not in mean_outbreaks or key_s not in mean_outbreaks:
+            continue
+        md, ms = mean_outbreaks[key_d], mean_outbreaks[key_s]
+        ratio = "" if ms == 0 else repr(md / ms)
+        amplification.append(f"{spdt_v}/{spst_v},{r_t:g},{sigma:g},{tau_spec},"
+                             f"{md!r},{ms!r},{ratio}")
+    for name, header, lines in (
+        ("summary.csv", _SUMMARY_HEADER, summary_rows),
+        ("prevalence.csv", "variant,r_t,sigma,tau,day,mean_I_p", prevalence_rows),
+        ("amplification.csv", "pair,r_t,sigma,tau,spdt_mean_outbreak,"
+         "spst_mean_outbreak,amplification", amplification),
+    ):
+        _textio.write_table(out / name, header, lines)
+        outputs.append(out / name)
 
     manifest = {
         "format": MANIFEST_FORMAT,
@@ -418,8 +410,8 @@ def _load_group_means(run_dir: Path) -> dict[tuple[str, str, str], dict[float, f
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
         _textio.check_utf8(path, 1, header)
-        if header != _SUMMARY_HEADER:
-            raise ValueError(f"{path}:1: header is not {_SUMMARY_HEADER.strip()!r}")
+        if header != _SUMMARY_HEADER + "\n":
+            raise ValueError(f"{path}:1: header is not {_SUMMARY_HEADER!r}")
         for lineno, line in enumerate(fh, start=2):
             _textio.check_utf8(path, lineno, line)
             try:
@@ -500,16 +492,12 @@ def reconstruct_compare(dir_a, dir_b, out_path=None) -> list[dict]:
                     "difference": by_rt_b[r_t] - by_rt_a[r_t],
                 })
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("r_t,variant_a,sigma_a,tau_a,mean_outbreak_a,"
-                     "variant_b,sigma_b,tau_b,mean_outbreak_b,difference\n")
-            for row in rows:
-                fh.write(
-                    f"{row['r_t']:g},{row['variant_a']},{row['sigma_a']},"
-                    f"{row['tau_a']},{row['mean_outbreak_a']!r},"
-                    f"{row['variant_b']},{row['sigma_b']},{row['tau_b']},"
-                    f"{row['mean_outbreak_b']!r},{row['difference']!r}\n"
-                )
+        _textio.write_table(out_path, "r_t,variant_a,sigma_a,tau_a,mean_outbreak_a,"
+                            "variant_b,sigma_b,tau_b,mean_outbreak_b,difference", (
+            f"{row['r_t']:g},{row['variant_a']},{row['sigma_a']},"
+            f"{row['tau_a']},{row['mean_outbreak_a']!r},"
+            f"{row['variant_b']},{row['sigma_b']},{row['tau_b']},"
+            f"{row['mean_outbreak_b']!r},{row['difference']!r}" for row in rows))
     return rows
 
 

@@ -222,9 +222,8 @@ def write_trace_csv(updates: Updates, path: str | Path) -> None:
         raise ValueError(f"row {row} (user {updates.users[updates.user[row]]!r}): "
                          f"t, x or y is not finite")
     rows = zip(*(col.tolist() for col in (updates.user, updates.t, updates.x, updates.y)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
-        fh.writelines(f"{updates.users[u]},{t!r},{x!r},{y!r}\n" for u, t, x, y in rows)
+    _textio.write_table(path, ",".join(TRACE_HEADER),
+                        (f"{updates.users[u]},{t!r},{x!r},{y!r}" for u, t, x, y in rows))
 
 
 def segment_all(
