@@ -39,6 +39,14 @@ def id_fault(*ids: str) -> str | None:
     return "user id contains whitespace" if _SPACE.search(joined) else None
 
 
+def bad_csv_id(ids) -> str | None:
+    """The first of the ids that cannot be a CSV field, or None: a CSV id
+    keeps the id rule and holds no comma."""
+    if id_fault(*ids) is None and not any("," in i for i in ids):
+        return None
+    return next(i for i in ids if id_fault(i) or "," in i)
+
+
 def join_lines(lines) -> bytes:
     """Lines joined into one block, each CRLF line end made LF: a line ends
     at LF or CRLF. A lone CR is kept, for a text-mode read to end a line at."""

@@ -21,6 +21,7 @@ from .exposure import check_positive
 from .metrics import (
     DEFAULT_EDGE_THRESHOLD,
     check_r_t,
+    check_variant,
     clustering_distribution,
     daily_network_metrics,
     degree_distribution,
@@ -170,6 +171,10 @@ def _cmd_metrics(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--r-t: {exc}") from None
     check_positive("--threshold", args.threshold)
+    try:
+        check_variant(args.variant)
+    except ValueError as exc:
+        raise ValueError(f"--variant: {exc}") from None
     net = load_network(args.net)
     universe = None
     if args.universe_net:

@@ -248,6 +248,14 @@ def daily_network_metrics(
     return rows
 
 
+def check_variant(variant: str) -> None:
+    """Reject a variant label that a daily metrics CSV cannot hold as one
+    field: the id rule, and no comma."""
+    if _textio.bad_csv_id([variant]) is not None:
+        raise ValueError(f"variant {variant!r} not representable in daily metrics "
+                         f"CSV: a label is non-empty UTF-8, without whitespace or commas")
+
+
 def write_summary_csv(counts: np.ndarray, path) -> None:
     """Write per-run aggregates as `run,outbreak_size,R_e` rows (empty R_e when
     undefined)."""
@@ -258,7 +266,9 @@ def write_summary_csv(counts: np.ndarray, path) -> None:
 
 
 def write_daily_metrics_csv(rows: Sequence[DailyMetricsRow], variant: str, path) -> None:
-    """Write `day,mean_degree,mean_clustering,r_t,variant` rows."""
+    """Write `day,mean_degree,mean_clustering,r_t,variant` rows; a variant
+    label that ``check_variant`` rejects raises before the file is opened."""
+    check_variant(variant)
     _textio.write_table(path, "day,mean_degree,mean_clustering,r_t,variant", (
         f"{row.day},{row.mean_degree!r},{row.mean_clustering!r},{row.r_t!r},{variant}"
         for row in rows))

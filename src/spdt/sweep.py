@@ -54,6 +54,11 @@ _R_T_SEED_SCALE = 1000
 _SIGMA_SEED_SCALE = 1_000_000
 
 
+def _label(value: float) -> str:
+    """An r_t or sigma value as cell file names and table rows print it."""
+    return f"{value:g}"
+
+
 def parse_tau_spec(spec: str | int) -> tuple[int, int]:
     """Infectious-period spec: '3-5' for a uniform range, '4' for a fixed value."""
     lo_s, dash, hi_s = str(spec).strip().partition("-")
@@ -98,7 +103,8 @@ class ExperimentPlan:
         for r_t, sigma, tau_spec in product(self.r_t_values, self.sigma_values,
                                             self.tau_values):
             cell_config(self, self.variants[0], r_t, sigma, tau_spec)
-        # two values that cell_seed cannot tell apart would repeat a cell
+        # two values that cell_seed cannot tell apart would repeat a cell, and
+        # two that print one label would share its file and its table rows
         rounded = "share a cell seed: they round to the same multiple of 1/"
         for name, values, seed_key, reason in (
             ("variants", self.variants, str, "repeat a variant"),
@@ -109,12 +115,15 @@ class ExperimentPlan:
             ("sigma values", self.sigma_values,
              lambda v: int(round(v * _SIGMA_SEED_SCALE)),
              f"{rounded}{_SIGMA_SEED_SCALE}"),
+            ("r_t values", self.r_t_values, _label, "print the same label {key!r}"),
+            ("sigma values", self.sigma_values, _label, "print the same label {key!r}"),
         ):
             seen: dict = {}
             for value in values:
                 key = seed_key(value)
                 if key in seen:
-                    raise ValueError(f"{name} {seen[key]!r} and {value!r} {reason}")
+                    raise ValueError(f"{name} {seen[key]!r} and {value!r} "
+                                     + reason.format(key=key))
                 seen[key] = value
 
     @classmethod
@@ -272,7 +281,7 @@ def simulate_cell(
 
 
 def _cell_name(variant: str, r_t: float, sigma: float, tau_spec: str) -> str:
-    return f"{variant}_rt{r_t:g}_sig{sigma:g}_tau{tau_spec}"
+    return f"{variant}_rt{_label(r_t)}_sig{_label(sigma)}_tau{tau_spec}"
 
 
 def _sha256_file(path: Path) -> str:
@@ -345,7 +354,7 @@ def run_plan(plan: ExperimentPlan, trace_path, out_dir) -> dict:
             outputs.append(cell_path)
 
             summary, prevalence, mean_outbreak = _cell_rows(
-                f"{variant},{r_t:g},{sigma:g},{tau_spec}", counts)
+                f"{variant},{_label(r_t)},{_label(sigma)},{tau_spec}", counts)
             summary_rows.extend(summary)
             prevalence_rows.extend(prevalence)
             mean_outbreaks[(variant, r_t, sigma, tau_spec)] = mean_outbreak
@@ -364,8 +373,8 @@ def run_plan(plan: ExperimentPlan, trace_path, out_dir) -> dict:
             continue
         md, ms = mean_outbreaks[key_d], mean_outbreaks[key_s]
         ratio = "" if ms == 0 else repr(md / ms)
-        amplification.append(f"{spdt_v}/{spst_v},{r_t:g},{sigma:g},{tau_spec},"
-                             f"{md!r},{ms!r},{ratio}")
+        amplification.append(f"{spdt_v}/{spst_v},{_label(r_t)},{_label(sigma)},"
+                             f"{tau_spec},{md!r},{ms!r},{ratio}")
     for name, header, lines in (
         ("summary.csv", _SUMMARY_HEADER, summary_rows),
         ("prevalence.csv", "variant,r_t,sigma,tau,day,mean_I_p", prevalence_rows),
@@ -494,7 +503,7 @@ def reconstruct_compare(dir_a, dir_b, out_path=None) -> list[dict]:
     if out_path is not None:
         _textio.write_table(out_path, "r_t,variant_a,sigma_a,tau_a,mean_outbreak_a,"
                             "variant_b,sigma_b,tau_b,mean_outbreak_b,difference", (
-            f"{row['r_t']:g},{row['variant_a']},{row['sigma_a']},"
+            f"{_label(row['r_t'])},{row['variant_a']},{row['sigma_a']},"
             f"{row['tau_a']},{row['mean_outbreak_a']!r},"
             f"{row['variant_b']},{row['sigma_b']},{row['tau_b']},"
             f"{row['mean_outbreak_b']!r},{row['difference']!r}" for row in rows))

@@ -213,8 +213,7 @@ def write_trace_csv(updates: Updates, path: str | Path) -> None:
     not finite.
     """
     used = [updates.users[u] for u in np.unique(updates.user).tolist()]
-    if _textio.id_fault(*used) is not None or any("," in user for user in used):
-        user = next(u for u in used if _textio.id_fault(u) or "," in u)
+    if (user := _textio.bad_csv_id(used)) is not None:
         raise ValueError(f"user id {user!r} not representable in trace CSV")
     finite = np.isfinite(updates.t) & np.isfinite(updates.x) & np.isfinite(updates.y)
     if not finite.all():

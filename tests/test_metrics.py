@@ -10,6 +10,7 @@ import pytest
 from linkrows import edge_set, from_tuples
 from spdt.cli import main
 from spdt.metrics import (
+    DailyMetricsRow,
     StaticGraph,
     clustering_distribution,
     daily_network_metrics,
@@ -297,3 +298,12 @@ class TestWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "day,mean_degree,mean_clustering,r_t,variant"
         assert lines[1].endswith(",SDT")
+
+    @pytest.mark.parametrize("variant", ["SDT,x\ny", "x,y", "a\tb", "", "a\udcff"])
+    def test_daily_metrics_csv_refuses_a_label_that_is_not_one_field(self, tmp_path,
+                                                                    variant):
+        rows = [DailyMetricsRow(0, 60.0, 1.0, 0.5)]
+        path = tmp_path / "daily.csv"
+        with pytest.raises(ValueError, match=r"^variant .* not representable"):
+            write_daily_metrics_csv(rows, variant, path)
+        assert not path.exists()

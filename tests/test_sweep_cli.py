@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spdt import sweep
+from spdt import epidemic, sweep
 from spdt.cli import _SIM_OPTIONS, _SYNTH_OPTIONS, main
 from spdt.epidemic import SimulationConfig, run_simulation, write_daily_csv
 from spdt.metrics import (
@@ -96,6 +97,18 @@ class TestPlan:
             cell_seed(0, "SDT", 10.0004, 0.33, "3-5")
         with pytest.raises(ValueError, match=r"10\.0001.*10\.0004"):
             ExperimentPlan(r_t_values=(10.0001, 35.0, 10.0004))
+
+    def test_rejects_grid_values_printing_one_label(self):
+        # own cell seeds, but one label: the cells would share a daily CSV
+        # and the rows of their tables could not be told apart
+        assert cell_seed(0, "SDT", 100.0015, 0.33, "3-5") != \
+            cell_seed(0, "SDT", 100.0012, 0.33, "3-5")
+        with pytest.raises(ValueError, match=r"r_t values 100\.0015 and 100\.0012 "
+                                             r"print the same label '100\.001'"):
+            ExperimentPlan(r_t_values=(35.0, 100.0015, 100.0012))
+        with pytest.raises(ValueError, match=r"sigma values 1\.000001 and 1\.000002 "
+                                             r"print the same label '1'"):
+            ExperimentPlan(sigma_values=(1.000001, 1.000002))
 
     def test_rejects_sigma_values_sharing_a_cell_seed(self):
         with pytest.raises(ValueError, match=r"0\.33.*0\.3300001"):
@@ -264,6 +277,33 @@ class TestRunPlan:
         assert [c["status"] for c in manifest["cells"]] == ["error"]
         assert "seeds" in manifest["cells"][0]["error"]
         assert (out / "summary.csv").read_text().splitlines()[0].startswith("variant")
+
+    def test_worker_count_does_not_change_the_outputs(self, small_trace, tmp_path,
+                                                      monkeypatch):
+        # one run a block: each cell's four runs make four blocks, which two
+        # workers share through the process pool
+        monkeypatch.setattr(epidemic, "_BLOCK_PAIRS", 1)
+        pools = []
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(epidemic, "ProcessPoolExecutor", spy)
+        outs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SPDT_WORKERS", workers)
+            outs[workers] = tmp_path / f"w{workers}"
+            manifest = run_plan(SMALL_PLAN, small_trace, outs[workers])
+            assert [c["status"] for c in manifest["cells"]] == ["ok"] * 4
+            if workers == "1":
+                assert pools == []
+        assert pools == [2] * 4
+        daily = sorted(p.name for p in (outs["1"] / "cells").iterdir())
+        assert len(daily) == 4
+        assert daily == sorted(p.name for p in (outs["2"] / "cells").iterdir())
+        for rel in ["manifest.json"] + [f"cells/{name}" for name in daily]:
+            assert (outs["1"] / rel).read_bytes() == (outs["2"] / rel).read_bytes()
 
     def test_byte_identical_reruns(self, small_trace, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -482,6 +522,7 @@ class TestCli:
         (("rng_seed", "-1"), "rng_seed must be non-negative"),
         (("variants", "SDT,DDT,SDT"), "variants 'SDT' and 'SDT'"),
         (("tau", "4,4-4"), "tau values '4' and '4-4'"),
+        (("r_t", "100.0015,100.0012"), "r_t values 100.0015 and 100.0012 print"),
     ])
     def test_sweep_rejects_bad_plan_before_any_output(self, tmp_path, capsys,
                                                       entry, named):
@@ -653,6 +694,17 @@ class TestCli:
         out, err = capsys.readouterr()
         assert named in err and out == ""
         assert not list(tmp_path.glob("x_*"))
+
+    @pytest.mark.parametrize("variant", ["SDT,x\ny", "x,y", "a b", "", "a\udcff"])
+    def test_metrics_bad_variant_named_before_the_load(self, tmp_path, capsys,
+                                                       variant):
+        # a label the daily CSV cannot hold as one field
+        missing = str(tmp_path / "missing.spdt")
+        assert main(["metrics", "--net", missing, "--out-prefix",
+                     str(tmp_path / "m_"), "--variant", variant, "--daily"]) == 2
+        err = capsys.readouterr().err
+        assert "--variant: variant" in err and "missing.spdt" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_metrics_prefix_ending_in_a_separator_writes_into_that_directory(
             self, tmp_path, monkeypatch):
