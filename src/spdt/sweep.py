@@ -501,12 +501,13 @@ def reconstruct_compare(dir_a, dir_b, out_path=None) -> list[dict]:
                     "difference": by_rt_b[r_t] - by_rt_a[r_t],
                 })
     if out_path is not None:
-        _textio.write_table(out_path, "r_t,variant_a,sigma_a,tau_a,mean_outbreak_a,"
-                            "variant_b,sigma_b,tau_b,mean_outbreak_b,difference", (
-            f"{_label(row['r_t'])},{row['variant_a']},{row['sigma_a']},"
-            f"{row['tau_a']},{row['mean_outbreak_a']!r},"
-            f"{row['variant_b']},{row['sigma_b']},{row['tau_b']},"
-            f"{row['mean_outbreak_b']!r},{row['difference']!r}" for row in rows))
+        _textio.write_table(
+            out_path, "r_t,variant_a,sigma_a,tau_a,mean_outbreak_a,"
+            "variant_b,sigma_b,tau_b,mean_outbreak_b,difference",
+            (f"{_label(row['r_t'])},{row['variant_a']},{row['sigma_a']},"
+             f"{row['tau_a']},{row['mean_outbreak_a']!r},"
+             f"{row['variant_b']},{row['sigma_b']},{row['tau_b']},"
+             f"{row['mean_outbreak_b']!r},{row['difference']!r}" for row in rows))
     return rows
 
 
